@@ -1,0 +1,255 @@
+"""Command-line front end: preset or config in, CSV rows and JSON summary out.
+
+Exit codes: 0 success, 2 configuration error (with per-key diagnostics on
+stderr), 3 numerical failure.  The CSV carries one row per sweep point at
+full double precision; the JSON summary records the effective intracavity
+permittivity, the shift peaks over the non-singular grid rows and, for angle
+sweeps, the resonance located by the coarse-scan plus golden-section search.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import math
+import os
+import sys
+from dataclasses import replace
+from json import JSONDecodeError
+from pathlib import Path
+
+from .config import (
+    config_from_scenario,
+    load_config_file,
+    scenario_from_config,
+    validate_config,
+)
+from .presets import PRESET_NAMES, preset
+from .qw_medium import SingularParameterError, permittivity, susceptibility
+from .shifts import ResolutionError
+from .strata import DegenerateGeometryError
+from .sweep import Scenario, SweepRow, SweepSpec, find_resonance, run_sweep, scenario_qw
+
+__all__ = ["main", "build_parser", "write_csv", "CSV_HEADER"]
+
+CSV_HEADER = (
+    "swept,re_abs,rm_abs,ratio_em,ratio_me,phi_e,phi_m,"
+    "delta_h_plus_lambda,delta_v_plus_lambda,flags"
+)
+
+_NUMERICAL_ERRORS = (SingularParameterError, DegenerateGeometryError, ResolutionError)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="spinhall",
+        description="Spin-dependent transverse shifts of a beam reflected from a "
+        "quantum-well cavity: run a parameter sweep and write plot data.",
+    )
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=PRESET_NAMES, help="named figure scenario")
+    source.add_argument("--config", metavar="PATH", help="JSON scenario file")
+    parser.add_argument("--out", metavar="PATH", help="CSV output path (default <preset>.csv)")
+    parser.add_argument(
+        "--format", choices=("csv", "json", "both"), default="both", dest="fmt",
+        help="which outputs to write (default both)",
+    )
+    parser.add_argument("--lambda-um", type=float, help="override the probe wavelength")
+    parser.add_argument(
+        "--threads", type=int,
+        help="worker threads for row evaluation (default SPINHALL_THREADS or 1)",
+    )
+    parser.add_argument(
+        "--find-resonance", metavar="LO,HI",
+        help="also locate the |r_e|/|r_m| peak inside this theta window",
+    )
+    return parser
+
+
+def _fmt(value: float) -> str:
+    return f"{value:.17g}"
+
+
+def _flags(row: SweepRow) -> str:
+    flags = ""
+    if row.h_singular:
+        flags += "h"
+    if row.v_singular:
+        flags += "v"
+    if row.error is not None:
+        flags += "e"
+    return flags
+
+
+def write_csv(rows: list[SweepRow], path: Path) -> None:
+    """One header row then one data row per sweep point, LF line endings."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(CSV_HEADER.split(","))
+        for row in rows:
+            writer.writerow(
+                [
+                    _fmt(row.value),
+                    _fmt(row.re_abs),
+                    _fmt(row.rm_abs),
+                    _fmt(row.ratio_em),
+                    _fmt(row.ratio_me),
+                    _fmt(row.phi_e),
+                    _fmt(row.phi_m),
+                    _fmt(row.delta_h_plus_lambda),
+                    _fmt(row.delta_v_plus_lambda),
+                    _flags(row),
+                ]
+            )
+
+
+def _finite_or_none(value):
+    if value is None or not math.isfinite(value):
+        return None
+    return value
+
+
+def _abs_peak(values) -> float | None:
+    finite = [abs(v) for v in values if math.isfinite(v)]
+    return max(finite) if finite else None
+
+
+def _summary(
+    scenario: Scenario,
+    spec: SweepSpec,
+    rows: list[SweepRow],
+    preset_name: str | None,
+    resonance_window: tuple[float, float] | None,
+    csv_path: Path | None,
+) -> dict:
+    chi = susceptibility(scenario_qw(scenario, spec.fixed)).chi
+    eps2 = permittivity(chi)
+    summary = {
+        "preset": preset_name,
+        "lambda_um": scenario.lambda_um,
+        "sweep": {
+            "variable": spec.variable,
+            "lo": spec.lo,
+            "hi": spec.hi,
+            "samples": spec.samples,
+            "fixed": dict(spec.fixed),
+        },
+        "effective_epsilon2": [eps2.real, eps2.imag],
+        "rows": len(rows),
+        "row_errors": sum(1 for r in rows if r.error is not None),
+        # peaks over the trustworthy rows only; singular-flagged ratios are
+        # noise-floor artifacts
+        "abs_delta_h_plus_lambda_peak": _abs_peak(
+            r.delta_h_plus_lambda for r in rows if not r.h_singular
+        ),
+        "abs_delta_v_plus_lambda_peak": _abs_peak(
+            r.delta_v_plus_lambda for r in rows if not r.v_singular
+        ),
+        "resonance": None,
+        "csv": str(csv_path) if csv_path is not None else None,
+    }
+    window = resonance_window
+    if window is None and spec.variable == "theta":
+        window = (spec.lo, spec.hi)
+    if window is not None:
+        result = find_resonance(scenario, window)
+        summary["resonance"] = {
+            "theta_star": result.theta_star,
+            "ratio_em_peak": _finite_or_none(result.ratio_em_peak),
+            "boundary": result.boundary,
+        }
+    return summary
+
+
+def _parse_window(text: str) -> tuple[float, float]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"expected LO,HI, got {text!r}")
+    return float(parts[0]), float(parts[1])
+
+
+def _resolve_threads(args) -> int:
+    if args.threads is not None:
+        return max(1, args.threads)
+    env = os.environ.get("SPINHALL_THREADS")
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            print(f"warning: ignoring non-integer SPINHALL_THREADS={env!r}", file=sys.stderr)
+    return 1
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+
+    try:
+        if args.config is not None:
+            doc = load_config_file(args.config)
+        else:
+            scenario0, spec0 = preset(args.preset)
+            doc = config_from_scenario(scenario0, spec0, preset_name=args.preset)
+    except FileNotFoundError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except JSONDecodeError as exc:
+        print(
+            f"config error: {args.config}: line {exc.lineno} column {exc.colno}: {exc.msg}",
+            file=sys.stderr,
+        )
+        return 2
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+
+    problems = validate_config(doc)
+    if problems:
+        for problem in problems:
+            print(f"config error: {problem}", file=sys.stderr)
+        return 2
+
+    try:
+        window = _parse_window(args.find_resonance) if args.find_resonance else None
+    except ValueError as exc:
+        print(f"config error: --find-resonance: {exc}", file=sys.stderr)
+        return 2
+
+    scenario, spec = scenario_from_config(doc)
+    if args.lambda_um is not None:
+        if not args.lambda_um > 0:
+            print("config error: --lambda-um must be > 0", file=sys.stderr)
+            return 2
+        scenario = replace(scenario, lambda_um=args.lambda_um)
+    preset_name = doc.get("preset")
+
+    out = Path(args.out) if args.out else Path(f"{preset_name or 'sweep'}.csv")
+    csv_path = out if args.fmt in ("csv", "both") else None
+    if args.fmt == "json":
+        json_path = out
+    else:
+        json_path = out.with_suffix(".json") if args.fmt == "both" else None
+
+    try:
+        rows = run_sweep(scenario, spec, threads=_resolve_threads(args))
+        if csv_path is not None:
+            write_csv(rows, csv_path)
+            print(f"wrote {csv_path} ({len(rows)} rows)")
+        if json_path is not None:
+            summary = _summary(scenario, spec, rows, preset_name, window, csv_path)
+            with open(json_path, "w", encoding="utf-8", newline="\n") as handle:
+                json.dump(summary, handle, indent=2, allow_nan=False)
+                handle.write("\n")
+            print(f"wrote {json_path}")
+    except _NUMERICAL_ERRORS as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

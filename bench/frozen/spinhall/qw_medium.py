@@ -1,0 +1,203 @@
+"""Linear optical response of a four-subband asymmetric double quantum well.
+
+The medium couples a weak probe to two tunneling-split intermediate subbands
+(at +delta and -delta around the doublet center) and an upper subband driven
+by a control field.  Cross-coupling of the two intermediate coherences through
+decay into a shared continuum produces Fano-type interference whose strength
+is alpha = sqrt(gamma_bl * gamma_cl).
+
+Two routes to the susceptibility are provided: the closed-form expression
+(`susceptibility`) and an independent steady-state solve of the coherence
+equations of motion (`steady_state_coherences`).  At zero probe and control
+detuning the two agree to machine precision; the second exists so the first
+can be checked against it.
+
+Units: all rates, detunings, splittings and Rabi frequencies in meV.  The
+prefactor beta (density times dipole moment squared over eps0*hbar) is carried
+in meV as well, which makes chi dimensionless.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+__all__ = [
+    "QwParams",
+    "DecayBundle",
+    "Susceptibility",
+    "SingularParameterError",
+    "derived_rates",
+    "susceptibility",
+    "steady_state_coherences",
+    "susceptibility_from_steady_state",
+    "permittivity",
+]
+
+# |denominator| below this (in meV^2 units) counts as a degenerate parameter set.
+DENOMINATOR_FLOOR = 1e-30
+
+# Bridge between the weak-probe coherence combination (g*B2 + B3)/omega_p and
+# the macroscopic chi.  Determined once numerically against the closed form
+# and frozen; it comes out exactly 1 because beta already carries the
+# density/dipole bookkeeping.
+COHERENCE_TO_CHI = 1.0
+
+_RATE_FIELDS = ("gamma_bl", "gamma_bd", "gamma_cl", "gamma_cd", "gamma_dl", "gamma_dd")
+
+
+class SingularParameterError(ValueError):
+    """The susceptibility denominator vanished for the given parameters."""
+
+
+@dataclass(frozen=True)
+class QwParams:
+    """Quantum-well medium parameters.
+
+    gamma_*l are population decay rates (tunneling into the continuum),
+    gamma_*d are dephasing rates, for the two intermediate subbands (b, c)
+    and the upper subband (d).  g and f are the dipole-moment ratios of the
+    probe and control transitions, delta is half the tunneling splitting of
+    the intermediate doublet, omega_c the control Rabi frequency.  delta_p
+    and delta_c are probe/control detunings used only by the steady-state
+    solver.  level_energies is optional metadata (E_a, E_b, E_c, E_d in meV)
+    and plays no role in any computation.
+    """
+
+    gamma_bl: float
+    gamma_bd: float
+    gamma_cl: float
+    gamma_cd: float
+    gamma_dl: float
+    gamma_dd: float
+    beta: float
+    g: float
+    f: float
+    delta: float
+    omega_c: float
+    delta_p: float = 0.0
+    delta_c: float = 0.0
+    level_energies: tuple[float, float, float, float] | None = None
+
+    def __post_init__(self) -> None:
+        for name in _RATE_FIELDS + ("beta", "omega_c"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be a finite non-negative rate, got {value!r}")
+        for name in ("g", "f", "delta", "delta_p", "delta_c"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+@dataclass(frozen=True)
+class DecayBundle:
+    """Total decay rates of the three excited subbands plus the interference
+    measure: alpha is the continuum cross-coupling and p = alpha /
+    sqrt(gamma2 * gamma3) in [0, 1] grades the Fano interference from absent
+    (0) to perfect (1)."""
+
+    gamma2: float
+    gamma3: float
+    gamma4: float
+    alpha: float
+    p: float
+
+
+@dataclass(frozen=True)
+class Susceptibility:
+    """Complex dimensionless susceptibility of the intracavity medium."""
+
+    chi: complex
+
+
+def derived_rates(params: QwParams) -> DecayBundle:
+    """Combine population decay and dephasing into total rates and the
+    interference parameters alpha and p."""
+    gamma2 = params.gamma_bl + params.gamma_bd
+    gamma3 = params.gamma_cl + params.gamma_cd
+    gamma4 = params.gamma_dl + params.gamma_dd
+    alpha = math.sqrt(params.gamma_bl * params.gamma_cl)
+    norm = math.sqrt(gamma2 * gamma3)
+    # alpha = 0 whenever norm = 0, so p = 0 is the correct degenerate limit
+    p = alpha / norm if norm > 0.0 else 0.0
+    return DecayBundle(gamma2=gamma2, gamma3=gamma3, gamma4=gamma4, alpha=alpha, p=p)
+
+
+def susceptibility(params: QwParams) -> Susceptibility:
+    """Closed-form susceptibility at resonant probe and control.
+
+    chi = i*beta*(A1*gamma4 + (f-g)^2*omega_c^2) / (A2*gamma4 + A3*omega_c^2)
+    with A1, A2, A3 built from the decay bundle, the dipole ratios and the
+    half splitting delta.  Raises SingularParameterError when the denominator
+    magnitude falls below DENOMINATOR_FLOOR.
+    """
+    d = derived_rates(params)
+    g, f, delta = params.g, params.f, params.delta
+    a1 = -1j * delta + 1j * g * g * delta + 2.0 * g * d.alpha + d.gamma2 + g * g * d.gamma3
+    a2 = delta * delta - d.alpha * d.alpha - 1j * delta * d.gamma3 + d.gamma2 * (1j * delta + d.gamma3)
+    a3 = -1j * delta + 1j * f * f * delta + 2.0 * f * d.alpha + d.gamma2 + f * f * d.gamma3
+    oc2 = params.omega_c * params.omega_c
+    denominator = a2 * d.gamma4 + a3 * oc2
+    if abs(denominator) < DENOMINATOR_FLOOR:
+        raise SingularParameterError(
+            f"susceptibility denominator vanished (|den|={abs(denominator):.3e}) "
+            f"for delta={delta}, omega_c={params.omega_c}, rates summing to "
+            f"gamma2={d.gamma2}, gamma3={d.gamma3}, gamma4={d.gamma4}"
+        )
+    numerator = 1j * params.beta * (a1 * d.gamma4 + (f - g) ** 2 * oc2)
+    return Susceptibility(chi=numerator / denominator)
+
+
+def steady_state_coherences(params: QwParams, omega_p: float) -> tuple[complex, complex, complex]:
+    """Weak-probe steady state of the coherence equations of motion.
+
+    Sets the ground-state amplitude to 1 and solves the remaining 3x3 complex
+    linear system for (B2, B3, B4).  The B2 row carries +delta and the B3 row
+    -delta: the two intermediate subbands sit symmetrically about the doublet
+    center.  Unlike the closed form, nonzero delta_p / delta_c are honored.
+
+    omega_p must be positive and small against the decay rates for the
+    linear-response reading of the result to hold.
+    """
+    if not (omega_p > 0.0 and math.isfinite(omega_p)):
+        raise ValueError(f"omega_p must be positive and finite, got {omega_p!r}")
+    d = derived_rates(params)
+    g, f = params.g, params.f
+    oc, dp, dc = params.omega_c, params.delta_p, params.delta_c
+    matrix = np.array(
+        [
+            [1j * (1j * d.gamma2 - dp + params.delta), d.alpha, 1j * f * oc],
+            [d.alpha, 1j * (1j * d.gamma3 - dp - params.delta), 1j * oc],
+            [1j * f * oc, 1j * oc, 1j * (1j * d.gamma4 - dp + dc)],
+        ],
+        dtype=complex,
+    )
+    rhs = np.array([-1j * g * omega_p, -1j * omega_p, 0.0], dtype=complex)
+    try:
+        solution = np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularParameterError(
+            f"steady-state coefficient matrix is singular for delta={params.delta}, "
+            f"omega_c={oc}, delta_p={dp}, delta_c={dc}: {exc}"
+        ) from exc
+    return complex(solution[0]), complex(solution[1]), complex(solution[2])
+
+
+def susceptibility_from_steady_state(params: QwParams, omega_p: float = 1e-3) -> complex:
+    """Reconstruct chi from the steady-state coherences.
+
+    chi = COHERENCE_TO_CHI * beta * (g*B2 + B3) / omega_p.  At delta_p =
+    delta_c = 0 this reproduces the closed form; it is the independent check
+    the closed form is tested against.
+    """
+    b2, b3, _ = steady_state_coherences(params, omega_p)
+    return COHERENCE_TO_CHI * params.beta * (params.g * b2 + b3) / omega_p
+
+
+def permittivity(chi: Susceptibility | complex) -> complex:
+    """Effective permittivity of the intracavity medium, 1 + chi."""
+    value = chi.chi if isinstance(chi, Susceptibility) else complex(chi)
+    return 1.0 + value

@@ -1,0 +1,236 @@
+"""Spin-dependent transverse shifts of a reflected beam.
+
+On reflection the two circular polarization components of a finite beam are
+displaced to opposite sides of the plane of incidence.  The closed forms for
+the sigma+ component are
+
+    delta_h_plus = -(lambda/2pi) * (1 + |r_e|/|r_m| * cos(phi_e - phi_m)) * cot(theta)
+    delta_v_plus = -(lambda/2pi) * (1 + |r_m|/|r_e| * cos(phi_m - phi_e)) * cot(theta)
+
+for horizontally and vertically polarized input, with the sigma- values their
+exact negatives.  Only the magnitude ratio and the phase difference of the two
+reflection coefficients enter, so giant shifts appear wherever one
+polarization is nearly extinguished (the ratio blows up).
+
+`centroid_shift_oracle` checks these formulas independently: it builds a
+Gaussian angular spectrum, applies the first-order reflection matrix with the
+cross-polarization coupling k_y*cot(theta)*(r_m+r_e)/k0 (coefficients held at
+their central-angle values), splits the result into circular components and
+measures the intensity centroid on the real-space grid.  Space-domain fields
+use the plane-wave phase convention exp(i(w*t - k.r)), i.e. spectrum-to-space
+is a forward DFT; this is what ties the sigma+ label to the minus sign above.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .strata import Kinematics, ReflectionPair, Stack, reflection_pair
+
+__all__ = [
+    "BeamSpec",
+    "ShiftResult",
+    "ResolutionError",
+    "transverse_shifts",
+    "gaussian_spectrum",
+    "circular_centroids",
+    "centroid_shift_oracle",
+    "SINGULAR_REFLECTION",
+]
+
+# |r| below this sits at the double-precision noise floor; ratios against it
+# are reported but flagged rather than clipped.
+SINGULAR_REFLECTION = 1e-14
+
+# minimum spectral half-extent in units of 1/waist and minimum samples per
+# axis for the angular-spectrum grid
+_MIN_EXTENT_WAISTS = 6.0
+_MIN_SAMPLES = 256
+
+
+class ResolutionError(ValueError):
+    """The angular-spectrum grid cannot resolve the beam."""
+
+
+@dataclass(frozen=True)
+class BeamSpec:
+    """Gaussian beam waist plus the transverse wavevector grid used by the
+    centroid oracle.  grid_half_extent is the maximum |k| on each axis in
+    1/um (defaults to 8/waist), grid_samples the number of points per axis."""
+
+    waist_um: float
+    grid_half_extent: float | None = None
+    grid_samples: int = 512
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.waist_um) and self.waist_um > 0.0):
+            raise ValueError(f"waist_um must be positive, got {self.waist_um!r}")
+        if self.grid_samples < _MIN_SAMPLES:
+            raise ResolutionError(
+                f"grid_samples must be >= {_MIN_SAMPLES}, got {self.grid_samples}"
+            )
+        if self.grid_half_extent is not None:
+            if self.grid_half_extent < _MIN_EXTENT_WAISTS / self.waist_um:
+                raise ResolutionError(
+                    f"grid_half_extent must be >= {_MIN_EXTENT_WAISTS}/waist "
+                    f"= {_MIN_EXTENT_WAISTS / self.waist_um:.6g} 1/um, "
+                    f"got {self.grid_half_extent!r}"
+                )
+
+    @property
+    def half_extent(self) -> float:
+        if self.grid_half_extent is not None:
+            return self.grid_half_extent
+        return 8.0 / self.waist_um
+
+
+@dataclass(frozen=True)
+class ShiftResult:
+    """Transverse shifts of the two circular components, in units of the
+    wavelength; sigma- values and absolute lengths in mm are derived views.
+    A singular flag marks a ratio taken against a noise-floor magnitude."""
+
+    delta_h_plus: float
+    delta_v_plus: float
+    lambda_um: float
+    h_singular: bool
+    v_singular: bool
+
+    @property
+    def delta_h_minus(self) -> float:
+        return -self.delta_h_plus
+
+    @property
+    def delta_v_minus(self) -> float:
+        return -self.delta_v_plus
+
+    @property
+    def delta_h_plus_mm(self) -> float:
+        return self.delta_h_plus * self.lambda_um * 1e-3
+
+    @property
+    def delta_h_minus_mm(self) -> float:
+        return -self.delta_h_plus * self.lambda_um * 1e-3
+
+    @property
+    def delta_v_plus_mm(self) -> float:
+        return self.delta_v_plus * self.lambda_um * 1e-3
+
+    @property
+    def delta_v_minus_mm(self) -> float:
+        return -self.delta_v_plus * self.lambda_um * 1e-3
+
+
+def _ratio(a: float, b: float) -> float:
+    """a/b with IEEE semantics at b = 0 (inf, or nan for 0/0)."""
+    if b != 0.0:
+        return a / b
+    return math.nan if a == 0.0 else math.inf
+
+
+def transverse_shifts(pair: ReflectionPair, lambda_um: float, theta_rad: float) -> ShiftResult:
+    """Closed-form sigma+ shifts for h- and v-polarized input.
+
+    theta must lie in (0, pi/2); cot(theta) diverges at 0.  Near-vanishing
+    |r_m| (|r_e|) makes the h (v) ratio blow up: the value is still computed
+    and the corresponding singular flag is set.
+    """
+    if not 0.0 < theta_rad < math.pi / 2:
+        raise ValueError(f"theta must lie in (0, pi/2), got {theta_rad!r}")
+    re_abs, rm_abs = abs(pair.r_e), abs(pair.r_m)
+    h_singular = rm_abs < SINGULAR_REFLECTION
+    v_singular = re_abs < SINGULAR_REFLECTION
+    cot = 1.0 / math.tan(theta_rad)
+    dphi = pair.phi_e - pair.phi_m
+    scale = -cot / (2.0 * math.pi)
+    delta_h = scale * (1.0 + _ratio(re_abs, rm_abs) * math.cos(dphi))
+    delta_v = scale * (1.0 + _ratio(rm_abs, re_abs) * math.cos(-dphi))
+    return ShiftResult(
+        delta_h_plus=delta_h,
+        delta_v_plus=delta_v,
+        lambda_um=lambda_um,
+        h_singular=h_singular,
+        v_singular=v_singular,
+    )
+
+
+def gaussian_spectrum(beam: BeamSpec, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
+    """Angular spectrum (w0/sqrt(2pi)) * exp(-w0^2 (kx^2+ky^2)/4); its squared
+    magnitude integrates to 1 independent of the waist."""
+    w0 = beam.waist_um
+    return (w0 / math.sqrt(2.0 * math.pi)) * np.exp(-(w0 * w0) * (kx * kx + ky * ky) / 4.0)
+
+
+def _spectral_grid(beam: BeamSpec) -> tuple[np.ndarray, float]:
+    half = beam.half_extent
+    n = beam.grid_samples
+    dk = 2.0 * half / n
+    return -half + dk * np.arange(n), dk
+
+
+def circular_centroids(
+    pair: ReflectionPair,
+    kin: Kinematics,
+    beam: BeamSpec,
+    polarization: str,
+) -> tuple[float, float]:
+    """Transverse intensity centroids (sigma+, sigma-) in units of lambda.
+
+    polarization is "h" or "v" and selects the incident linear state.  The
+    reflected spectrum is transformed to real space with a forward 2D DFT and
+    the centroid taken as the first moment of |E|^2 along the transverse axis.
+    """
+    if polarization not in ("h", "v"):
+        raise ValueError(f"polarization must be 'h' or 'v', got {polarization!r}")
+    k1, dk = _spectral_grid(beam)
+    kx, ky = np.meshgrid(k1, k1, indexing="ij")
+    envelope = gaussian_spectrum(beam, kx, ky)
+    cross = ky * (1.0 / math.tan(kin.theta_rad)) * (pair.r_m + pair.r_e) / kin.k
+    if polarization == "h":
+        e_h = pair.r_m * envelope
+        e_v = -cross * envelope
+    else:
+        e_h = cross * envelope
+        e_v = pair.r_e * envelope
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    y = np.fft.fftfreq(beam.grid_samples, d=dk / (2.0 * math.pi))
+    centroids = []
+    for spectrum in ((e_h + 1j * e_v) * inv_sqrt2, (e_h - 1j * e_v) * inv_sqrt2):
+        field = np.fft.fft2(spectrum)  # exp(-i k.r) plane-wave convention
+        profile = (np.abs(field) ** 2).sum(axis=0)  # integrate out the in-plane axis
+        total = profile.sum()
+        if total == 0.0:
+            centroids.append(math.nan)
+        else:
+            centroids.append(float((profile * y).sum() / total) / kin.lambda_um)
+    return centroids[0], centroids[1]
+
+
+def centroid_shift_oracle(
+    stack: Stack, kin: Kinematics, beam: BeamSpec
+) -> tuple[float | None, float | None]:
+    """Numerical sigma+ centroid shifts (h input, v input) in lambda units.
+
+    Declines (returns None in the corresponding slot) wherever the ratio
+    entering the matching closed form is singular.  The waist must be large
+    against the wavelength for the first-order spin-orbit coupling to
+    dominate; callers should also keep it large against the expected shift.
+    """
+    if beam.waist_um < 100.0 * kin.lambda_um:
+        raise ResolutionError(
+            f"waist_um={beam.waist_um!r} too small: need >= 100*lambda "
+            f"({100.0 * kin.lambda_um:.6g} um) for the first-order expansion"
+        )
+    pair = reflection_pair(stack, kin)
+    h_singular = abs(pair.r_m) < SINGULAR_REFLECTION
+    v_singular = abs(pair.r_e) < SINGULAR_REFLECTION
+    delta_h = None
+    delta_v = None
+    if not h_singular:
+        delta_h, _ = circular_centroids(pair, kin, beam, "h")
+    if not v_singular:
+        delta_v, _ = circular_centroids(pair, kin, beam, "v")
+    return delta_h, delta_v

@@ -1,0 +1,286 @@
+"""Grids over angle and medium parameters, and resonance search.
+
+A Scenario bundles the quantum-well medium with the cavity template (two
+fixed walls around the tunable middle layer) and the probe wavelength; a
+SweepSpec picks one variable (theta, omega_c or delta), its grid, and fixed
+values for the others.  Per-point failures degrade to flagged rows instead of
+aborting: the singular geometries are usually the interesting part of a scan.
+"""
+
+from __future__ import annotations
+
+import math
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
+
+import numpy as np
+
+from .qw_medium import QwParams, susceptibility
+from .shifts import BeamSpec, transverse_shifts
+from .strata import Kinematics, Layer, Stack, reflection_pair
+
+__all__ = [
+    "SWEEP_VARIABLES",
+    "Scenario",
+    "SweepSpec",
+    "SweepRow",
+    "ResonanceResult",
+    "build_stack",
+    "run_sweep",
+    "find_resonance",
+]
+
+SWEEP_VARIABLES = ("theta", "omega_c", "delta")
+
+_FIXABLE = frozenset(SWEEP_VARIABLES)
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Medium + cavity template + probe beam.
+
+    The two walls have permittivities epsilon1/epsilon3 and equal thickness
+    d1_um; the middle layer of thickness d2_um takes the permittivity
+    1 + chi(qw) when the stack is built.
+    """
+
+    qw: QwParams
+    epsilon1: complex
+    epsilon3: complex
+    d1_um: float
+    d2_um: float
+    lambda_um: float
+    beam: BeamSpec | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("epsilon1", "epsilon3"):
+            if complex(getattr(self, name)) == 0:
+                raise ValueError(f"{name} must be nonzero")
+        for name in ("d1_um", "d2_um"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
+        if not (math.isfinite(self.lambda_um) and self.lambda_um > 0.0):
+            raise ValueError(f"lambda_um must be positive, got {self.lambda_um!r}")
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """One swept variable on [lo, hi] with `samples` points, plus fixed
+    values for the non-swept variables (a theta value is required when the
+    sweep variable is not theta)."""
+
+    variable: str
+    lo: float
+    hi: float
+    samples: int
+    fixed: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.variable not in SWEEP_VARIABLES:
+            raise ValueError(f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+            raise ValueError(f"need lo < hi, got [{self.lo!r}, {self.hi!r}]")
+        if self.samples < 2:
+            raise ValueError(f"samples must be >= 2, got {self.samples!r}")
+        unknown = set(self.fixed) - _FIXABLE
+        if unknown:
+            raise ValueError(f"unknown fixed keys: {sorted(unknown)}")
+        if self.variable == "theta":
+            if not (0.0 < self.lo and self.hi < math.pi / 2):
+                raise ValueError("theta must lie in (0, pi/2)")
+        else:
+            theta = self.fixed.get("theta")
+            if theta is None:
+                raise ValueError(f"a {self.variable} sweep needs fixed['theta']")
+            if not 0.0 < theta < math.pi / 2:
+                raise ValueError("theta must lie in (0, pi/2)")
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    """Reflection magnitudes/phases, polarization ratios and sigma+ shifts at
+    one grid point.  A failed point carries the error message and NaN data."""
+
+    value: float
+    re_abs: float
+    rm_abs: float
+    ratio_em: float
+    ratio_me: float
+    phi_e: float
+    phi_m: float
+    delta_h_plus_lambda: float
+    delta_v_plus_lambda: float
+    h_singular: bool
+    v_singular: bool
+    error: str | None = None
+
+
+@dataclass(frozen=True)
+class ResonanceResult:
+    """Location and height of the |r_e|/|r_m| peak; boundary=True warns that
+    the maximum sat on the window edge (no interior peak)."""
+
+    theta_star: float
+    ratio_em_peak: float
+    boundary: bool
+
+
+def scenario_qw(scenario: Scenario, overrides: dict | None = None) -> QwParams:
+    """Medium parameters with any omega_c/delta fixed-point overrides applied."""
+    if not overrides:
+        return scenario.qw
+    allowed = {k: v for k, v in overrides.items() if k in ("omega_c", "delta")}
+    return replace(scenario.qw, **allowed) if allowed else scenario.qw
+
+
+def build_stack(scenario: Scenario, chi: complex) -> Stack:
+    """Three-layer cavity with the middle permittivity set to 1 + chi."""
+    return Stack(
+        layers=(
+            Layer(epsilon=scenario.epsilon1, thickness_um=scenario.d1_um),
+            Layer(epsilon=1.0 + chi, thickness_um=scenario.d2_um),
+            Layer(epsilon=scenario.epsilon3, thickness_um=scenario.d1_um),
+        )
+    )
+
+
+def _safe_ratio(a: float, b: float) -> float:
+    if b != 0.0:
+        return a / b
+    return math.nan if a == 0.0 else math.inf
+
+
+def _point_row(scenario: Scenario, spec: SweepSpec, value: float, chi_cache) -> SweepRow:
+    try:
+        if spec.variable == "theta":
+            theta = value
+            chi = chi_cache() if callable(chi_cache) else chi_cache
+        else:
+            theta = float(spec.fixed["theta"])
+            qw = scenario_qw(scenario, {**spec.fixed, spec.variable: value})
+            chi = susceptibility(qw).chi
+        stack = build_stack(scenario, chi)
+        kin = Kinematics(lambda_um=scenario.lambda_um, theta_rad=theta)
+        pair = reflection_pair(stack, kin)
+        shifts = transverse_shifts(pair, scenario.lambda_um, theta)
+        re_abs, rm_abs = abs(pair.r_e), abs(pair.r_m)
+        return SweepRow(
+            value=value,
+            re_abs=re_abs,
+            rm_abs=rm_abs,
+            ratio_em=_safe_ratio(re_abs, rm_abs),
+            ratio_me=_safe_ratio(rm_abs, re_abs),
+            phi_e=pair.phi_e,
+            phi_m=pair.phi_m,
+            delta_h_plus_lambda=shifts.delta_h_plus,
+            delta_v_plus_lambda=shifts.delta_v_plus,
+            h_singular=shifts.h_singular,
+            v_singular=shifts.v_singular,
+        )
+    except Exception as exc:  # per-point failures become flagged rows
+        nan = math.nan
+        return SweepRow(
+            value=value,
+            re_abs=nan,
+            rm_abs=nan,
+            ratio_em=nan,
+            ratio_me=nan,
+            phi_e=nan,
+            phi_m=nan,
+            delta_h_plus_lambda=nan,
+            delta_v_plus_lambda=nan,
+            h_singular=True,
+            v_singular=True,
+            error=f"{type(exc).__name__}: {exc}",
+        )
+
+
+def run_sweep(scenario: Scenario, spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
+    """Evaluate the sweep grid, rows in ascending swept-value order.
+
+    Rows are independent; with threads > 1 they are evaluated concurrently
+    and reassembled in grid order, so the output is identical to a serial
+    run.  For a theta sweep the medium susceptibility is computed once; for
+    omega_c/delta sweeps it is re-evaluated at every point.
+    """
+    values = np.linspace(spec.lo, spec.hi, spec.samples)
+    if spec.variable == "theta":
+        # one middle layer for the whole scan; a failing medium fails every
+        # row identically rather than aborting the sweep
+        try:
+            chi_cache = susceptibility(scenario_qw(scenario, spec.fixed)).chi
+        except Exception as exc:
+            def chi_cache(exc=exc):
+                raise exc
+    else:
+        chi_cache = None
+
+    def one(value: float) -> SweepRow:
+        return _point_row(scenario, spec, float(value), chi_cache)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(one, values))
+    return [one(v) for v in values]
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(fn, a: float, b: float, tol: float) -> tuple[float, float]:
+    """Golden-section maximization of fn on [a, b] to bracket width tol."""
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = fn(c), fn(d)
+    best_x, best_f = (c, fc) if fc >= fd else (d, fd)
+    while (b - a) > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = fn(d)
+        x, f = (c, fc) if fc >= fd else (d, fd)
+        if f > best_f:
+            best_x, best_f = x, f
+    return best_x, best_f
+
+
+def find_resonance(
+    scenario: Scenario,
+    theta_window: tuple[float, float],
+    coarse_samples: int = 2000,
+    tol_rad: float = 1e-7,
+) -> ResonanceResult:
+    """Locate the angle maximizing |r_e|/|r_m| inside the window.
+
+    A coarse scan (at least 2000 points) brackets the peak; golden-section
+    refinement then pins it to tol_rad.  If the coarse maximum sits on the
+    window edge the boundary flag is set and no refinement is attempted.
+    """
+    lo, hi = float(theta_window[0]), float(theta_window[1])
+    if not (0.0 < lo < hi < math.pi / 2):
+        raise ValueError(f"theta window must satisfy 0 < lo < hi < pi/2, got {theta_window!r}")
+    chi = susceptibility(scenario.qw).chi
+    stack = build_stack(scenario, chi)
+
+    def ratio_em(theta: float) -> float:
+        pair = reflection_pair(stack, Kinematics(scenario.lambda_um, theta))
+        value = _safe_ratio(abs(pair.r_e), abs(pair.r_m))
+        return -math.inf if math.isnan(value) else value
+
+    thetas = np.linspace(lo, hi, max(coarse_samples, 2000))
+    values = [ratio_em(float(t)) for t in thetas]
+    i_best = int(np.argmax(values))
+    coarse_theta, coarse_peak = float(thetas[i_best]), values[i_best]
+    if i_best == 0 or i_best == len(thetas) - 1:
+        return ResonanceResult(theta_star=coarse_theta, ratio_em_peak=coarse_peak, boundary=True)
+    refined_theta, refined_peak = _golden_max(
+        ratio_em, float(thetas[i_best - 1]), float(thetas[i_best + 1]), tol_rad
+    )
+    if refined_peak >= coarse_peak:
+        return ResonanceResult(theta_star=refined_theta, ratio_em_peak=refined_peak, boundary=False)
+    return ResonanceResult(theta_star=coarse_theta, ratio_em_peak=coarse_peak, boundary=False)
