@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 from json import JSONDecodeError
@@ -58,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--lambda-um", type=float, help="override the probe wavelength")
     parser.add_argument(
         "--threads", type=int,
-        help="worker threads for row evaluation (default SPINHALL_THREADS or 1)",
+        help="accepted for compatibility and ignored, as is SPINHALL_THREADS: "
+        "the sweep is evaluated as one batch",
     )
     parser.add_argument(
         "--find-resonance", metavar="LO,HI",
@@ -123,8 +123,9 @@ def _summary(
     resonance_window: tuple[float, float] | None,
     csv_path: Path | None,
 ) -> dict:
-    chi = susceptibility(scenario_qw(scenario, spec.fixed)).chi
-    eps2 = permittivity(chi)
+    # the medium the rows were computed for, fixed-point overrides applied
+    scenario = replace(scenario, qw=scenario_qw(scenario, spec.fixed))
+    eps2 = permittivity(susceptibility(scenario.qw).chi)
     summary = {
         "preset": preset_name,
         "lambda_um": scenario.lambda_um,
@@ -167,18 +168,6 @@ def _parse_window(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise ValueError(f"expected LO,HI, got {text!r}")
     return float(parts[0]), float(parts[1])
-
-
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("SPINHALL_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            print(f"warning: ignoring non-integer SPINHALL_THREADS={env!r}", file=sys.stderr)
-    return 1
 
 
 def main(argv=None) -> int:
@@ -231,8 +220,15 @@ def main(argv=None) -> int:
     else:
         json_path = out.with_suffix(".json") if args.fmt == "both" else None
 
+    if args.config is not None:
+        config_path = Path(args.config).resolve()
+        for path in (csv_path, json_path):
+            if path is not None and path.resolve() == config_path:
+                print(f"config error: output {path} is the input config", file=sys.stderr)
+                return 2
+
     try:
-        rows = run_sweep(scenario, spec, threads=_resolve_threads(args))
+        rows = run_sweep(scenario, spec)
         if csv_path is not None:
             write_csv(rows, csv_path)
             print(f"wrote {csv_path} ({len(rows)} rows)")

@@ -14,12 +14,10 @@ explicit knob, not a measured constant.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .qw_medium import QwParams
 from .sweep import Scenario, SweepSpec
 
-__all__ = ["DEFAULT_LAMBDA_UM", "PRESET_NAMES", "preset", "with_lambda"]
+__all__ = ["DEFAULT_LAMBDA_UM", "PRESET_NAMES", "preset"]
 
 DEFAULT_LAMBDA_UM = 1.85
 
@@ -103,8 +101,3 @@ PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5a", "fig5b", "fig5c", "fig5d", "fig
 def preset(name: str) -> tuple[Scenario, SweepSpec]:
     """Fresh (Scenario, SweepSpec) for a named preset."""
     return _build(name)
-
-
-def with_lambda(scenario: Scenario, lambda_um: float) -> Scenario:
-    """Scenario with the probe wavelength replaced."""
-    return replace(scenario, lambda_um=lambda_um)

@@ -31,6 +31,7 @@ __all__ = [
     "SingularParameterError",
     "derived_rates",
     "susceptibility",
+    "susceptibility_grid",
     "steady_state_coherences",
     "susceptibility_from_steady_state",
     "permittivity",
@@ -39,13 +40,9 @@ __all__ = [
 # |denominator| below this (in meV^2 units) counts as a degenerate parameter set.
 DENOMINATOR_FLOOR = 1e-30
 
-# Bridge between the weak-probe coherence combination (g*B2 + B3)/omega_p and
-# the macroscopic chi.  Determined once numerically against the closed form
-# and frozen; it comes out exactly 1 because beta already carries the
-# density/dipole bookkeeping.
-COHERENCE_TO_CHI = 1.0
-
 _RATE_FIELDS = ("gamma_bl", "gamma_bd", "gamma_cl", "gamma_cd", "gamma_dl", "gamma_dd")
+# fields that must be finite and non-negative; the rest need only be finite
+_NON_NEGATIVE = _RATE_FIELDS + ("beta", "omega_c")
 
 
 class SingularParameterError(ValueError):
@@ -82,7 +79,7 @@ class QwParams:
     level_energies: tuple[float, float, float, float] | None = None
 
     def __post_init__(self) -> None:
-        for name in _RATE_FIELDS + ("beta", "omega_c"):
+        for name in _NON_NEGATIVE:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be a finite non-negative rate, got {value!r}")
@@ -126,6 +123,20 @@ def derived_rates(params: QwParams) -> DecayBundle:
     return DecayBundle(gamma2=gamma2, gamma3=gamma3, gamma4=gamma4, alpha=alpha, p=p)
 
 
+def _closed_form(params: QwParams, omega_c, delta):
+    """Numerator and denominator of the closed-form chi; omega_c and delta
+    may be arrays (a grid over one of them), the other fields come from
+    params."""
+    d = derived_rates(params)
+    g, f = params.g, params.f
+    a1 = -1j * delta + 1j * g * g * delta + 2.0 * g * d.alpha + d.gamma2 + g * g * d.gamma3
+    a2 = delta * delta - d.alpha * d.alpha - 1j * delta * d.gamma3 + d.gamma2 * (1j * delta + d.gamma3)
+    a3 = -1j * delta + 1j * f * f * delta + 2.0 * f * d.alpha + d.gamma2 + f * f * d.gamma3
+    oc2 = omega_c * omega_c
+    numerator = 1j * params.beta * (a1 * d.gamma4 + (f - g) ** 2 * oc2)
+    return numerator, a2 * d.gamma4 + a3 * oc2
+
+
 def susceptibility(params: QwParams) -> Susceptibility:
     """Closed-form susceptibility at resonant probe and control.
 
@@ -134,21 +145,32 @@ def susceptibility(params: QwParams) -> Susceptibility:
     half splitting delta.  Raises SingularParameterError when the denominator
     magnitude falls below DENOMINATOR_FLOOR.
     """
-    d = derived_rates(params)
-    g, f, delta = params.g, params.f, params.delta
-    a1 = -1j * delta + 1j * g * g * delta + 2.0 * g * d.alpha + d.gamma2 + g * g * d.gamma3
-    a2 = delta * delta - d.alpha * d.alpha - 1j * delta * d.gamma3 + d.gamma2 * (1j * delta + d.gamma3)
-    a3 = -1j * delta + 1j * f * f * delta + 2.0 * f * d.alpha + d.gamma2 + f * f * d.gamma3
-    oc2 = params.omega_c * params.omega_c
-    denominator = a2 * d.gamma4 + a3 * oc2
+    numerator, denominator = _closed_form(params, params.omega_c, params.delta)
     if abs(denominator) < DENOMINATOR_FLOOR:
+        d = derived_rates(params)
         raise SingularParameterError(
             f"susceptibility denominator vanished (|den|={abs(denominator):.3e}) "
-            f"for delta={delta}, omega_c={params.omega_c}, rates summing to "
+            f"for delta={params.delta}, omega_c={params.omega_c}, rates summing to "
             f"gamma2={d.gamma2}, gamma3={d.gamma3}, gamma4={d.gamma4}"
         )
-    numerator = 1j * params.beta * (a1 * d.gamma4 + (f - g) ** 2 * oc2)
     return Susceptibility(chi=numerator / denominator)
+
+
+def susceptibility_grid(params: QwParams, variable: str, values: np.ndarray) -> np.ndarray:
+    """Closed-form chi over a grid of omega_c or delta values, the other
+    parameters taken from params.  Points where `susceptibility` would raise
+    (a vanishing denominator, or a value QwParams rejects) are NaN."""
+    if variable not in ("omega_c", "delta"):
+        raise ValueError(f"variable must be omega_c or delta, got {variable!r}")
+    values = np.asarray(values, dtype=float)
+    grid = {"omega_c": params.omega_c, "delta": params.delta, variable: values}
+    with np.errstate(all="ignore"):
+        numerator, denominator = _closed_form(params, grid["omega_c"], grid["delta"])
+        chi = numerator / denominator
+    rejected = ~np.isfinite(values) | (np.abs(denominator) < DENOMINATOR_FLOOR)
+    if variable in _NON_NEGATIVE:
+        rejected |= values < 0.0
+    return np.where(rejected, np.nan, chi)
 
 
 def steady_state_coherences(params: QwParams, omega_p: float) -> tuple[complex, complex, complex]:
@@ -189,12 +211,12 @@ def steady_state_coherences(params: QwParams, omega_p: float) -> tuple[complex, 
 def susceptibility_from_steady_state(params: QwParams, omega_p: float = 1e-3) -> complex:
     """Reconstruct chi from the steady-state coherences.
 
-    chi = COHERENCE_TO_CHI * beta * (g*B2 + B3) / omega_p.  At delta_p =
+    chi = beta * (g*B2 + B3) / omega_p.  At delta_p =
     delta_c = 0 this reproduces the closed form; it is the independent check
     the closed form is tested against.
     """
     b2, b3, _ = steady_state_coherences(params, omega_p)
-    return COHERENCE_TO_CHI * params.beta * (params.g * b2 + b3) / omega_p
+    return params.beta * (params.g * b2 + b3) / omega_p
 
 
 def permittivity(chi: Susceptibility | complex) -> complex:

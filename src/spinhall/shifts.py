@@ -39,6 +39,7 @@ __all__ = [
     "circular_centroids",
     "centroid_shift_oracle",
     "SINGULAR_REFLECTION",
+    "ratio",
 ]
 
 # |r| below this sits at the double-precision noise floor; ratios against it
@@ -91,7 +92,8 @@ class BeamSpec:
 class ShiftResult:
     """Transverse shifts of the two circular components, in units of the
     wavelength; sigma- values and absolute lengths in mm are derived views.
-    A singular flag marks a ratio taken against a noise-floor magnitude."""
+    A singular flag marks a ratio taken against a noise-floor magnitude.
+    Computed over a grid, every field but lambda_um is an array."""
 
     delta_h_plus: float
     delta_v_plus: float
@@ -124,11 +126,10 @@ class ShiftResult:
         return -self.delta_v_plus * self.lambda_um * 1e-3
 
 
-def _ratio(a: float, b: float) -> float:
-    """a/b with IEEE semantics at b = 0 (inf, or nan for 0/0)."""
-    if b != 0.0:
-        return a / b
-    return math.nan if a == 0.0 else math.inf
+def ratio(a, b):
+    """a/b with IEEE semantics at b = 0 (inf, or nan for 0/0); floats or arrays."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.divide(a, b)
 
 
 def transverse_shifts(pair: ReflectionPair, lambda_um: float, theta_rad: float) -> ShiftResult:
@@ -136,18 +137,23 @@ def transverse_shifts(pair: ReflectionPair, lambda_um: float, theta_rad: float) 
 
     theta must lie in (0, pi/2); cot(theta) diverges at 0.  Near-vanishing
     |r_m| (|r_e|) makes the h (v) ratio blow up: the value is still computed
-    and the corresponding singular flag is set.
+    and the corresponding singular flag is set.  The pair and theta may hold
+    arrays over a grid of points; the result's fields are then arrays too.
     """
-    if not 0.0 < theta_rad < math.pi / 2:
+    if not np.all((0.0 < theta_rad) & (theta_rad < math.pi / 2)):
         raise ValueError(f"theta must lie in (0, pi/2), got {theta_rad!r}")
-    re_abs, rm_abs = abs(pair.r_e), abs(pair.r_m)
+    re_abs, rm_abs = np.abs(pair.r_e), np.abs(pair.r_m)
     h_singular = rm_abs < SINGULAR_REFLECTION
     v_singular = re_abs < SINGULAR_REFLECTION
-    cot = 1.0 / math.tan(theta_rad)
+    cot = 1.0 / np.tan(theta_rad)
     dphi = pair.phi_e - pair.phi_m
     scale = -cot / (2.0 * math.pi)
-    delta_h = scale * (1.0 + _ratio(re_abs, rm_abs) * math.cos(dphi))
-    delta_v = scale * (1.0 + _ratio(rm_abs, re_abs) * math.cos(-dphi))
+    with np.errstate(invalid="ignore"):
+        delta_h = scale * (1.0 + ratio(re_abs, rm_abs) * np.cos(dphi))
+        delta_v = scale * (1.0 + ratio(rm_abs, re_abs) * np.cos(-dphi))
+    if np.ndim(delta_h) == 0:
+        delta_h, delta_v = float(delta_h), float(delta_v)
+        h_singular, v_singular = bool(h_singular), bool(v_singular)
     return ShiftResult(
         delta_h_plus=delta_h,
         delta_v_plus=delta_v,

@@ -5,19 +5,23 @@ fixed walls around the tunable middle layer) and the probe wavelength; a
 SweepSpec picks one variable (theta, omega_c or delta), its grid, and fixed
 values for the others.  Per-point failures degrade to flagged rows instead of
 aborting: the singular geometries are usually the interesting part of a scan.
+
+A sweep is evaluated as columns: one susceptibility (theta sweeps) or one
+array of them (omega_c/delta sweeps), one batched transfer-matrix call over
+the whole grid and one batched shift evaluation.  Rows are built from the
+columns at the end.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .qw_medium import QwParams, susceptibility
-from .shifts import BeamSpec, transverse_shifts
-from .strata import Kinematics, Layer, Stack, reflection_pair
+from .qw_medium import QwParams, susceptibility, susceptibility_grid
+from .shifts import BeamSpec, ratio, transverse_shifts
+from .strata import Kinematics, Layer, ReflectionPair, Stack, reflection_arrays, reflection_pair
 
 __all__ = [
     "SWEEP_VARIABLES",
@@ -134,95 +138,76 @@ def scenario_qw(scenario: Scenario, overrides: dict | None = None) -> QwParams:
     return replace(scenario.qw, **allowed) if allowed else scenario.qw
 
 
-def build_stack(scenario: Scenario, chi: complex) -> Stack:
-    """Three-layer cavity with the middle permittivity set to 1 + chi."""
-    return Stack(
-        layers=(
-            Layer(epsilon=scenario.epsilon1, thickness_um=scenario.d1_um),
-            Layer(epsilon=1.0 + chi, thickness_um=scenario.d2_um),
-            Layer(epsilon=scenario.epsilon3, thickness_um=scenario.d1_um),
-        )
+def _layers(scenario: Scenario, chi) -> tuple:
+    """(epsilon, thickness_um) of wall | medium | wall, the middle
+    permittivity 1 + chi; chi may be an array."""
+    return (
+        (scenario.epsilon1, scenario.d1_um),
+        (1.0 + chi, scenario.d2_um),
+        (scenario.epsilon3, scenario.d1_um),
     )
 
 
-def _safe_ratio(a: float, b: float) -> float:
-    if b != 0.0:
-        return a / b
-    return math.nan if a == 0.0 else math.inf
+def build_stack(scenario: Scenario, chi: complex) -> Stack:
+    """Three-layer cavity with the middle permittivity set to 1 + chi."""
+    return Stack(layers=tuple(Layer(epsilon=e, thickness_um=d) for e, d in _layers(scenario, chi)))
 
 
-def _point_row(scenario: Scenario, spec: SweepSpec, value: float, chi_cache) -> SweepRow:
+def _point_error(scenario: Scenario, spec: SweepSpec, value: float) -> str | None:
+    """Why one grid point has no reflection data: the point evaluated on its
+    own raises the error the columns masked."""
     try:
         if spec.variable == "theta":
-            theta = value
-            chi = chi_cache() if callable(chi_cache) else chi_cache
+            theta, qw = value, scenario_qw(scenario, spec.fixed)
         else:
             theta = float(spec.fixed["theta"])
             qw = scenario_qw(scenario, {**spec.fixed, spec.variable: value})
-            chi = susceptibility(qw).chi
-        stack = build_stack(scenario, chi)
-        kin = Kinematics(lambda_um=scenario.lambda_um, theta_rad=theta)
-        pair = reflection_pair(stack, kin)
-        shifts = transverse_shifts(pair, scenario.lambda_um, theta)
-        re_abs, rm_abs = abs(pair.r_e), abs(pair.r_m)
-        return SweepRow(
-            value=value,
-            re_abs=re_abs,
-            rm_abs=rm_abs,
-            ratio_em=_safe_ratio(re_abs, rm_abs),
-            ratio_me=_safe_ratio(rm_abs, re_abs),
-            phi_e=pair.phi_e,
-            phi_m=pair.phi_m,
-            delta_h_plus_lambda=shifts.delta_h_plus,
-            delta_v_plus_lambda=shifts.delta_v_plus,
-            h_singular=shifts.h_singular,
-            v_singular=shifts.v_singular,
-        )
+        stack = build_stack(scenario, susceptibility(qw).chi)
+        reflection_pair(stack, Kinematics(lambda_um=scenario.lambda_um, theta_rad=theta))
     except Exception as exc:  # per-point failures become flagged rows
-        nan = math.nan
-        return SweepRow(
-            value=value,
-            re_abs=nan,
-            rm_abs=nan,
-            ratio_em=nan,
-            ratio_me=nan,
-            phi_e=nan,
-            phi_m=nan,
-            delta_h_plus_lambda=nan,
-            delta_v_plus_lambda=nan,
-            h_singular=True,
-            v_singular=True,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return f"{type(exc).__name__}: {exc}"
+    return None
 
 
 def run_sweep(scenario: Scenario, spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
     """Evaluate the sweep grid, rows in ascending swept-value order.
 
-    Rows are independent; with threads > 1 they are evaluated concurrently
-    and reassembled in grid order, so the output is identical to a serial
-    run.  For a theta sweep the medium susceptibility is computed once; for
-    omega_c/delta sweeps it is re-evaluated at every point.
+    The grid is evaluated as one batch (see the module docstring).  A failed
+    point, or a failing medium in a theta sweep, gives rows with NaN data,
+    both singular flags and the error text.  `threads` is accepted for
+    compatibility and has no effect: a batch leaves nothing to run in
+    parallel.
     """
     values = np.linspace(spec.lo, spec.hi, spec.samples)
+    medium_error = None
     if spec.variable == "theta":
-        # one middle layer for the whole scan; a failing medium fails every
-        # row identically rather than aborting the sweep
+        theta = values
         try:
-            chi_cache = susceptibility(scenario_qw(scenario, spec.fixed)).chi
-        except Exception as exc:
-            def chi_cache(exc=exc):
-                raise exc
+            chi = susceptibility(scenario_qw(scenario, spec.fixed)).chi
+        except Exception as exc:  # a failing medium fails every row identically
+            chi, medium_error = math.nan, f"{type(exc).__name__}: {exc}"
     else:
-        chi_cache = None
-
-    def one(value: float) -> SweepRow:
-        return _point_row(scenario, spec, float(value), chi_cache)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, values))
-    return [one(v) for v in values]
+        theta = float(spec.fixed["theta"])
+        chi = susceptibility_grid(scenario_qw(scenario, spec.fixed), spec.variable, values)
+    r_e, r_m = reflection_arrays(_layers(scenario, chi), scenario.lambda_um, theta)
+    pair = ReflectionPair(r_e=r_e, r_m=r_m)
+    shifts = transverse_shifts(pair, scenario.lambda_um, theta)
+    re_abs, rm_abs = np.abs(r_e), np.abs(r_m)
+    data = [
+        re_abs, rm_abs, ratio(re_abs, rm_abs), ratio(rm_abs, re_abs),
+        pair.phi_e, pair.phi_m, shifts.delta_h_plus, shifts.delta_v_plus,
+    ]
+    flags = [shifts.h_singular, shifts.v_singular]
+    errors = [None] * spec.samples
+    for i in np.flatnonzero(np.isnan(r_e) | np.isnan(r_m)):
+        errors[i] = medium_error or _point_error(scenario, spec, float(values[i]))
+        if errors[i] is not None:
+            for column in data:
+                column[i] = math.nan
+            for column in flags:
+                column[i] = True
+    columns = [c.tolist() for c in (values, *data, *flags)]
+    return [SweepRow(*row, error) for *row, error in zip(*columns, errors)]
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -257,9 +242,10 @@ def find_resonance(
 ) -> ResonanceResult:
     """Locate the angle maximizing |r_e|/|r_m| inside the window.
 
-    A coarse scan (at least 2000 points) brackets the peak; golden-section
-    refinement then pins it to tol_rad.  If the coarse maximum sits on the
-    window edge the boundary flag is set and no refinement is attempted.
+    A coarse scan (at least 2000 points, one batched call) brackets the
+    peak; golden-section refinement, one point at a time, then pins it to
+    tol_rad.  If the coarse maximum sits on the window edge the boundary
+    flag is set and no refinement is attempted.
     """
     lo, hi = float(theta_window[0]), float(theta_window[1])
     if not (0.0 < lo < hi < math.pi / 2):
@@ -269,13 +255,15 @@ def find_resonance(
 
     def ratio_em(theta: float) -> float:
         pair = reflection_pair(stack, Kinematics(scenario.lambda_um, theta))
-        value = _safe_ratio(abs(pair.r_e), abs(pair.r_m))
+        value = float(ratio(abs(pair.r_e), abs(pair.r_m)))
         return -math.inf if math.isnan(value) else value
 
     thetas = np.linspace(lo, hi, max(coarse_samples, 2000))
-    values = [ratio_em(float(t)) for t in thetas]
+    r_e, r_m = reflection_arrays(_layers(scenario, chi), scenario.lambda_um, thetas)
+    values = ratio(np.abs(r_e), np.abs(r_m))
+    values[np.isnan(values)] = -math.inf
     i_best = int(np.argmax(values))
-    coarse_theta, coarse_peak = float(thetas[i_best]), values[i_best]
+    coarse_theta, coarse_peak = float(thetas[i_best]), float(values[i_best])
     if i_best == 0 or i_best == len(thetas) - 1:
         return ResonanceResult(theta_star=coarse_theta, ratio_em_peak=coarse_peak, boundary=True)
     refined_theta, refined_peak = _golden_max(

@@ -205,6 +205,29 @@ class TestCliRuns:
         assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
 
 
+class TestSummaryMedium:
+    def test_resonance_uses_the_fixed_medium_of_the_rows(self, tmp_path, monkeypatch):
+        # a theta sweep with the control field fixed at 6 meV: the summary's
+        # resonance must describe that medium (the fig3 peak), not the
+        # control-off fig2 medium the scenario starts from
+        doc = config_from_scenario(*preset("fig2"), preset_name="fig2")
+        doc["sweep"] = {
+            "variable": "theta", "lo": 0.9, "hi": 1.05, "samples": 301, "fixed": {"omega_c": 6.0},
+        }
+        (tmp_path / "run.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", "run.json", "--out", "out.csv"]) == 0
+        resonance = json.loads((tmp_path / "out.json").read_text())["resonance"]
+        assert resonance["theta_star"] == pytest.approx(0.98057, abs=1e-5)
+        assert resonance["ratio_em_peak"] == pytest.approx(27689, rel=1e-4)
+        with open(tmp_path / "out.csv", newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        usable = [(float(r[3]), float(r[0])) for r in rows if "h" not in r[9] and "e" not in r[9]]
+        _, theta_argmax = max(usable)
+        step = (1.05 - 0.9) / 300
+        assert abs(resonance["theta_star"] - theta_argmax) <= step
+
+
 class TestCliFailures:
     def test_malformed_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -237,6 +260,21 @@ class TestCliFailures:
         result = run_cli(["--config", "dead.json", "--out", "d.csv"], tmp_path)
         assert result.returncode == 3, result.stderr
         assert "numerical failure" in result.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--out", "run.csv"], ["--out", "run.json", "--format", "json"],
+         ["--out", "run.json", "--format", "csv"]],
+    )
+    def test_output_onto_the_config_exits_2(self, tmp_path, monkeypatch, capsys, args):
+        doc = config_from_scenario(*preset("fig5a"), preset_name="fig5a")
+        (tmp_path / "run.json").write_text(json.dumps(doc))
+        before = (tmp_path / "run.json").read_bytes()
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", "run.json", *args]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert (tmp_path / "run.json").read_bytes() == before
+        assert not (tmp_path / "run.csv").exists()
 
     def test_in_process_main_matches_subprocess_contract(self, tmp_path):
         code = main(["--preset", "fig5b", "--out", str(tmp_path / "m.csv")])

@@ -1,5 +1,6 @@
 """Transfer-matrix solver tests: frozen matrix entries, Airy equivalence,
-unimodularity, composition, passivity and polarization degeneracies."""
+unimodularity, composition, passivity, polarization degeneracies, the side
+the light enters, and the batched evaluation against the per-point one."""
 
 import cmath
 import math
@@ -7,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from spinhall import strata
 from spinhall.strata import (
     DegenerateGeometryError,
     Kinematics,
@@ -15,6 +17,7 @@ from spinhall.strata import (
     Stack,
     layer_matrix_te,
     layer_matrix_tm,
+    reflection_arrays,
     reflection_from_transfer_matrix,
     reflection_pair,
     reflection_te,
@@ -55,6 +58,30 @@ def airy_reflection(epsilon, d_um, kin, polarization):
     r12 = (a1 - a0) / (a1 + a0)
     bounce = cmath.exp(2j * kx1 * d_um)
     return (r01 + r12 * bounce) / (1 + r01 * r12 * bounce)
+
+
+def recursion_reflection(epsilons, thicknesses, kin, polarization):
+    """Multi-layer Airy recursion for vacuum | layers | vacuum, the light
+    meeting the layers in the order given.  Independent of the transfer
+    matrix: interface Fresnel coefficients folded from the far side in."""
+    eps = [1.0 + 0j] + [complex(e) for e in epsilons] + [1.0 + 0j]
+    thick = [0.0] + list(thicknesses) + [0.0]
+    kx = []
+    for e in eps:
+        rad = e * kin.k ** 2 - kin.k_z ** 2
+        if rad.imag == 0.0:
+            rad = complex(rad.real, 0.0)
+        kx.append(cmath.sqrt(rad))
+    gamma = 0j
+    for j in range(len(eps) - 2, -1, -1):
+        if polarization == "te":
+            a, b = kx[j], kx[j + 1]
+        else:
+            a, b = kx[j] / eps[j], kx[j + 1] / eps[j + 1]
+        r = (a - b) / (a + b)
+        bounce = cmath.exp(2j * kx[j + 1] * thick[j + 1])
+        gamma = (r + gamma * bounce) / (1.0 + r * gamma * bounce)
+    return gamma
 
 
 def random_layers(rng, n, lossless=False):
@@ -210,9 +237,90 @@ class TestReflection:
         pair = reflection_pair(stack, Kinematics(1.85, 0.98))
         assert np.isfinite(pair.r_e.real) and np.isfinite(pair.r_m.imag)
 
+    def test_overflowing_layer_raises_per_point_and_is_nan_in_a_batch(self):
+        # |Im(kx) d| ~ 2000 overflows cosh: the point raises, the batch masks it
+        stack = Stack(layers=(Layer(-4.0 + 0.1j, 80.0),))
+        with pytest.raises(OverflowError):
+            reflection_pair(stack, Kinematics(0.5, 0.3))
+        r_e, r_m = reflection_arrays([(-4.0 + 0.1j, 80.0)], 0.5, np.array([0.3, 1.0]))
+        assert np.all(np.isnan(r_e)) and np.all(np.isnan(r_m))
+
     def test_degenerate_matrix_rejected(self):
         with pytest.raises(DegenerateGeometryError):
             reflection_from_transfer_matrix(np.zeros((2, 2), dtype=complex), 0.5)
+
+
+class TestEntrySide:
+    """The product in stack order describes light entering through the last
+    layer: on an asymmetric wall | slab | wall cavity (the fig6b walls, loss
+    on one side and gain on the other) it matches the recursion over the
+    reversed layers and not over the layers as listed."""
+
+    EPSILONS = (2.22 + 0.04j, 1.0015 + 0.0032j, 2.22 - 0.04j)
+    THICKNESSES = (0.2, 5.0, 0.2)
+
+    def test_light_enters_through_the_last_layer(self):
+        stack = Stack(layers=tuple(Layer(e, d) for e, d in zip(self.EPSILONS, self.THICKNESSES)))
+        thetas = np.array([0.3, 0.7, 0.9, 0.979, 0.98, 1.2])
+        batch = reflection_arrays(list(zip(self.EPSILONS, self.THICKNESSES)), 1.85, thetas)
+        for i, theta in enumerate(thetas):
+            kin = Kinematics(1.85, float(theta))
+            scalar = (reflection_te(stack, kin), reflection_tm(stack, kin))
+            for pol, got_scalar, got_batch in zip(("te", "tm"), scalar, batch):
+                entering_last = recursion_reflection(
+                    self.EPSILONS[::-1], self.THICKNESSES[::-1], kin, pol
+                )
+                entering_first = recursion_reflection(self.EPSILONS, self.THICKNESSES, kin, pol)
+                assert abs(got_scalar - entering_last) <= 1e-10 * abs(entering_last)
+                assert abs(got_batch[i] - entering_last) <= 1e-10 * abs(entering_last)
+                # the two sides differ, so the check above pins the side
+                assert abs(entering_first - entering_last) > 1e-3 * abs(entering_last)
+
+
+class TestReflectionArrays:
+    def test_batch_matches_per_point_on_random_lossy_stacks(self):
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            stack = Stack(layers=random_layers(rng, rng.integers(1, 5)))
+            layers = [(layer.epsilon, layer.thickness_um) for layer in stack.layers]
+            lambda_um = rng.uniform(0.5, 3.0)
+            thetas = rng.uniform(0.05, 1.5, size=8)
+            r_e, r_m = reflection_arrays(layers, lambda_um, thetas)
+            assert r_e.shape == r_m.shape == thetas.shape
+            for i, theta in enumerate(thetas):
+                one_e, one_m = reflection_arrays(layers, lambda_um, theta)
+                pair = reflection_pair(stack, Kinematics(lambda_um, float(theta)))
+                for got, zero_d, want in ((r_e[i], one_e, pair.r_e), (r_m[i], one_m, pair.r_m)):
+                    assert abs(got - zero_d) <= 1e-13 * abs(zero_d)
+                    assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_array_middle_permittivity(self):
+        # a grid over the middle layer at one angle, as an omega_c sweep runs it
+        eps2 = 1.0 + np.linspace(-0.01, 0.01, 7) + 0.003j
+        layers = [(2.22 + 0.04j, 0.2), (eps2, 5.0), (2.22 - 0.04j, 0.2)]
+        kin = Kinematics(1.85, 0.979)
+        r_e, r_m = reflection_arrays(layers, 1.85, 0.979)
+        assert r_e.shape == eps2.shape
+        for i, eps in enumerate(eps2):
+            stack = Stack(layers=(Layer(*layers[0]), Layer(eps, 5.0), Layer(*layers[2])))
+            pair = reflection_pair(stack, kin)
+            assert abs(r_e[i] - pair.r_e) <= 1e-13 * abs(pair.r_e)
+            assert abs(r_m[i] - pair.r_m) <= 1e-13 * abs(pair.r_m)
+
+    def test_denominator_floor_masks_only_that_point(self, monkeypatch):
+        # zero-thickness layers make M the identity, so the denominator is
+        # exactly 2*cos(theta); a floor of 1e-2 then catches only the
+        # near-grazing angle
+        monkeypatch.setattr(strata, "DENOMINATOR_FLOOR", 1e-2)
+        layers = [(2.22, 0.0), (1.5 + 0.1j, 0.0)]
+        thetas = np.array([0.5, 1.0, 1.5707, 1.2])
+        for r in reflection_arrays(layers, 1.85, thetas):
+            assert np.isnan(r[2])
+            assert np.all(r[[0, 1, 3]] == 0.0)
+        stack = Stack(layers=tuple(Layer(e, d) for e, d in layers))
+        with pytest.raises(DegenerateGeometryError):
+            reflection_pair(stack, Kinematics(1.85, 1.5707))
+        assert reflection_pair(stack, Kinematics(1.85, 1.2)).r_m == 0.0
 
 
 class TestReflectionPair:

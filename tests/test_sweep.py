@@ -112,6 +112,42 @@ class TestRunSweep:
             assert math.isnan(row.re_abs)
             assert row.h_singular and row.v_singular
 
+    def test_singular_grid_point_fails_alone(self):
+        # with every rate zero the susceptibility denominator reduces to
+        # i*(f^2 - 1)*delta*omega_c^2, which vanishes only at delta = 0
+        qw = QwParams(
+            gamma_bl=0.0, gamma_bd=0.0, gamma_cl=0.0, gamma_cd=0.0,
+            gamma_dl=0.0, gamma_dd=0.0,
+            beta=0.0184, g=-1.0, f=2.0, delta=1.0, omega_c=2.0,
+        )
+        spec = SweepSpec("delta", 0.0, 2.0, 21, fixed={"theta": 0.979})
+        rows = run_sweep(base_scenario(qw=qw), spec)
+        assert rows[0].value == 0.0
+        assert rows[0].error.startswith("SingularParameterError: ")
+        assert math.isnan(rows[0].re_abs) and math.isnan(rows[0].delta_h_plus_lambda)
+        assert rows[0].h_singular and rows[0].v_singular
+        for row in rows[1:]:
+            assert row.error is None
+            assert math.isfinite(row.re_abs) and math.isfinite(row.rm_abs)
+
+    def test_overflowing_wall_rows_carry_the_error(self):
+        # a thick metal-like wall overflows the evanescent layer matrix
+        scenario = base_scenario(epsilon1=-4.0 + 0.1j, d1_um=400.0)
+        rows = run_sweep(scenario, SweepSpec("theta", 0.2, 1.4, 4))
+        for row in rows:
+            assert row.error == "OverflowError: math range error"
+            assert math.isnan(row.re_abs) and row.h_singular and row.v_singular
+
+    def test_negative_control_field_rows_fail_as_before(self):
+        # QwParams rejects omega_c < 0; those grid points become error rows
+        spec = SweepSpec("omega_c", -1.0, 1.0, 5, fixed={"theta": 0.979})
+        rows = run_sweep(base_scenario(), spec)
+        for row in rows[:2]:
+            assert row.error == (
+                f"ValueError: omega_c must be a finite non-negative rate, got {row.value!r}"
+            )
+        assert all(row.error is None for row in rows[2:])
+
 
 class TestCavityResonanceStructure:
     def test_ratio_blows_up_near_brewster_angle(self):
