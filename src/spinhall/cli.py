@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 configuration error (with per-key diagnostics on
 stderr), 3 numerical failure.  The CSV carries one row per sweep point at
 full double precision; the JSON summary records the effective intracavity
 permittivity, the shift peaks over the non-singular grid rows and, for angle
-sweeps, the resonance located by the coarse-scan plus golden-section search.
+sweeps, the resonance located by the coarse-scan plus golden-section search
+and, when the beam has a waist, the centroid oracle at the peak row.
 """
 
 from __future__ import annotations
@@ -26,9 +27,11 @@ from .config import (
 )
 from .presets import PRESET_NAMES, preset
 from .qw_medium import SingularParameterError, permittivity, susceptibility
-from .shifts import ResolutionError
-from .strata import DegenerateGeometryError
-from .sweep import Scenario, SweepRow, SweepSpec, find_resonance, run_sweep, scenario_qw
+from .shifts import ResolutionError, centroid_shift_oracle
+from .strata import DegenerateGeometryError, Kinematics
+from .sweep import (
+    Scenario, SweepRow, SweepSpec, build_stack, find_resonance, run_sweep, scenario_qw,
+)
 
 __all__ = ["main", "build_parser", "write_csv", "CSV_HEADER"]
 
@@ -115,6 +118,35 @@ def _abs_peak(values) -> float | None:
     return max(finite) if finite else None
 
 
+def _oracle_spot_check(scenario: Scenario, spec: SweepSpec, rows: list[SweepRow]) -> dict | None:
+    """Centroid oracle at the non-singular row with the largest |delta_h|,
+    for that row's medium and angle; None unless the beam has a waist.  A
+    waist too narrow for the oracle, or no usable row, is reported as
+    declined."""
+    if scenario.beam is None:
+        return None
+    usable = [r for r in rows if not r.h_singular and math.isfinite(r.delta_h_plus_lambda)]
+    if not usable:
+        return {"declined": "no non-singular row"}
+    row = max(usable, key=lambda r: abs(r.delta_h_plus_lambda))
+    theta = row.value if spec.variable == "theta" else float(spec.fixed["theta"])
+    qw = scenario_qw(scenario, {spec.variable: row.value})
+    stack = build_stack(scenario, susceptibility(qw).chi)
+    try:
+        oracle_h, oracle_v = centroid_shift_oracle(
+            stack, Kinematics(scenario.lambda_um, theta), scenario.beam
+        )
+    except ResolutionError as exc:
+        return {"declined": str(exc)}
+    return {
+        "swept": row.value,
+        "oracle_h": _finite_or_none(oracle_h),
+        "oracle_v": _finite_or_none(oracle_v),
+        "closed_h": row.delta_h_plus_lambda,
+        "closed_v": None if row.v_singular else _finite_or_none(row.delta_v_plus_lambda),
+    }
+
+
 def _summary(
     scenario: Scenario,
     spec: SweepSpec,
@@ -148,6 +180,7 @@ def _summary(
             r.delta_v_plus_lambda for r in rows if not r.v_singular
         ),
         "resonance": None,
+        "oracle": _oracle_spot_check(scenario, spec, rows),
         "csv": str(csv_path) if csv_path is not None else None,
     }
     window = resonance_window

@@ -16,9 +16,13 @@ polarization is nearly extinguished (the ratio blows up).
 Gaussian angular spectrum, applies the first-order reflection matrix with the
 cross-polarization coupling k_y*cot(theta)*(r_m+r_e)/k0 (coefficients held at
 their central-angle values), splits the result into circular components and
-measures the intensity centroid on the real-space grid.  Space-domain fields
-use the plane-wave phase convention exp(i(w*t - k.r)), i.e. spectrum-to-space
-is a forward DFT; this is what ties the sigma+ label to the minus sign above.
+measures the intensity centroid on the real-space grid.  With the
+coefficients held fixed the in-plane axis k_x is separable and integrates out
+exactly (Parseval along x), so the oracle is one 1D DFT of grid_samples points
+per circular component, not a 2D DFT over a grid_samples^2 grid.  Space-domain
+fields use the plane-wave phase convention exp(i(w*t - k.r)), i.e.
+spectrum-to-space is a forward DFT; this is what ties the sigma+ label to the
+minus sign above.
 """
 
 from __future__ import annotations
@@ -186,14 +190,15 @@ def circular_centroids(
     """Transverse intensity centroids (sigma+, sigma-) in units of lambda.
 
     polarization is "h" or "v" and selects the incident linear state.  The
-    reflected spectrum is transformed to real space with a forward 2D DFT and
-    the centroid taken as the first moment of |E|^2 along the transverse axis.
+    centroid is the first moment along y of |E|^2 summed over x, E the forward
+    2D DFT of the reflected spectrum a(kx)*b(ky)*(alpha + beta*ky).  By Parseval
+    along x that sum is N*sum|a|^2 * |DFT_ky[b*(alpha + beta*ky)]|^2 and the
+    factor cancels: k_x integrates out, one 1D DFT per circular component.
     """
     if polarization not in ("h", "v"):
         raise ValueError(f"polarization must be 'h' or 'v', got {polarization!r}")
-    k1, dk = _spectral_grid(beam)
-    kx, ky = np.meshgrid(k1, k1, indexing="ij")
-    envelope = gaussian_spectrum(beam, kx, ky)
+    ky, dk = _spectral_grid(beam)
+    envelope = gaussian_spectrum(beam, 0.0, ky)
     cross = ky * (1.0 / math.tan(kin.theta_rad)) * (pair.r_m + pair.r_e) / kin.k
     if polarization == "h":
         e_h = pair.r_m * envelope
@@ -205,8 +210,7 @@ def circular_centroids(
     y = np.fft.fftfreq(beam.grid_samples, d=dk / (2.0 * math.pi))
     centroids = []
     for spectrum in ((e_h + 1j * e_v) * inv_sqrt2, (e_h - 1j * e_v) * inv_sqrt2):
-        field = np.fft.fft2(spectrum)  # exp(-i k.r) plane-wave convention
-        profile = (np.abs(field) ** 2).sum(axis=0)  # integrate out the in-plane axis
+        profile = np.abs(np.fft.fft(spectrum)) ** 2  # exp(-i k.r) plane-wave convention
         total = profile.sum()
         if total == 0.0:
             centroids.append(math.nan)

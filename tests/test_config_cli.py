@@ -228,6 +228,74 @@ class TestSummaryMedium:
         assert abs(resonance["theta_star"] - theta_argmax) <= step
 
 
+class TestOracleSpotCheck:
+    @staticmethod
+    def run_config(tmp_path, monkeypatch, doc):
+        (tmp_path / "run.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", "run.json", "--out", "out.csv"]) == 0
+        return json.loads((tmp_path / "out.json").read_text())["oracle"]
+
+    def test_valid_domain_matches_the_closed_form(self, tmp_path, monkeypatch):
+        # fig2's medium well below its resonance angle, 500-lambda waist
+        doc = config_from_scenario(*preset("fig2"), preset_name="fig2")
+        doc["sweep"] = {"variable": "theta", "lo": 0.5, "hi": 0.7, "samples": 41, "fixed": {}}
+        doc["beam"]["waist_um"] = 500 * doc["beam"]["lambda_um"]
+        oracle = self.run_config(tmp_path, monkeypatch, doc)
+        with open(tmp_path / "out.csv", newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        peak = max((r for r in rows if "h" not in r[9]), key=lambda r: abs(float(r[7])))
+        assert oracle["swept"] == float(peak[0])
+        assert oracle["closed_h"] == float(peak[7])
+        assert oracle["closed_v"] == float(peak[8])
+        assert oracle["oracle_h"] == pytest.approx(oracle["closed_h"], rel=1e-2)
+        assert oracle["oracle_v"] == pytest.approx(oracle["closed_v"], rel=1e-2)
+
+    def test_parameter_sweep_uses_the_medium_of_the_peak_row(self, tmp_path, monkeypatch):
+        from spinhall.qw_medium import susceptibility
+        from spinhall.shifts import centroid_shift_oracle
+        from spinhall.strata import Kinematics
+        from spinhall.sweep import build_stack, scenario_qw
+
+        doc = config_from_scenario(*preset("fig5a"), preset_name="fig5a")
+        doc["sweep"] = {
+            "variable": "omega_c", "lo": 0.0, "hi": 6.0, "samples": 31, "fixed": {"theta": 0.9},
+        }
+        doc["beam"]["waist_um"] = 500 * doc["beam"]["lambda_um"]
+        oracle = self.run_config(tmp_path, monkeypatch, doc)
+        assert 0.0 < oracle["swept"] < 6.0  # an interior row, not the control-off medium
+        scenario, _ = scenario_from_config(doc)
+        qw = scenario_qw(scenario, {"omega_c": oracle["swept"]})
+        stack = build_stack(scenario, susceptibility(qw).chi)
+        expected = centroid_shift_oracle(stack, Kinematics(scenario.lambda_um, 0.9), scenario.beam)
+        assert (oracle["oracle_h"], oracle["oracle_v"]) == expected
+        assert oracle["oracle_h"] == pytest.approx(oracle["closed_h"], rel=1e-2)
+
+    def test_narrow_waist_is_declined(self, tmp_path, monkeypatch):
+        doc = config_from_scenario(*preset("fig2"), preset_name="fig2")
+        doc["sweep"]["samples"] = 41
+        doc["beam"]["waist_um"] = 50 * doc["beam"]["lambda_um"]
+        oracle = self.run_config(tmp_path, monkeypatch, doc)
+        assert set(oracle) == {"declined"}
+        assert "waist_um" in oracle["declined"] and "100*lambda" in oracle["declined"]
+
+    def test_all_singular_rows_are_declined(self, tmp_path, monkeypatch):
+        # an all-vacuum scenario flags every row h and v: no row to check
+        doc = config_from_scenario(*preset("fig2"), preset_name="fig2")
+        doc["qw"]["beta"] = 0.0
+        doc["stack"]["epsilon1"] = [1.0, 0.0]
+        doc["stack"]["epsilon3"] = [1.0, 0.0]
+        doc["sweep"]["samples"] = 11
+        doc["beam"]["waist_um"] = 500 * doc["beam"]["lambda_um"]
+        assert self.run_config(tmp_path, monkeypatch, doc) == {"declined": "no non-singular row"}
+
+    def test_preset_without_waist_reports_null(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--preset", "fig5a", "--out", "p.json", "--format", "json"]) == 0
+        summary = json.loads((tmp_path / "p.json").read_text())
+        assert "oracle" in summary and summary["oracle"] is None
+
+
 class TestCliFailures:
     def test_malformed_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

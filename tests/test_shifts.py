@@ -238,3 +238,80 @@ class TestAngularSpectrum:
         kin = Kinematics(LAMBDA, 0.8)
         with pytest.raises(ValueError, match="polarization"):
             circular_centroids(pair, kin, BeamSpec(waist_um=500 * LAMBDA), "x")
+
+
+def fft2_centroids(pair, kin, beam, polarization):
+    """The full 2D reference: the reflected spectrum on the kx-ky meshgrid,
+    a forward fft2 to real space, |E|^2 summed over the in-plane axis x."""
+    half, n = beam.half_extent, beam.grid_samples
+    dk = 2.0 * half / n
+    k1 = -half + dk * np.arange(n)
+    kx, ky = np.meshgrid(k1, k1, indexing="ij")
+    envelope = gaussian_spectrum(beam, kx, ky)
+    cross = ky * (1.0 / math.tan(kin.theta_rad)) * (pair.r_m + pair.r_e) / kin.k
+    if polarization == "h":
+        e_h, e_v = pair.r_m * envelope, -cross * envelope
+    else:
+        e_h, e_v = cross * envelope, pair.r_e * envelope
+    y = np.fft.fftfreq(n, d=dk / (2.0 * math.pi))
+    centroids = []
+    for spectrum in ((e_h + 1j * e_v) / math.sqrt(2.0), (e_h - 1j * e_v) / math.sqrt(2.0)):
+        profile = (np.abs(np.fft.fft2(spectrum)) ** 2).sum(axis=0)
+        centroids.append(float((profile * y).sum() / profile.sum()) / kin.lambda_um)
+    return tuple(centroids)
+
+
+def _random_pair_cases():
+    rng = np.random.default_rng(41)
+    for _ in range(4):
+        pair = ReflectionPair(
+            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+        )
+        yield pair, Kinematics(LAMBDA, rng.uniform(0.4, 1.2)), BeamSpec(waist_um=500 * LAMBDA)
+
+
+def _near_extinction_cases():
+    for rm_abs, theta in ((1e-3, 0.95), (1e-4, 0.98), (1e-5, 1.0)):
+        pair = ReflectionPair(r_e=0.6 * cmath.exp(0.4j), r_m=rm_abs * cmath.exp(-1.1j))
+        yield pair, Kinematics(LAMBDA, theta), BeamSpec(waist_um=500 * LAMBDA)
+
+
+def _gain_loss_walls_case():
+    from spinhall.strata import reflection_pair
+
+    stack = Stack(
+        layers=(
+            Layer(2.22 + 0.04j, 0.2),
+            Layer(permittivity(CHI_BASE), 5.0),
+            Layer(2.22 - 0.04j, 0.2),
+        )
+    )
+    kin = Kinematics(LAMBDA, 0.7)
+    yield reflection_pair(stack, kin), kin, BeamSpec(waist_um=500 * LAMBDA)
+
+
+def _non_default_grid_cases():
+    pair = ReflectionPair(r_e=0.3 * cmath.exp(0.5j), r_m=0.45 * cmath.exp(-0.2j))
+    kin = Kinematics(LAMBDA, 0.7)
+    waist = 400 * LAMBDA
+    yield pair, kin, BeamSpec(waist_um=waist, grid_samples=300)
+    yield pair, kin, BeamSpec(waist_um=waist, grid_half_extent=7.0 / waist)
+    yield pair, kin, BeamSpec(waist_um=waist, grid_half_extent=11.0 / waist, grid_samples=300)
+
+
+class TestSeparableCentroid:
+    """The 1D centroid path equals the full 2D fft2 computation it replaced."""
+
+    @pytest.mark.parametrize(
+        "cases",
+        [_random_pair_cases, _near_extinction_cases, _gain_loss_walls_case, _non_default_grid_cases],
+        ids=["random", "near-extinction", "gain-loss-walls", "non-default-grid"],
+    )
+    @pytest.mark.parametrize("polarization", ["h", "v"])
+    def test_matches_fft2_reference(self, cases, polarization):
+        for pair, kin, beam in cases():
+            got = circular_centroids(pair, kin, beam, polarization)
+            want = fft2_centroids(pair, kin, beam, polarization)
+            for g, w in zip(got, want):
+                assert g == pytest.approx(w, rel=1e-10, abs=0.0)
