@@ -4,14 +4,13 @@ Exit codes: 0 success, 2 configuration error (with per-key diagnostics on
 stderr), 3 numerical failure.  The CSV carries one row per sweep point at
 full double precision; the JSON summary records the effective intracavity
 permittivity, the shift peaks over the non-singular grid rows and, for angle
-sweeps, the resonance located by the coarse-scan plus golden-section search
+sweeps, the resonance located by the coarse scan plus batched bracket zoom
 and, when the beam has a waist, the centroid oracle at the peak row.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -70,41 +69,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
-def _flags(row: SweepRow) -> str:
-    flags = ""
-    if row.h_singular:
-        flags += "h"
-    if row.v_singular:
-        flags += "v"
-    if row.error is not None:
-        flags += "e"
-    return flags
+# the nine numeric columns at full double precision, then the h, v and e flags
+_CSV_ROW = "%.17g," * 9 + "%s%s%s\n"
 
 
 def write_csv(rows: list[SweepRow], path: Path) -> None:
     """One header row then one data row per sweep point, LF line endings."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
-        for row in rows:
-            writer.writerow(
-                [
-                    _fmt(row.value),
-                    _fmt(row.re_abs),
-                    _fmt(row.rm_abs),
-                    _fmt(row.ratio_em),
-                    _fmt(row.ratio_me),
-                    _fmt(row.phi_e),
-                    _fmt(row.phi_m),
-                    _fmt(row.delta_h_plus_lambda),
-                    _fmt(row.delta_v_plus_lambda),
-                    _flags(row),
-                ]
+        handle.write(CSV_HEADER + "\n")
+        handle.writelines(
+            _CSV_ROW % (
+                *row[:9],
+                "h" if row.h_singular else "",
+                "v" if row.v_singular else "",
+                "" if row.error is None else "e",
             )
+            for row in rows
+        )
 
 
 def _finite_or_none(value):
@@ -200,7 +181,10 @@ def _parse_window(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected LO,HI, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    lo, hi = float(parts[0]), float(parts[1])
+    if not 0.0 < lo < hi < math.pi / 2:
+        raise ValueError(f"need 0 < LO < HI < pi/2, got {text!r}")
+    return lo, hi
 
 
 def main(argv=None) -> int:
@@ -240,8 +224,8 @@ def main(argv=None) -> int:
 
     scenario, spec = scenario_from_config(doc)
     if args.lambda_um is not None:
-        if not args.lambda_um > 0:
-            print("config error: --lambda-um must be > 0", file=sys.stderr)
+        if not (math.isfinite(args.lambda_um) and args.lambda_um > 0):
+            print("config error: --lambda-um must be finite and > 0", file=sys.stderr)
             return 2
         scenario = replace(scenario, lambda_um=args.lambda_um)
     preset_name = doc.get("preset")

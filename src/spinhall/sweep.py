@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,8 +102,7 @@ class SweepSpec:
                 raise ValueError("theta must lie in (0, pi/2)")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """Reflection magnitudes/phases, polarization ratios and sigma+ shifts at
     one grid point.  A failed point carries the error message and NaN data."""
 
@@ -207,31 +207,20 @@ def run_sweep(scenario: Scenario, spec: SweepSpec, threads: int = 1) -> list[Swe
             for column in flags:
                 column[i] = True
     columns = [c.tolist() for c in (values, *data, *flags)]
-    return [SweepRow(*row, error) for *row, error in zip(*columns, errors)]
+    return list(map(SweepRow, *columns, errors))
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# points per zoom round of find_resonance: each round narrows the bracket
+# 32-fold, so the 2000-point scan of a 0.15 rad window reaches 1e-7 in 3 rounds
+_ZOOM_POINTS = 65
 
 
-def _golden_max(fn, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization of fn on [a, b] to bracket width tol."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    best_x, best_f = (c, fc) if fc >= fd else (d, fd)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fn(d)
-        x, f = (c, fc) if fc >= fd else (d, fd)
-        if f > best_f:
-            best_x, best_f = x, f
-    return best_x, best_f
+def _ratio_em(scenario: Scenario, chi: complex, thetas: np.ndarray) -> np.ndarray:
+    """|r_e|/|r_m| over an angle array, -inf where it is undefined."""
+    r_e, r_m = reflection_arrays(_layers(scenario, chi), scenario.lambda_um, thetas)
+    values = ratio(np.abs(r_e), np.abs(r_m))
+    values[np.isnan(values)] = -math.inf
+    return values
 
 
 def find_resonance(
@@ -243,32 +232,31 @@ def find_resonance(
     """Locate the angle maximizing |r_e|/|r_m| inside the window.
 
     A coarse scan (at least 2000 points, one batched call) brackets the
-    peak; golden-section refinement, one point at a time, then pins it to
-    tol_rad.  If the coarse maximum sits on the window edge the boundary
-    flag is set and no refinement is attempted.
+    peak between the neighbours of its maximum.  Each zoom round then
+    evaluates the ratio on an evenly spaced batch across the bracket and
+    keeps the neighbours of that batch's maximum, until the bracket is at
+    most tol_rad wide.  If the coarse maximum sits on the window edge the
+    boundary flag is set and no refinement is attempted.
     """
     lo, hi = float(theta_window[0]), float(theta_window[1])
     if not (0.0 < lo < hi < math.pi / 2):
         raise ValueError(f"theta window must satisfy 0 < lo < hi < pi/2, got {theta_window!r}")
     chi = susceptibility(scenario.qw).chi
-    stack = build_stack(scenario, chi)
-
-    def ratio_em(theta: float) -> float:
-        pair = reflection_pair(stack, Kinematics(scenario.lambda_um, theta))
-        value = float(ratio(abs(pair.r_e), abs(pair.r_m)))
-        return -math.inf if math.isnan(value) else value
-
     thetas = np.linspace(lo, hi, max(coarse_samples, 2000))
-    r_e, r_m = reflection_arrays(_layers(scenario, chi), scenario.lambda_um, thetas)
-    values = ratio(np.abs(r_e), np.abs(r_m))
-    values[np.isnan(values)] = -math.inf
+    values = _ratio_em(scenario, chi, thetas)
     i_best = int(np.argmax(values))
     coarse_theta, coarse_peak = float(thetas[i_best]), float(values[i_best])
     if i_best == 0 or i_best == len(thetas) - 1:
         return ResonanceResult(theta_star=coarse_theta, ratio_em_peak=coarse_peak, boundary=True)
-    refined_theta, refined_peak = _golden_max(
-        ratio_em, float(thetas[i_best - 1]), float(thetas[i_best + 1]), tol_rad
-    )
+    a, b = thetas[i_best - 1], thetas[i_best + 1]
+    refined_theta, refined_peak = coarse_theta, coarse_peak
+    # below a batch of ulps the bracket can no longer shrink
+    while b - a > max(tol_rad, _ZOOM_POINTS * math.ulp(b)):
+        thetas = np.linspace(a, b, _ZOOM_POINTS)
+        values = _ratio_em(scenario, chi, thetas)
+        i = int(np.argmax(values))
+        refined_theta, refined_peak = float(thetas[i]), float(values[i])
+        a, b = thetas[max(i - 1, 0)], thetas[min(i + 1, _ZOOM_POINTS - 1)]
     if refined_peak >= coarse_peak:
         return ResonanceResult(theta_star=refined_theta, ratio_em_peak=refined_peak, boundary=False)
     return ResonanceResult(theta_star=coarse_theta, ratio_em_peak=coarse_peak, boundary=False)

@@ -2,12 +2,13 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from spinhall.cli import CSV_HEADER, main
+from spinhall.cli import CSV_HEADER, main, write_csv
 from spinhall.config import (
     config_from_scenario,
     scenario_from_config,
@@ -205,6 +206,64 @@ class TestCliRuns:
         assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
 
 
+def csv_writer_reference(rows, path):
+    """The csv.writer implementation write_csv replaced, kept as its
+    byte-for-byte reference."""
+
+    def fmt(value):
+        return f"{value:.17g}"
+
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(CSV_HEADER.split(","))
+        for row in rows:
+            flags = ("h" if row.h_singular else "") + ("v" if row.v_singular else "")
+            flags += "e" if row.error is not None else ""
+            writer.writerow(
+                [
+                    fmt(row.value),
+                    fmt(row.re_abs),
+                    fmt(row.rm_abs),
+                    fmt(row.ratio_em),
+                    fmt(row.ratio_me),
+                    fmt(row.phi_e),
+                    fmt(row.phi_m),
+                    fmt(row.delta_h_plus_lambda),
+                    fmt(row.delta_v_plus_lambda),
+                    flags,
+                ]
+            )
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("name", ["fig2", "fig5a"])
+    def test_preset_rows_match_the_csv_writer(self, tmp_path, name):
+        from spinhall.sweep import run_sweep
+
+        rows = run_sweep(*preset(name))
+        write_csv(rows, tmp_path / "got.csv")
+        csv_writer_reference(rows, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_edge_values_and_flags_match_the_csv_writer(self, tmp_path):
+        from spinhall.sweep import SweepRow
+
+        specials = [math.nan, math.inf, -math.inf, -0.0, 1e-300, -1e-300, 0.1, 2.0**-1074]
+        flag_sets = {"": (False, False, None), "h": (True, False, None), "v": (False, True, None),
+                     "hv": (True, True, None), "e": (False, False, "ValueError: x"),
+                     "hve": (True, True, "SingularParameterError: y")}
+        rows = [
+            SweepRow(*(specials[(i + j) % len(specials)] for j in range(9)), h, v, error)
+            for i, (h, v, error) in enumerate(flag_sets.values())
+        ]
+        write_csv(rows, tmp_path / "got.csv")
+        csv_writer_reference(rows, tmp_path / "want.csv")
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        flags = [line.rsplit(",", 1)[1] for line in got.decode().splitlines()[1:]]
+        assert flags == list(flag_sets)
+
+
 class TestSummaryMedium:
     def test_resonance_uses_the_fixed_medium_of_the_rows(self, tmp_path, monkeypatch):
         # a theta sweep with the control field fixed at 6 meV: the summary's
@@ -343,6 +402,20 @@ class TestCliFailures:
         assert "config error:" in capsys.readouterr().err
         assert (tmp_path / "run.json").read_bytes() == before
         assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("window", ["1.0,0.9", "0,1", "nan,1", "0.9,2"])
+    def test_bad_resonance_window_exits_2_before_the_sweep(self, tmp_path, monkeypatch, capsys, window):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--preset", "fig5a", "--out", "w.csv", "--find-resonance", window]) == 2
+        assert "config error: --find-resonance: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["-1", "0", "inf", "nan"])
+    def test_bad_lambda_exits_2_before_the_sweep(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--preset", "fig5a", "--out", "l.csv", "--lambda-um", value]) == 2
+        assert "config error: --lambda-um" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_in_process_main_matches_subprocess_contract(self, tmp_path):
         code = main(["--preset", "fig5b", "--out", str(tmp_path / "m.csv")])

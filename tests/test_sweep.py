@@ -3,14 +3,17 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
-from spinhall.qw_medium import QwParams
-from spinhall.strata import ReflectionPair
+from spinhall.qw_medium import QwParams, susceptibility
+from spinhall.strata import ReflectionPair, reflection_arrays
 from spinhall.shifts import transverse_shifts
 from spinhall.sweep import (
     Scenario,
+    SweepRow,
     SweepSpec,
+    _layers,
     build_stack,
     find_resonance,
     run_sweep,
@@ -234,6 +237,77 @@ class TestFindResonance:
     def test_window_domain_checked(self):
         with pytest.raises(ValueError, match="window"):
             find_resonance(base_scenario(), (0.0, 1.0))
+
+    def test_search_makes_no_per_point_call(self, monkeypatch):
+        def per_point(*args):
+            raise AssertionError("per-point reflection_pair called")
+
+        monkeypatch.setattr("spinhall.sweep.reflection_pair", per_point)
+        result = find_resonance(base_scenario(), (0.9, 1.05))
+        assert not result.boundary and result.ratio_em_peak > 1e2
+
+    @pytest.mark.parametrize("tol_rad", [1e-7, 1e-5])
+    def test_peak_within_tol_of_a_dense_scan(self, tol_rad):
+        scenario = base_scenario()
+        result = find_resonance(scenario, (0.9, 1.05), tol_rad=tol_rad)
+        chi = susceptibility(scenario.qw).chi
+        thetas = np.linspace(result.theta_star - 2 * tol_rad, result.theta_star + 2 * tol_rad, 4001)
+        r_e, r_m = reflection_arrays(_layers(scenario, chi), scenario.lambda_um, thetas)
+        i = int(np.argmax(np.abs(r_e) / np.abs(r_m)))
+        assert 0 < i < len(thetas) - 1  # the scan holds the peak
+        assert abs(result.theta_star - thetas[i]) <= tol_rad
+
+    def test_peak_is_the_batched_ratio_at_theta_star(self):
+        scenario = base_scenario()
+        result = find_resonance(scenario, (0.9, 1.05))
+        chi = susceptibility(scenario.qw).chi
+        r_e, r_m = reflection_arrays(
+            _layers(scenario, chi), scenario.lambda_um, np.array([result.theta_star])
+        )
+        assert result.ratio_em_peak == pytest.approx(abs(r_e[0]) / abs(r_m[0]), rel=1e-12)
+
+    def test_looser_tolerance_takes_fewer_batches(self, monkeypatch):
+        import spinhall.sweep
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return reflection_arrays(*args)
+
+        monkeypatch.setattr(spinhall.sweep, "reflection_arrays", counted)
+        find_resonance(base_scenario(), (0.9, 1.05), tol_rad=1e-5)
+        loose = len(calls)
+        calls.clear()
+        find_resonance(base_scenario(), (0.9, 1.05))
+        assert 2 <= loose < len(calls)
+
+    def test_zero_tolerance_stops_at_float_resolution(self):
+        # the bracket cannot shrink below the spacing of doubles; the search
+        # used to loop forever here
+        fine = find_resonance(base_scenario(), (0.9, 1.05), tol_rad=0.0)
+        default = find_resonance(base_scenario(), (0.9, 1.05))
+        assert abs(fine.theta_star - default.theta_star) <= 1e-7
+        assert fine.ratio_em_peak >= default.ratio_em_peak * (1 - 1e-12)
+
+
+class TestSweepRow:
+    def test_fields_default_and_immutability(self):
+        assert SweepRow._fields == (
+            "value", "re_abs", "rm_abs", "ratio_em", "ratio_me", "phi_e", "phi_m",
+            "delta_h_plus_lambda", "delta_v_plus_lambda", "h_singular", "v_singular", "error",
+        )
+        row = SweepRow(0.5, *([1.0] * 8), False, True)
+        assert row.error is None and row.v_singular
+        with pytest.raises(AttributeError):
+            row.value = 0.6
+        assert repr(row).startswith("SweepRow(value=0.5, re_abs=1.0,")
+        assert row._replace(error="ValueError: x").error == "ValueError: x"
+
+    def test_sweep_rows_are_sweep_rows(self):
+        rows = run_sweep(base_scenario(), SweepSpec("theta", 0.3, 1.2, 5))
+        assert all(type(row) is SweepRow for row in rows)
+        assert all(type(row.value) is float and type(row.h_singular) is bool for row in rows)
 
 
 class TestScenarioValidation:
