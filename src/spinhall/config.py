@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from numbers import Real
 
 from .presets import PRESET_NAMES, preset
@@ -273,21 +274,7 @@ def config_from_scenario(
     doc: dict = {}
     if preset_name is not None:
         doc["preset"] = preset_name
-    doc["qw"] = {
-        "gamma_bl": qw.gamma_bl,
-        "gamma_bd": qw.gamma_bd,
-        "gamma_cl": qw.gamma_cl,
-        "gamma_cd": qw.gamma_cd,
-        "gamma_dl": qw.gamma_dl,
-        "gamma_dd": qw.gamma_dd,
-        "beta": qw.beta,
-        "g": qw.g,
-        "f": qw.f,
-        "delta": qw.delta,
-        "omega_c": qw.omega_c,
-        "delta_p": qw.delta_p,
-        "delta_c": qw.delta_c,
-    }
+    doc["qw"] = {f.name: getattr(qw, f.name) for f in fields(QwParams) if f.name != "level_energies"}
     if qw.level_energies is not None:
         doc["qw"]["level_energies"] = list(qw.level_energies)
     doc["stack"] = {

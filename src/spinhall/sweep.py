@@ -14,6 +14,7 @@ columns at the end.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -207,7 +208,8 @@ def run_sweep(scenario: Scenario, spec: SweepSpec, threads: int = 1) -> list[Swe
             for column in flags:
                 column[i] = True
     columns = [c.tolist() for c in (values, *data, *flags)]
-    return list(map(SweepRow, *columns, errors))
+    # tuple.__new__ fills each row in C, skipping the NamedTuple's Python __new__
+    return list(map(tuple.__new__, itertools.repeat(SweepRow), zip(*columns, errors)))
 
 
 # points per zoom round of find_resonance: each round narrows the bracket

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -54,6 +55,26 @@ class TestConfigRoundTrip:
         assert scenario.beam.waist_um == 925.0
         again = config_from_scenario(scenario, spec, preset_name="fig2")
         assert again["beam"] == doc["beam"]
+
+
+    QW_KEYS = (
+        "gamma_bl", "gamma_bd", "gamma_cl", "gamma_cd", "gamma_dl", "gamma_dd",
+        "beta", "g", "f", "delta", "omega_c", "delta_p", "delta_c",
+    )
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_qw_block_keys_order_and_values(self, name):
+        scenario, spec = preset(name)
+        doc = config_from_scenario(scenario, spec, preset_name=name)
+        assert list(doc["qw"].items()) == [(k, getattr(scenario.qw, k)) for k in self.QW_KEYS]
+
+    def test_qw_block_appends_level_energies_when_set(self):
+        scenario, spec = preset("fig2")
+        scenario = replace(scenario, qw=replace(scenario.qw, level_energies=(0.0, 1.5, 2.5, 9.0)))
+        doc = config_from_scenario(scenario, spec)
+        assert list(doc["qw"]) == [*self.QW_KEYS, "level_energies"]
+        assert doc["qw"]["level_energies"] == [0.0, 1.5, 2.5, 9.0]
+        assert [doc["qw"][k] for k in self.QW_KEYS] == [getattr(scenario.qw, k) for k in self.QW_KEYS]
 
 
 class TestValidate:

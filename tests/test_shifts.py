@@ -6,16 +6,21 @@ import math
 import numpy as np
 import pytest
 
-from spinhall.qw_medium import permittivity
+import spinhall.shifts
+from spinhall.presets import preset
+from spinhall.qw_medium import permittivity, susceptibility
 from spinhall.shifts import (
+    SINGULAR_REFLECTION,
     BeamSpec,
     ResolutionError,
+    _beam_moments,
     centroid_shift_oracle,
     circular_centroids,
     gaussian_spectrum,
     transverse_shifts,
 )
-from spinhall.strata import Kinematics, Layer, ReflectionPair, Stack
+from spinhall.strata import Kinematics, Layer, ReflectionPair, Stack, reflection_pair
+from spinhall.sweep import build_stack, find_resonance
 
 LAMBDA = 1.85
 
@@ -140,6 +145,16 @@ class TestBeamSpec:
     def test_waist_positive(self):
         with pytest.raises(ValueError, match="waist"):
             BeamSpec(waist_um=0.0)
+
+    @pytest.mark.parametrize("samples", [512.0, np.float64(512.0), True, "512"])
+    def test_non_integer_grid_samples_rejected(self, samples):
+        # 512.0 == 512, so a value-keyed memo would otherwise answer or fail
+        # inside numpy depending on which spelling reached it first
+        with pytest.raises(ValueError, match="grid_samples must be an integer"):
+            BeamSpec(waist_um=1000.0, grid_samples=samples)
+
+    def test_numpy_integer_grid_samples_accepted(self):
+        assert BeamSpec(waist_um=1000.0, grid_samples=np.int64(512)) == BeamSpec(waist_um=1000.0)
 
 
 class TestAngularSpectrum:
@@ -315,3 +330,106 @@ class TestSeparableCentroid:
             want = fft2_centroids(pair, kin, beam, polarization)
             for g, w in zip(got, want):
                 assert g == pytest.approx(w, rel=1e-10, abs=0.0)
+
+
+def fft1_centroids(pair, kin, beam, polarization):
+    """The per-component reference: one 1D FFT of b(ky)*(alpha + beta*ky)
+    per circular component, |E|^2 and its y-moment summed on the grid."""
+    half, n = beam.half_extent, beam.grid_samples
+    dk = 2.0 * half / n
+    ky = -half + dk * np.arange(n)
+    envelope = gaussian_spectrum(beam, 0.0, ky)
+    cross = ky * (1.0 / math.tan(kin.theta_rad)) * (pair.r_m + pair.r_e) / kin.k
+    if polarization == "h":
+        e_h, e_v = pair.r_m * envelope, -cross * envelope
+    else:
+        e_h, e_v = cross * envelope, pair.r_e * envelope
+    y = np.fft.fftfreq(n, d=dk / (2.0 * math.pi))
+    centroids = []
+    for spectrum in ((e_h + 1j * e_v) / math.sqrt(2.0), (e_h - 1j * e_v) / math.sqrt(2.0)):
+        profile = np.abs(np.fft.fft(spectrum)) ** 2
+        total = profile.sum()
+        centroids.append(math.nan if total == 0.0 else float((profile * y).sum() / total) / kin.lambda_um)
+    return tuple(centroids)
+
+
+def fft1_oracle(stack, kin, beam):
+    """centroid_shift_oracle on the per-component reference."""
+    pair = reflection_pair(stack, kin)
+    delta_h = None if abs(pair.r_m) < SINGULAR_REFLECTION else fft1_centroids(pair, kin, beam, "h")[0]
+    delta_v = None if abs(pair.r_e) < SINGULAR_REFLECTION else fft1_centroids(pair, kin, beam, "v")[0]
+    return delta_h, delta_v
+
+
+RESONANCE_OFFSETS = [sign * 10.0**e for e in range(-6, -1) for sign in (-1.0, 1.0)]
+
+
+class TestMomentCentroid:
+    """The per-beam moment form equals the per-component FFTs it replaced."""
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig6a", "fig6b"])
+    def test_matches_per_component_fft_reference(self, name):
+        scenario, spec = preset(name)
+        lam = scenario.lambda_um
+        stack = build_stack(scenario, susceptibility(scenario.qw).chi)
+        theta_star = find_resonance(scenario, (spec.lo, spec.hi)).theta_star
+        thetas = [*np.linspace(spec.lo, spec.hi, 41), *(theta_star + d for d in RESONANCE_OFFSETS)]
+        for waist in (100, 500, 3000, 30000):
+            beam = BeamSpec(waist_um=waist * lam)
+            for theta in thetas:
+                kin = Kinematics(lam, float(theta))
+                got, want = centroid_shift_oracle(stack, kin, beam), fft1_oracle(stack, kin, beam)
+                for g, w in zip(got, want):
+                    assert (g is None) == (w is None)
+                    assert g is None or g == pytest.approx(w, rel=1e-9, abs=0.0)
+                pair = reflection_pair(stack, kin)
+                for polarization in ("h", "v"):
+                    got = circular_centroids(pair, kin, beam, polarization)
+                    want = fft1_centroids(pair, kin, beam, polarization)
+                    assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_zero_field_centroid_is_nan(self):
+        kin = Kinematics(LAMBDA, 0.8)
+        beam = BeamSpec(waist_um=500 * LAMBDA)
+        got = circular_centroids(ReflectionPair(0j, 0j), kin, beam, "h")
+        assert all(math.isnan(c) for c in got)
+        assert all(math.isnan(c) for c in fft1_centroids(ReflectionPair(0j, 0j), kin, beam, "h"))
+
+    def test_memo_is_keyed_by_beam_value(self):
+        _beam_moments.cache_clear()
+        waist = 700 * LAMBDA
+        first = _beam_moments(BeamSpec(waist_um=waist))
+        assert _beam_moments(BeamSpec(waist_um=waist)) is first
+        info = _beam_moments.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert all(type(v) is complex for sums in first for v in sums)
+        for other in (
+            BeamSpec(waist_um=waist * 1.5),
+            BeamSpec(waist_um=waist, grid_samples=300),
+            BeamSpec(waist_um=waist, grid_half_extent=9.0 / waist),
+        ):
+            _beam_moments(other)
+        info = _beam_moments.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 4, 4)
+
+    def test_warm_beam_costs_one_reflection_pair_and_no_fft(self, monkeypatch):
+        calls = {"reflection_pair": 0, "fft": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(spinhall.shifts, "reflection_pair", counted("reflection_pair", reflection_pair))
+        monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
+        _beam_moments.cache_clear()
+        kin = Kinematics(LAMBDA, 0.6)
+        beam = BeamSpec(waist_um=800 * LAMBDA)
+        centroid_shift_oracle(base_stack(), kin, beam)
+        assert calls == {"reflection_pair": 1, "fft": 1}  # one batched FFT per beam
+        for theta in np.linspace(0.3, 1.3, 7):
+            oracle = centroid_shift_oracle(base_stack(), Kinematics(LAMBDA, float(theta)), beam)
+            assert None not in oracle
+        assert calls == {"reflection_pair": 8, "fft": 1}

@@ -309,6 +309,26 @@ class TestSweepRow:
         assert all(type(row) is SweepRow for row in rows)
         assert all(type(row.value) is float and type(row.h_singular) is bool for row in rows)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SweepSpec("theta", 0.1, 1.5, 2001),
+            SweepSpec("omega_c", 0.0, 8.0, 601, fixed={"theta": 0.98}),
+            SweepSpec("delta", 0.0, 2.0, 601, fixed={"theta": 0.98}),  # row 0 fails
+        ],
+        ids=["theta", "omega_c", "delta"],
+    )
+    def test_every_row_has_every_field(self, spec):
+        scenario = base_scenario()
+        if spec.variable == "delta":  # the lossless medium of test_singular_grid_point_fails_alone
+            rates = ("gamma_bl", "gamma_bd", "gamma_cl", "gamma_cd", "gamma_dl", "gamma_dd")
+            scenario = base_scenario(qw=base_qw(**dict.fromkeys(rates, 0.0), f=2.0, omega_c=2.0))
+        rows = run_sweep(scenario, spec)
+        assert len(rows) == spec.samples
+        assert all(type(row) is SweepRow and len(row) == len(SweepRow._fields) for row in rows)
+        assert [row.value for row in rows] == np.linspace(spec.lo, spec.hi, spec.samples).tolist()
+        assert (rows[0].error is not None) == (spec.variable == "delta")
+
 
 class TestScenarioValidation:
     def test_zero_wall_rejected(self):
