@@ -34,12 +34,7 @@ from .strata import (
     Layer,
     ReflectionPair,
     Stack,
-    layer_matrix_te,
-    layer_matrix_tm,
     reflection_pair,
-    reflection_te,
-    reflection_tm,
-    wave_vector_x,
 )
 from .sweep import (
     ResonanceResult,
@@ -79,17 +74,12 @@ __all__ = [
     "derived_rates",
     "find_resonance",
     "gaussian_spectrum",
-    "layer_matrix_te",
-    "layer_matrix_tm",
     "permittivity",
     "preset",
     "reflection_pair",
-    "reflection_te",
-    "reflection_tm",
     "run_sweep",
     "steady_state_coherences",
     "susceptibility",
     "susceptibility_from_steady_state",
     "transverse_shifts",
-    "wave_vector_x",
 ]

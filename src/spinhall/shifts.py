@@ -22,8 +22,9 @@ exactly (Parseval along x).  Each circular component's spectrum is then
 b(k_y)*(a + c*k_y), so its DFT is a*B0 + c*B1 with B0, B1 the DFTs of b and
 k_y*b, and both centroid sums are quadratic forms in (a, c) over six per-beam
 sums.  Those come from one batched FFT per BeamSpec value, memoized; a point
-then costs one `reflection_pair` plus scalar arithmetic (a warm fig2 point
-~0.08 ms, against ~0.3 ms for one 1D FFT per circular component).  Space-domain
+then costs one `reflection_pair` (~0.01 ms in Python complex arithmetic) plus
+scalar arithmetic: a warm fig2 point ~0.02-0.03 ms, against ~0.3 ms for one
+1D FFT per circular component.  Space-domain
 fields use the plane-wave phase convention exp(i(w*t - k.r)), i.e.
 spectrum-to-space is a forward DFT; this is what ties the sigma+ label to the
 minus sign above.
@@ -86,6 +87,10 @@ class BeamSpec:
                 f"grid_samples must be >= {_MIN_SAMPLES}, got {self.grid_samples}"
             )
         if self.grid_half_extent is not None:
+            if not (math.isfinite(self.grid_half_extent) and self.grid_half_extent > 0.0):
+                raise ValueError(
+                    f"grid_half_extent must be positive and finite, got {self.grid_half_extent!r}"
+                )
             if self.grid_half_extent < _MIN_EXTENT_WAISTS / self.waist_um:
                 raise ResolutionError(
                     f"grid_half_extent must be >= {_MIN_EXTENT_WAISTS}/waist "

@@ -16,16 +16,20 @@ function of kx, so reflection coefficients do not depend on this branch
 choice; the TM matrix uses the same propagation phase kx*d as TE and carries
 the permittivity only in the admittance kx/(k*eps).
 
-Everything is computed elementwise: `reflection_arrays` evaluates a grid of
-angles (and layer permittivities) in one pass, with NaN at degenerate or
-overflowing points; the per-point functions run the same code on scalars
-and raise DegenerateGeometryError or OverflowError there instead.
+`reflection_arrays` evaluates a grid of angles (and layer permittivities)
+elementwise in one pass, with NaN at degenerate or overflowing points.
+`reflection_pair` evaluates one point in Python complex arithmetic (numpy's
+per-call overhead on 0-d values is several times the arithmetic), sharing
+the matrix product and the reflection fraction with the grid and keeping its
+branch rule, kx -> 0 limit and denominator floor; it raises
+DegenerateGeometryError or OverflowError where the grid gives NaN.
 
 Lengths in micrometers, angles in radians.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -37,12 +41,6 @@ __all__ = [
     "Kinematics",
     "ReflectionPair",
     "DegenerateGeometryError",
-    "wave_vector_x",
-    "layer_matrix_te",
-    "layer_matrix_tm",
-    "reflection_from_transfer_matrix",
-    "reflection_te",
-    "reflection_tm",
     "reflection_pair",
     "reflection_arrays",
 ]
@@ -131,6 +129,24 @@ def _layer_entries(epsilon, thickness_um: float, k: float, k_z):
     return entries
 
 
+def _point_normal_k(epsilon: complex, k: float, k_z: float) -> complex:
+    """`_normal_k` at one point, with the same signed-zero rule."""
+    radicand = epsilon * k ** 2 - k_z ** 2
+    return cmath.sqrt(complex(radicand.real, 0.0) if radicand.imag == 0.0 else radicand)
+
+
+def _point_entries(epsilon: complex, thickness_um: float, k: float, k_z: float):
+    """`_layer_entries` at one point, in Python complex arithmetic; cmath
+    raises OverflowError where the batch kernel would overflow to inf."""
+    kx = _point_normal_k(epsilon, k, k_z)
+    c, s = cmath.cos(kx * thickness_um), cmath.sin(kx * thickness_um)
+    entries = []
+    for admittance, eps_factor in ((kx / k, 1.0), (kx / (k * epsilon), epsilon)):
+        m12 = 1j * k * eps_factor * thickness_um if kx == 0 else 1j * s / admittance
+        entries.append((c, m12, 1j * admittance * s, c))
+    return entries
+
+
 def _fraction(m, q0):
     """Numerator and denominator of the reflection coefficient of a stack
     with total matrix entries m = (m11, m12, m21, m22), vacuum on both sides."""
@@ -146,12 +162,12 @@ def _product(a, b):
             a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
 
 
-def _stack_fractions(layers, k: float, k_z, q0):
+def _stack_fractions(layers, k: float, k_z, q0, entries=_layer_entries):
     """TE and TM (numerator, denominator) of (epsilon, thickness_um) layers,
-    the layer matrices multiplied in stack order."""
+    the layer matrices from `entries` multiplied in stack order."""
     te = tm = None
     for epsilon, thickness_um in layers:
-        layer_te, layer_tm = _layer_entries(epsilon, thickness_um, k, k_z)
+        layer_te, layer_tm = entries(epsilon, thickness_um, k, k_z)
         te = layer_te if te is None else _product(te, layer_te)
         tm = layer_tm if tm is None else _product(tm, layer_tm)
     return _fraction(te, q0), _fraction(tm, q0)
@@ -174,59 +190,16 @@ def reflection_arrays(layers, lambda_um: float, theta) -> tuple[np.ndarray, np.n
     return r_e, r_m
 
 
-def _checked(numerator, denominator, q0: float) -> complex:
-    if not (np.isfinite(numerator) and np.isfinite(denominator)):
-        # the layer entries overflowed: |Im(kx) d| beyond ~700 in a thick evanescent layer
+def _checked(numerator: complex, denominator: complex, q0: float) -> complex:
+    if not (cmath.isfinite(numerator) and cmath.isfinite(denominator)):
+        # the matrix product overflowed: |Im(kx) d| summed over the layers
+        # beyond ~700 (cmath.cos raises on its own for one such layer)
         raise OverflowError("math range error")
     if abs(denominator) < DENOMINATOR_FLOOR:
         raise DegenerateGeometryError(
             f"reflection denominator vanished (|den|={abs(denominator):.3e}, q0={q0})"
         )
     return complex(numerator / denominator)
-
-
-def wave_vector_x(epsilon: complex, kin: Kinematics) -> complex:
-    """Normal wavevector component in a medium of the given permittivity."""
-    return complex(_normal_k(complex(epsilon), kin.k, kin.k_z))
-
-
-def _layer_matrix(layer: Layer, kin: Kinematics, polarization: int) -> np.ndarray:
-    with np.errstate(all="ignore"):
-        entries = _layer_entries(layer.epsilon, layer.thickness_um, kin.k, kin.k_z)[polarization]
-    return np.array(entries, dtype=complex).reshape(2, 2)
-
-
-def layer_matrix_te(layer: Layer, kin: Kinematics) -> np.ndarray:
-    """2x2 TE characteristic matrix of one layer (unit determinant)."""
-    return _layer_matrix(layer, kin, 0)
-
-
-def layer_matrix_tm(layer: Layer, kin: Kinematics) -> np.ndarray:
-    """2x2 TM characteristic matrix; phase as in TE, admittance kx/(k*eps)."""
-    return _layer_matrix(layer, kin, 1)
-
-
-def reflection_from_transfer_matrix(matrix: np.ndarray, q0: float) -> complex:
-    """Amplitude reflection coefficient of a stack with total matrix M,
-    vacuum on both sides."""
-    with np.errstate(all="ignore"):
-        return _checked(*_fraction(matrix.ravel(), q0), q0)
-
-
-def _reflections(stack: Stack, kin: Kinematics) -> list[complex]:
-    layers = [(layer.epsilon, layer.thickness_um) for layer in stack.layers]
-    with np.errstate(all="ignore"):
-        return [_checked(*f, kin.q0) for f in _stack_fractions(layers, kin.k, kin.k_z, kin.q0)]
-
-
-def reflection_te(stack: Stack, kin: Kinematics) -> complex:
-    """Complex TE (s-polarization) reflection coefficient of the stack."""
-    return _reflections(stack, kin)[0]
-
-
-def reflection_tm(stack: Stack, kin: Kinematics) -> complex:
-    """Complex TM (p-polarization) reflection coefficient of the stack."""
-    return _reflections(stack, kin)[1]
 
 
 def _principal_phase(z):
@@ -254,5 +227,13 @@ class ReflectionPair:
 
 
 def reflection_pair(stack: Stack, kin: Kinematics) -> ReflectionPair:
-    """Both polarizations at once."""
-    return ReflectionPair(*_reflections(stack, kin))
+    """TE and TM reflection coefficients at one point, as Python complex.
+
+    Where `reflection_arrays` gives NaN this raises: OverflowError for
+    overflowing matrix entries, DegenerateGeometryError for a denominator
+    under DENOMINATOR_FLOOR.
+    """
+    layers = [(complex(layer.epsilon), layer.thickness_um) for layer in stack.layers]
+    q0 = kin.q0
+    fractions = _stack_fractions(layers, kin.k, kin.k_z, q0, _point_entries)
+    return ReflectionPair(*(_checked(n, d, q0) for n, d in fractions))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -87,6 +88,8 @@ class SweepSpec:
             raise ValueError(f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise ValueError(f"need lo < hi, got [{self.lo!r}, {self.hi!r}]")
+        if isinstance(self.samples, bool) or not isinstance(self.samples, Integral):
+            raise ValueError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 2:
             raise ValueError(f"samples must be >= 2, got {self.samples!r}")
         unknown = set(self.fixed) - _FIXABLE

@@ -18,19 +18,9 @@ import numpy as np
 from spinhall.config import config_from_scenario, scenario_from_config
 from spinhall.presets import PRESET_NAMES, preset
 from spinhall.qw_medium import QwParams, susceptibility, susceptibility_from_steady_state
+from spinhall import strata
 from spinhall.shifts import BeamSpec, centroid_shift_oracle, transverse_shifts
-from spinhall.strata import (
-    Kinematics,
-    Layer,
-    ReflectionPair,
-    Stack,
-    layer_matrix_te,
-    layer_matrix_tm,
-    reflection_pair,
-    reflection_te,
-    reflection_tm,
-    wave_vector_x,
-)
+from spinhall.strata import Kinematics, Layer, ReflectionPair, Stack, reflection_pair
 from spinhall.sweep import SweepSpec, build_stack, find_resonance, run_sweep
 
 
@@ -91,10 +81,10 @@ def test_criterion_2_transfer_matrix_suite():
         eps = complex(rng.uniform(-4.0, 6.0), rng.uniform(-1.0, 1.0))
         layer = Layer(epsilon=eps if eps != 0 else 1.5, thickness_um=rng.uniform(0.0, 2.0))
         kin = Kinematics(rng.uniform(0.4, 3.0), rng.uniform(0.01, 1.55))
-        if abs(wave_vector_x(layer.epsilon, kin).imag) * layer.thickness_um > 4.0:
+        if abs(strata._point_normal_k(layer.epsilon, kin.k, kin.k_z).imag) * layer.thickness_um > 4.0:
             continue
-        for matrix_fn in (layer_matrix_te, layer_matrix_tm):
-            worst_det = max(worst_det, abs(np.linalg.det(matrix_fn(layer, kin)) - 1.0))
+        for entries in strata._point_entries(layer.epsilon, layer.thickness_um, kin.k, kin.k_z):
+            worst_det = max(worst_det, abs(np.linalg.det(np.reshape(entries, (2, 2))) - 1.0))
         checked += 1
     ok &= worst_det < 1e-12
     notes.append(f"det {worst_det:.1e}")
@@ -107,8 +97,8 @@ def test_criterion_2_transfer_matrix_suite():
         kin = Kinematics(rng.uniform(0.8, 2.5), rng.uniform(0.05, 1.5))
         whole = Stack(layers=(Layer(2.0, 0.3), Layer(eps, d)))
         split = Stack(layers=(Layer(2.0, 0.3), Layer(eps, d / 2), Layer(eps, d / 2)))
-        for solver in (reflection_te, reflection_tm):
-            worst_split = max(worst_split, abs(solver(whole, kin) - solver(split, kin)))
+        got, want = reflection_pair(whole, kin), reflection_pair(split, kin)
+        worst_split = max(worst_split, abs(got.r_e - want.r_e), abs(got.r_m - want.r_m))
     ok &= worst_split < 1e-12
     notes.append(f"split {worst_split:.1e}")
 
@@ -129,8 +119,9 @@ def test_criterion_2_transfer_matrix_suite():
         d = rng.uniform(0.05, 4.0)
         kin = Kinematics(rng.uniform(0.5, 3.0), rng.uniform(0.05, 1.5))
         stack = Stack(layers=(Layer(eps, d),))
-        for solver, pol in ((reflection_te, "te"), (reflection_tm, "tm")):
-            got, want = solver(stack, kin), airy(eps, d, kin, pol)
+        pair = reflection_pair(stack, kin)
+        for got, pol in ((pair.r_e, "te"), (pair.r_m, "tm")):
+            want = airy(eps, d, kin, pol)
             worst_airy = max(worst_airy, abs(got - want) / max(abs(want), 1e-12))
     ok &= worst_airy < 1e-10
     notes.append(f"airy {worst_airy:.1e}")
@@ -146,15 +137,9 @@ def test_criterion_2_transfer_matrix_suite():
         )
         stack = Stack(layers=layers)
         kin = Kinematics(rng.uniform(0.5, 3.0), rng.uniform(0.05, 1.55))
-        worst_passive = max(
-            worst_passive,
-            abs(reflection_te(stack, kin)) - 1.0,
-            abs(reflection_tm(stack, kin)) - 1.0,
-        )
-        worst_degenerate = max(
-            worst_degenerate,
-            abs(abs(reflection_te(stack, kin_normal)) - abs(reflection_tm(stack, kin_normal))),
-        )
+        pair, normal = reflection_pair(stack, kin), reflection_pair(stack, kin_normal)
+        worst_passive = max(worst_passive, abs(pair.r_e) - 1.0, abs(pair.r_m) - 1.0)
+        worst_degenerate = max(worst_degenerate, abs(abs(normal.r_e) - abs(normal.r_m)))
     ok &= worst_passive <= 1e-10
     ok &= worst_degenerate < 1e-10
     notes.append(f"passivity {worst_passive:.1e}, normal-incidence {worst_degenerate:.1e}")

@@ -138,6 +138,16 @@ class TestBeamSpec:
         with pytest.raises(ResolutionError, match="half_extent"):
             BeamSpec(waist_um=500.0, grid_half_extent=1.0 / 500.0)
 
+    @pytest.mark.parametrize("extent", [math.nan, math.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_extent_rejected(self, extent):
+        # nan and inf slip past the resolution bound and made the oracle nan
+        with pytest.raises(ValueError, match="grid_half_extent must be positive and finite"):
+            BeamSpec(waist_um=1000.0, grid_half_extent=extent)
+
+    def test_unset_or_valid_extent_accepted(self):
+        assert BeamSpec(waist_um=1000.0, grid_half_extent=None).half_extent == 8.0 / 1000.0
+        assert BeamSpec(waist_um=1000.0, grid_half_extent=0.01).half_extent == 0.01
+
     def test_default_extent(self):
         beam = BeamSpec(waist_um=200.0)
         assert beam.half_extent == pytest.approx(8.0 / 200.0)

@@ -1,6 +1,6 @@
 """Transfer-matrix solver tests: frozen matrix entries, Airy equivalence,
 unimodularity, composition, passivity, polarization degeneracies, the side
-the light enters, and the batched evaluation against the per-point one."""
+the light enters, and the per-point kernel against the grid kernel."""
 
 import cmath
 import math
@@ -15,15 +15,12 @@ from spinhall.strata import (
     Layer,
     ReflectionPair,
     Stack,
-    layer_matrix_te,
-    layer_matrix_tm,
     reflection_arrays,
-    reflection_from_transfer_matrix,
     reflection_pair,
-    reflection_te,
-    reflection_tm,
-    wave_vector_x,
 )
+from spinhall.presets import preset
+from spinhall.qw_medium import susceptibility
+from spinhall.sweep import build_stack, find_resonance
 
 # the reference slab: eps=2.22, d=0.2 um at lambda=1.85 um, theta=0.98 rad
 REF_LAYER = Layer(epsilon=2.22, thickness_um=0.2)
@@ -84,6 +81,21 @@ def recursion_reflection(epsilons, thicknesses, kin, polarization):
     return gamma
 
 
+def layer_matrices(layer, kin):
+    """[(TE, TM) 2x2 layer matrices] from the per-point kernel and from the
+    grid kernel at the same point, in that order."""
+    point = strata._point_entries(complex(layer.epsilon), layer.thickness_um, kin.k, kin.k_z)
+    with np.errstate(all="ignore"):  # the grid kernel divides by kx = 0 before masking it
+        grid = strata._layer_entries(np.array([layer.epsilon]), layer.thickness_um, kin.k, np.array([kin.k_z]))
+    return [tuple(np.array(m, dtype=complex).reshape(2, 2) for m in entries) for entries in (point, grid)]
+
+
+def normal_ks(epsilon, kin):
+    """kx from the per-point kernel and from the grid kernel."""
+    grid = strata._normal_k(np.array([epsilon], dtype=complex), kin.k, np.array([kin.k_z]))
+    return strata._point_normal_k(complex(epsilon), kin.k, kin.k_z), complex(grid[0])
+
+
 def random_layers(rng, n, lossless=False):
     layers = []
     for _ in range(n):
@@ -99,34 +111,36 @@ def random_layers(rng, n, lossless=False):
 
 class TestLayerMatrices:
     def test_reference_entries_te(self):
-        m = layer_matrix_te(REF_LAYER, REF_KIN)
-        np.testing.assert_allclose(m[0, 0], REF_COS, rtol=1e-12)
-        np.testing.assert_allclose(m[1, 1], REF_COS, rtol=1e-12)
-        np.testing.assert_allclose(m[0, 1], 1j * REF_SIN_OVER_Q, rtol=1e-12)
-        np.testing.assert_allclose(m[1, 0], 1j * REF_Q_SIN, rtol=1e-12)
+        for m, _ in layer_matrices(REF_LAYER, REF_KIN):
+            np.testing.assert_allclose(m[0, 0], REF_COS, rtol=1e-12)
+            np.testing.assert_allclose(m[1, 1], REF_COS, rtol=1e-12)
+            np.testing.assert_allclose(m[0, 1], 1j * REF_SIN_OVER_Q, rtol=1e-12)
+            np.testing.assert_allclose(m[1, 0], 1j * REF_Q_SIN, rtol=1e-12)
 
     def test_reference_entries_tm(self):
-        m = layer_matrix_tm(REF_LAYER, REF_KIN)
-        np.testing.assert_allclose(m[0, 0], REF_COS, rtol=1e-12)
-        np.testing.assert_allclose(m[0, 1], 1j * REF_SIN_OVER_P, rtol=1e-12)
-        np.testing.assert_allclose(m[1, 0], 1j * REF_P_SIN, rtol=1e-12)
+        for _, m in layer_matrices(REF_LAYER, REF_KIN):
+            np.testing.assert_allclose(m[0, 0], REF_COS, rtol=1e-12)
+            np.testing.assert_allclose(m[0, 1], 1j * REF_SIN_OVER_P, rtol=1e-12)
+            np.testing.assert_allclose(m[1, 0], 1j * REF_P_SIN, rtol=1e-12)
 
     def test_zero_thickness_is_identity(self):
         layer = Layer(epsilon=3.5 + 0.2j, thickness_um=0.0)
-        np.testing.assert_array_equal(layer_matrix_te(layer, REF_KIN), np.eye(2))
-        np.testing.assert_array_equal(layer_matrix_tm(layer, REF_KIN), np.eye(2))
+        for matrices in layer_matrices(layer, REF_KIN):
+            for m in matrices:
+                np.testing.assert_array_equal(m, np.eye(2))
 
     def test_vacuum_layer_is_free_propagation(self):
         layer = Layer(epsilon=1.0, thickness_um=0.7)
         kin = Kinematics(lambda_um=1.85, theta_rad=0.6)
-        kx = wave_vector_x(1.0, kin)
+        kx, grid_kx = normal_ks(1.0, kin)
         assert kx == pytest.approx(kin.k * math.cos(0.6), rel=1e-14)
-        m = layer_matrix_te(layer, kin)
+        assert grid_kx == pytest.approx(kin.k * math.cos(0.6), rel=1e-14)
         q0 = math.cos(0.6)
         phase = kx * 0.7
-        np.testing.assert_allclose(m[0, 0], cmath.cos(phase), rtol=1e-14)
-        np.testing.assert_allclose(m[0, 1], 1j * cmath.sin(phase) / q0, rtol=1e-14)
-        np.testing.assert_allclose(np.linalg.det(m), 1.0, atol=1e-14)
+        for m, _ in layer_matrices(layer, kin):
+            np.testing.assert_allclose(m[0, 0], cmath.cos(phase), rtol=1e-14)
+            np.testing.assert_allclose(m[0, 1], 1j * cmath.sin(phase) / q0, rtol=1e-14)
+            np.testing.assert_allclose(np.linalg.det(m), 1.0, atol=1e-14)
 
     def test_unimodular_over_random_media(self):
         # includes lossy, gainy, metal-like (negative real eps) and
@@ -143,39 +157,43 @@ class TestLayerMatrices:
             kin = Kinematics(
                 lambda_um=rng.uniform(0.4, 3.0), theta_rad=rng.uniform(0.01, 1.55)
             )
-            if abs(wave_vector_x(layer.epsilon, kin).imag) * layer.thickness_um > 4.0:
+            if abs(normal_ks(layer.epsilon, kin)[0].imag) * layer.thickness_um > 4.0:
                 continue
-            for matrix_fn in (layer_matrix_te, layer_matrix_tm):
-                det = np.linalg.det(matrix_fn(layer, kin))
-                assert abs(det - 1.0) < 1e-12
+            for matrices in layer_matrices(layer, kin):
+                for m in matrices:
+                    assert abs(np.linalg.det(m) - 1.0) < 1e-12
             checked += 1
 
     def test_evanescent_branch_decays(self):
-        # real radicand below zero: kx must land on +i|kx|
+        # real radicand below zero, whatever the sign of its zero imaginary
+        # part: kx must land on +i|kx| in both kernels
         kin = Kinematics(lambda_um=1.0, theta_rad=1.2)
-        kx = wave_vector_x(0.2, kin)
-        assert kx.real == 0.0
-        assert kx.imag > 0.0
+        for epsilon in (0.2, complex(0.2, 0.0), complex(0.2, -0.0)):
+            for kx in normal_ks(epsilon, kin):
+                assert kx.real == 0.0
+                assert kx.imag > 0.0
 
 
 class TestReflection:
     def test_all_vacuum_stack_reflects_nothing(self):
         stack = Stack(layers=(Layer(1.0, 1.0), Layer(1.0, 2.5), Layer(1.0, 0.3)))
         kin = Kinematics(1.85, 0.7)
-        assert abs(reflection_te(stack, kin)) < 1e-14
-        assert abs(reflection_tm(stack, kin)) < 1e-14
+        pair = reflection_pair(stack, kin)
+        assert abs(pair.r_e) < 1e-14
+        assert abs(pair.r_m) < 1e-14
 
     def test_zero_thickness_stack_reflects_nothing(self):
         stack = Stack(layers=(Layer(2.22, 0.0), Layer(1.5 + 0.1j, 0.0)))
         kin = Kinematics(1.85, 0.7)
-        assert reflection_te(stack, kin) == 0.0
-        assert reflection_tm(stack, kin) == 0.0
+        pair = reflection_pair(stack, kin)
+        assert pair.r_e == 0.0
+        assert pair.r_m == 0.0
 
     def test_airy_equivalence_reference_slab(self):
         kin = Kinematics(lambda_um=1.85, theta_rad=0.5)
         stack = Stack(layers=(Layer(2.22, 0.2),))
-        for solver, pol in ((reflection_te, "te"), (reflection_tm, "tm")):
-            got = solver(stack, kin)
+        pair = reflection_pair(stack, kin)
+        for got, pol in ((pair.r_e, "te"), (pair.r_m, "tm")):
             want = airy_reflection(2.22, 0.2, kin, pol)
             assert abs(got - want) <= 1e-10 * abs(want)
 
@@ -186,8 +204,8 @@ class TestReflection:
             d = rng.uniform(0.0, 4.0)
             kin = Kinematics(rng.uniform(0.5, 3.0), rng.uniform(0.05, 1.5))
             stack = Stack(layers=(Layer(eps, d),))
-            for solver, pol in ((reflection_te, "te"), (reflection_tm, "tm")):
-                got = solver(stack, kin)
+            pair = reflection_pair(stack, kin)
+            for got, pol in ((pair.r_e, "te"), (pair.r_m, "tm")):
                 want = airy_reflection(eps, d, kin, pol)
                 assert abs(got - want) <= 1e-10 * max(abs(want), 1e-12)
 
@@ -201,33 +219,36 @@ class TestReflection:
             split = Stack(
                 layers=(Layer(2.0, 0.4), Layer(eps, d / 2), Layer(eps, d / 2), Layer(3.0, 0.2))
             )
-            for solver in (reflection_te, reflection_tm):
-                assert abs(solver(whole, kin) - solver(split, kin)) < 1e-12
+            got, want = reflection_pair(whole, kin), reflection_pair(split, kin)
+            assert abs(got.r_e - want.r_e) < 1e-12
+            assert abs(got.r_m - want.r_m) < 1e-12
 
     def test_lossless_passivity(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
             stack = Stack(layers=random_layers(rng, rng.integers(1, 5), lossless=True))
             kin = Kinematics(rng.uniform(0.5, 3.0), rng.uniform(0.05, 1.55))
-            assert abs(reflection_te(stack, kin)) <= 1.0 + 1e-10
-            assert abs(reflection_tm(stack, kin)) <= 1.0 + 1e-10
+            pair = reflection_pair(stack, kin)
+            assert abs(pair.r_e) <= 1.0 + 1e-10
+            assert abs(pair.r_m) <= 1.0 + 1e-10
 
     def test_normal_incidence_degeneracy(self):
         rng = np.random.default_rng(17)
         kin = Kinematics(1.85, 1e-6)
         for _ in range(100):
             stack = Stack(layers=random_layers(rng, rng.integers(1, 5), lossless=True))
-            assert abs(abs(reflection_te(stack, kin)) - abs(reflection_tm(stack, kin))) < 1e-10
+            pair = reflection_pair(stack, kin)
+            assert abs(abs(pair.r_e) - abs(pair.r_m)) < 1e-10
 
     def test_thick_slab_tm_null_at_brewster(self):
         # a thick lossless slab extinguishes TM right at atan(sqrt(eps))
         stack = Stack(layers=(Layer(2.22, 50.0),))
         thetas = np.linspace(0.9, 1.05, 4001)
-        rm = np.array([abs(reflection_tm(stack, Kinematics(1.85, t))) for t in thetas])
+        rm = np.array([abs(reflection_pair(stack, Kinematics(1.85, t)).r_m) for t in thetas])
         theta_min = thetas[rm.argmin()]
         assert theta_min == pytest.approx(BREWSTER_222, abs=1e-3)
         assert rm.min() < 1e-3
-        re_there = abs(reflection_te(stack, Kinematics(1.85, theta_min)))
+        re_there = abs(reflection_pair(stack, Kinematics(1.85, theta_min)).r_e)
         assert re_there / rm.min() > 1e2
 
     def test_complex_wall_permittivities_accepted(self):
@@ -246,8 +267,8 @@ class TestReflection:
         assert np.all(np.isnan(r_e)) and np.all(np.isnan(r_m))
 
     def test_degenerate_matrix_rejected(self):
-        with pytest.raises(DegenerateGeometryError):
-            reflection_from_transfer_matrix(np.zeros((2, 2), dtype=complex), 0.5)
+        with pytest.raises(DegenerateGeometryError, match="denominator vanished"):
+            strata._checked(*strata._fraction((0j, 0j, 0j, 0j), 0.5), 0.5)
 
 
 class TestEntrySide:
@@ -265,7 +286,8 @@ class TestEntrySide:
         batch = reflection_arrays(list(zip(self.EPSILONS, self.THICKNESSES)), 1.85, thetas)
         for i, theta in enumerate(thetas):
             kin = Kinematics(1.85, float(theta))
-            scalar = (reflection_te(stack, kin), reflection_tm(stack, kin))
+            pair = reflection_pair(stack, kin)
+            scalar = (pair.r_e, pair.r_m)
             for pol, got_scalar, got_batch in zip(("te", "tm"), scalar, batch):
                 entering_last = recursion_reflection(
                     self.EPSILONS[::-1], self.THICKNESSES[::-1], kin, pol
@@ -330,12 +352,66 @@ class TestReflectionPair:
         assert pair.phi_m == pytest.approx(math.pi)
         assert -math.pi < pair.phi_e <= math.pi
 
-    def test_pair_matches_individual_solvers(self):
-        stack = Stack(layers=(Layer(2.22, 0.2), Layer(1.001 + 0.004j, 5.0), Layer(2.22, 0.2)))
-        kin = Kinematics(1.85, 0.98)
-        pair = reflection_pair(stack, kin)
-        assert pair.r_e == reflection_te(stack, kin)
-        assert pair.r_m == reflection_tm(stack, kin)
+    def test_pair_is_python_complex_and_matches_the_grid(self):
+        layers = ((2.22, 0.2), (1.001 + 0.004j, 5.0), (2.22, 0.2))
+        pair = reflection_pair(Stack(layers=tuple(Layer(*l) for l in layers)), Kinematics(1.85, 0.98))
+        assert type(pair.r_e) is complex and type(pair.r_m) is complex
+        for got, want in zip((pair.r_e, pair.r_m), reflection_arrays(layers, 1.85, np.array([0.98]))):
+            assert abs(got - want[0]) <= 1e-13 * abs(want[0])
+
+
+# offsets (rad) from each preset's resonance angle, out to where the TM
+# extinction no longer dominates
+EXTINCTION_OFFSETS = [0.0, *(sign * 10.0**e for e in (-9, -7, -6, -5, -4, -3) for sign in (-1.0, 1.0))]
+
+
+class TestPointKernel:
+    """The per-point kernel (Python complex) against the grid kernel (numpy)
+    where the two differ most: at the TM extinction, on the branch cut and
+    at the kx -> 0 limit."""
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig6a", "fig6b"])
+    def test_matches_the_grid_around_the_resonance(self, name):
+        # relative agreement degrades as |r_m| falls (fig4 reaches ~1e-11 at
+        # |r_m| ~ 2e-5), so the bound carries an absolute floor
+        scenario, spec = preset(name)
+        stack = build_stack(scenario, susceptibility(scenario.qw).chi)
+        layers = [(layer.epsilon, layer.thickness_um) for layer in stack.layers]
+        theta_star = find_resonance(scenario, (spec.lo, spec.hi)).theta_star
+        thetas = np.array([theta_star + d for d in EXTINCTION_OFFSETS])
+        grid = reflection_arrays(layers, scenario.lambda_um, thetas)
+        for i, theta in enumerate(thetas):
+            pair = reflection_pair(stack, Kinematics(scenario.lambda_um, float(theta)))
+            for got, want in zip((pair.r_e, pair.r_m), grid):
+                assert type(got) is complex
+                assert abs(got - want[i]) <= 1e-12 * abs(want[i]) + 1e-15
+
+    def test_signed_zero_permittivity_gives_equal_results(self):
+        kin = Kinematics(1.85, 0.7)
+        pairs = [
+            reflection_pair(Stack(layers=(Layer(2.22, 0.2), Layer(eps, 0.3), Layer(2.22, 0.2))), kin)
+            for eps in (complex(-4.0, -0.0), complex(-4.0, 0.0))
+        ]
+        assert pairs[0] == pairs[1]
+        grid = reflection_arrays([(2.22, 0.2), (complex(-4.0, -0.0), 0.3), (2.22, 0.2)], 1.85, 0.7)
+        for got, want in zip((pairs[0].r_e, pairs[0].r_m), grid):
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_critical_propagation_limit(self):
+        # k = 1 and eps = sin^2(theta) make the radicand exactly zero, so both
+        # kernels take the kx -> 0 limit m12 = i*k*eps_factor*d
+        theta, d = 0.7, 0.4
+        kin = Kinematics(2.0 * math.pi, theta)
+        eps = math.sin(theta) ** 2
+        assert kin.k == 1.0 and normal_ks(eps, kin) == (0j, 0j)
+        for te, tm in layer_matrices(Layer(eps, d), kin):
+            np.testing.assert_array_equal(te, [[1.0, 1j * d], [0.0, 1.0]])
+            np.testing.assert_array_equal(tm, [[1.0, 1j * eps * d], [0.0, 1.0]])
+        layers = [(2.22, 0.2), (eps, d), (2.22, 0.2)]
+        pair = reflection_pair(Stack(layers=tuple(Layer(*layer) for layer in layers)), kin)
+        for got, want in zip((pair.r_e, pair.r_m), reflection_arrays(layers, kin.lambda_um, theta)):
+            assert cmath.isfinite(got)
+            assert abs(got - want) <= 1e-13 * abs(want)
 
 
 class TestValidation:

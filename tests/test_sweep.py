@@ -192,6 +192,16 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError, match=r"theta must lie in \(0, pi/2\)"):
             SweepSpec("theta", 0.0, 1.0, 5)
 
+    @pytest.mark.parametrize("samples", [20.5, 20.0, np.float64(20.0), True, "20"])
+    def test_non_integer_samples_rejected(self, samples):
+        # 20.5 used to construct and then fail inside np.linspace
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            SweepSpec("theta", 0.5, 0.7, samples)
+
+    def test_numpy_integer_samples_accepted(self):
+        spec = SweepSpec("theta", 0.5, 0.7, np.int64(20))
+        assert len(run_sweep(base_scenario(), spec)) == 20
+
     def test_non_theta_sweep_needs_fixed_theta(self):
         with pytest.raises(ValueError, match="fixed"):
             SweepSpec("omega_c", 0.0, 6.0, 5)
