@@ -197,16 +197,13 @@ def main(argv=None) -> int:
         else:
             scenario0, spec0 = preset(args.preset)
             doc = config_from_scenario(scenario0, spec0, preset_name=args.preset)
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except JSONDecodeError as exc:
         print(
             f"config error: {args.config}: line {exc.lineno} column {exc.colno}: {exc.msg}",
             file=sys.stderr,
         )
         return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

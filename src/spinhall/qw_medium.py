@@ -59,8 +59,7 @@ class QwParams:
     probe and control transitions, delta is half the tunneling splitting of
     the intermediate doublet, omega_c the control Rabi frequency.  delta_p
     and delta_c are probe/control detunings used only by the steady-state
-    solver.  level_energies is optional metadata (E_a, E_b, E_c, E_d in meV)
-    and plays no role in any computation.
+    solver.
     """
 
     gamma_bl: float
@@ -76,7 +75,6 @@ class QwParams:
     omega_c: float
     delta_p: float = 0.0
     delta_c: float = 0.0
-    level_energies: tuple[float, float, float, float] | None = None
 
     def __post_init__(self) -> None:
         for name in _NON_NEGATIVE:

@@ -5,7 +5,6 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -25,6 +24,121 @@ def run_cli(args, cwd):
         capture_output=True,
         text=True,
     )
+
+
+def bare(**sections):
+    """fig2's full config without a preset name, with sections replaced."""
+    doc = config_from_scenario(*preset("fig2"))
+    doc.update(sections)
+    return doc
+
+
+def fig2(**sections):
+    """A partial config that fig2 fills in."""
+    return {"preset": "fig2", **sections}
+
+
+HUGE = int("9" * 400)  # too large for a float
+THETA_SWEEP = {"variable": "theta", "lo": 0.9, "hi": 1.05, "samples": 11}
+QW_BOUNDED = ("gamma_bl", "gamma_bd", "gamma_cl", "gamma_cd", "gamma_dl", "gamma_dd", "beta", "omega_c")
+
+# every message validate_config emits, each in its place in the list
+PINNED_PROBLEMS = [
+    ("root-not-object", [1, 2], ["config root must be a JSON object, got list"]),
+    ("unknown-top-level", fig2(extra=1, more={}),
+     ["unknown top-level key 'extra'", "unknown top-level key 'more'"]),
+    ("unknown-preset", {"preset": "fig99"},
+     [f"unknown preset 'fig99'; available: {', '.join(PRESET_NAMES)}",
+      "missing section 'qw'", "missing section 'stack'", "missing section 'beam'",
+      "missing section 'sweep'"]),
+    ("no-sections", {},
+     ["missing section 'qw'", "missing section 'stack'", "missing section 'beam'",
+      "missing section 'sweep'"]),
+    ("sections-not-objects", {"qw": 5, "stack": [], "beam": "x", "sweep": None},
+     ["section 'qw' must be an object", "section 'stack' must be an object",
+      "section 'beam' must be an object", "missing section 'sweep'"]),
+    *((f"preset-with-non-object-{section}", fig2(**{section: value}),
+       [f"section {section!r} must be an object"])
+      for section, value in (("qw", 5), ("stack", []), ("beam", "x"), ("sweep", 1.5))),
+    ("preset-fills-null-sections", fig2(qw=None, sweep=None), []),
+    ("qw-unknown-and-missing", bare(qw={"bogus": 1.0, "gamma_bl": 1.0}),
+     ["unknown key qw.bogus",
+      *(f"missing key qw.{k}" for k in ("gamma_bd", "gamma_cl", "gamma_cd", "gamma_dl",
+                                         "gamma_dd", "beta", "g", "f", "delta", "omega_c"))]),
+    ("qw-kinds-then-bounds",
+     fig2(qw={"delta_c": "0", "gamma_bl": -1.0, "g": "x", "omega_c": -2, "beta": True,
+              "delta_p": None}),
+     ["qw.beta must be a finite number", "qw.g must be a finite number",
+      "qw.gamma_bl must be >= 0", "qw.omega_c must be >= 0",
+      "qw.delta_p must be a finite number", "qw.delta_c must be a finite number"]),
+    ("qw-all-bounds", fig2(qw={k: -1.0 for k in (*QW_BOUNDED, "g", "f", "delta")}),
+     [f"qw.{k} must be >= 0" for k in QW_BOUNDED]),
+    ("qw-non-finite", fig2(qw={"delta": math.inf, "f": math.nan}),
+     ["qw.f must be a finite number", "qw.delta must be a finite number"]),
+    ("level-energies", fig2(qw={"level_energies": [1.0, 2.0, 3.0, 4.0]}),
+     ["unknown key qw.level_energies"]),
+    ("qw-huge-integer", fig2(qw={"omega_c": HUGE}), ["qw.omega_c must be a finite number"]),
+    ("stack-unknown-missing-kinds", bare(stack={"epsilon3": 2.2, "d2_um": "5", "wall": 1}),
+     ["unknown key stack.wall", "missing key stack.epsilon1",
+      "stack.epsilon3 must be a two-element [re, im] array", "missing key stack.d1_um",
+      "stack.d2_um must be a number >= 0"]),
+    ("stack-bounds",
+     fig2(stack={"epsilon1": [0, 0], "epsilon3": [1, 2, 3], "d1_um": -0.1, "d2_um": -0.0}),
+     ["stack.epsilon1 must be nonzero", "stack.epsilon3 must be a two-element [re, im] array",
+      "stack.d1_um must be a number >= 0"]),
+    ("stack-pair-kinds", fig2(stack={"epsilon1": [True, 0.0], "epsilon3": [math.nan, 1.0]}),
+     ["stack.epsilon1 must be a two-element [re, im] array",
+      "stack.epsilon3 must be a two-element [re, im] array"]),
+    ("stack-huge-integer", fig2(stack={"epsilon1": [HUGE, 0.0]}),
+     ["stack.epsilon1 must be a two-element [re, im] array"]),
+    ("beam-missing-and-unknown", bare(beam={"waist": 5.0}),
+     ["unknown key beam.waist", "missing key beam.lambda_um"]),
+    ("beam-bounds",
+     fig2(beam={"lambda_um": 0, "waist_um": -1.0, "grid_half_extent": "x", "grid_samples": 255}),
+     ["beam.lambda_um must be a number > 0", "beam.waist_um must be a number > 0",
+      "beam.grid_half_extent must be a number > 0", "beam.grid_samples must be an integer >= 256"]),
+    ("beam-samples-kind", fig2(beam={"waist_um": 1000.0, "grid_samples": 512.0}),
+     ["beam.grid_samples must be an integer >= 256"]),
+    ("beam-extent-below-6-over-waist", fig2(beam={"waist_um": 1000.0, "grid_half_extent": 0.005}),
+     ["beam.grid_half_extent must be >= 6/waist_um"]),
+    ("beam-zero-waist-with-extent", fig2(beam={"waist_um": 0, "grid_half_extent": 0.01}),
+     ["beam.waist_um must be a number > 0"]),
+    ("beam-grid-without-waist", fig2(beam={"grid_half_extent": 0.01, "grid_samples": True}),
+     ["beam.grid_samples must be an integer >= 256", "beam.grid_half_extent requires beam.waist_um",
+      "beam.grid_samples requires beam.waist_um"]),
+    ("sweep-missing-first", bare(sweep={"variable": "bogus", "steps": 3}),
+     ["unknown key sweep.steps", "missing key sweep.lo", "missing key sweep.hi",
+      "missing key sweep.samples", "sweep.variable must be one of theta, omega_c, delta"]),
+    ("sweep-range-before-samples",
+     fig2(sweep={"variable": "bogus", "lo": 2.0, "hi": 1.0, "samples": 1}),
+     ["sweep.variable must be one of theta, omega_c, delta", "sweep range must satisfy lo < hi",
+      "sweep.samples must be an integer >= 2"]),
+    ("sweep-null-variable", fig2(sweep={**THETA_SWEEP, "variable": None}),
+     ["sweep.variable must be one of theta, omega_c, delta"]),
+    ("sweep-null-samples", fig2(sweep={**THETA_SWEEP, "samples": None}),
+     ["sweep.samples must be an integer >= 2"]),
+    ("sweep-lo-hi-kinds", fig2(sweep={**THETA_SWEEP, "lo": "0.9", "samples": 2.0}),
+     ["sweep.lo and sweep.hi must be finite numbers", "sweep.samples must be an integer >= 2"]),
+    ("sweep-theta-range", fig2(sweep={**THETA_SWEEP, "lo": 0.0, "hi": 1.6}),
+     ["theta must lie in (0, pi/2)"]),
+    ("sweep-fixed-not-object", fig2(sweep={**THETA_SWEEP, "fixed": [0.9]}),
+     ["sweep.fixed must be an object"]),
+    ("sweep-fixed-keys",
+     fig2(sweep={**THETA_SWEEP, "fixed": {"omega_c": -1.0, "bogus": 1, "delta": "2", "theta": 0.5}}),
+     ["unknown key sweep.fixed.bogus", "sweep.fixed.delta must be a finite number",
+      "sweep.fixed.omega_c must be >= 0"]),
+    ("omega_c-sweep-needs-theta",
+     fig2(sweep={"variable": "omega_c", "lo": -1.0, "hi": 6.0, "samples": 11,
+                 "fixed": {"omega_c": 1.0}}),
+     ["a omega_c sweep needs sweep.fixed.theta", "sweep.lo must be >= 0 for an omega_c sweep"]),
+    ("delta-sweep-theta-range",
+     fig2(sweep={"variable": "delta", "lo": 0.0, "hi": 4.0, "samples": 11, "fixed": {"theta": 1.6}}),
+     ["theta must lie in (0, pi/2)"]),
+    ("omega_c-sweep-fixed-theta-kind",
+     fig2(sweep={"variable": "omega_c", "lo": 0.0, "hi": 6.0, "samples": 11,
+                 "fixed": {"theta": "1", "omega_c": -3.0}}),
+     ["sweep.fixed.theta must be a finite number", "sweep.fixed.omega_c must be >= 0"]),
+]
 
 
 class TestConfigRoundTrip:
@@ -68,16 +182,15 @@ class TestConfigRoundTrip:
         doc = config_from_scenario(scenario, spec, preset_name=name)
         assert list(doc["qw"].items()) == [(k, getattr(scenario.qw, k)) for k in self.QW_KEYS]
 
-    def test_qw_block_appends_level_energies_when_set(self):
-        scenario, spec = preset("fig2")
-        scenario = replace(scenario, qw=replace(scenario.qw, level_energies=(0.0, 1.5, 2.5, 9.0)))
-        doc = config_from_scenario(scenario, spec)
-        assert list(doc["qw"]) == [*self.QW_KEYS, "level_energies"]
-        assert doc["qw"]["level_energies"] == [0.0, 1.5, 2.5, 9.0]
-        assert [doc["qw"][k] for k in self.QW_KEYS] == [getattr(scenario.qw, k) for k in self.QW_KEYS]
 
 
 class TestValidate:
+    @pytest.mark.parametrize(
+        "doc, expected", [row[1:] for row in PINNED_PROBLEMS], ids=[row[0] for row in PINNED_PROBLEMS]
+    )
+    def test_problem_list_is_pinned(self, doc, expected):
+        assert validate_config(doc) == expected
+
     def test_presets_validate_clean(self):
         for name in PRESET_NAMES:
             scenario, spec = preset(name)
@@ -391,6 +504,30 @@ class TestCliFailures:
         result = run_cli(["--config", "neg.json"], tmp_path)
         assert result.returncode == 2, result.stderr
         assert "qw.gamma_bl" in result.stderr
+
+    @pytest.mark.parametrize(
+        "section, value, message",
+        [("qw", {"omega_c": HUGE}, "qw.omega_c must be a finite number"),
+         ("stack", {"epsilon1": [HUGE, 0.0]}, "stack.epsilon1 must be a two-element [re, im] array")],
+        ids=["qw", "stack"],
+    )
+    def test_huge_integer_exits_2(self, tmp_path, section, value, message):
+        (tmp_path / "huge.json").write_text(json.dumps(fig2(**{section: value})))
+        result = run_cli(["--config", "huge.json", "--out", "h.csv"], tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == f"config error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "name, text", [("cfg", "Is a directory: 'cfg'"), ("nope.json", "No such file or directory")],
+        ids=["directory", "missing"],
+    )
+    def test_unreadable_config_exits_2(self, tmp_path, monkeypatch, capsys, name, text):
+        (tmp_path / "cfg").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", name, "--out", "u.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [Errno ") and text in err and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg"]
 
     def test_unknown_preset_exits_2(self, tmp_path):
         result = run_cli(["--preset", "fig99"], tmp_path)

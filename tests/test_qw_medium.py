@@ -185,8 +185,3 @@ class TestPermittivity:
     def test_base_medium_value(self):
         eps2 = permittivity(susceptibility(base_params()))
         assert eps2 == pytest.approx(complex(0.9998481812434081, 4.1476884300905846e-3), rel=1e-12)
-
-
-def test_level_energies_are_inert_metadata():
-    with_meta = base_params(level_energies=(46.7, 174.8, 13.5, 296.3))
-    assert susceptibility(with_meta).chi == susceptibility(base_params()).chi
