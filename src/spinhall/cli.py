@@ -29,7 +29,7 @@ from .qw_medium import SingularParameterError, permittivity, susceptibility
 from .shifts import ResolutionError, centroid_shift_oracle
 from .strata import DegenerateGeometryError, Kinematics
 from .sweep import (
-    Scenario, SweepRow, SweepSpec, build_stack, find_resonance, run_sweep, scenario_qw,
+    Scenario, SweepRow, SweepSpec, build_stack, find_resonance, run_sweep, scenario_qw, sweep_point,
 )
 
 __all__ = ["main", "build_parser", "write_csv", "CSV_HEADER"]
@@ -110,8 +110,7 @@ def _oracle_spot_check(scenario: Scenario, spec: SweepSpec, rows: list[SweepRow]
     if not usable:
         return {"declined": "no non-singular row"}
     row = max(usable, key=lambda r: abs(r.delta_h_plus_lambda))
-    theta = row.value if spec.variable == "theta" else float(spec.fixed["theta"])
-    qw = scenario_qw(scenario, {spec.variable: row.value})
+    qw, theta = sweep_point(scenario, spec, row.value)
     stack = build_stack(scenario, susceptibility(qw).chi)
     try:
         oracle_h, oracle_v = centroid_shift_oracle(
@@ -195,8 +194,8 @@ def main(argv=None) -> int:
         if args.config is not None:
             doc = load_config_file(args.config)
         else:
-            scenario0, spec0 = preset(args.preset)
-            doc = config_from_scenario(scenario0, spec0, preset_name=args.preset)
+            # every value, no `preset` key: validating and building need not rebuild it
+            doc = config_from_scenario(*preset(args.preset))
     except JSONDecodeError as exc:
         print(
             f"config error: {args.config}: line {exc.lineno} column {exc.colno}: {exc.msg}",
@@ -225,7 +224,7 @@ def main(argv=None) -> int:
             print("config error: --lambda-um must be finite and > 0", file=sys.stderr)
             return 2
         scenario = replace(scenario, lambda_um=args.lambda_um)
-    preset_name = doc.get("preset")
+    preset_name = args.preset or doc.get("preset")
 
     out = Path(args.out) if args.out else Path(f"{preset_name or 'sweep'}.csv")
     csv_path = out if args.fmt in ("csv", "both") else None

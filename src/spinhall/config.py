@@ -91,6 +91,10 @@ _TESTS = {
     "> 0": lambda v: v > 0.0,
     ">= 2": lambda v: v >= 2,
     ">= 256": lambda v: v >= 256,
+    # caps on the sweep rows and the oracle's FFT length: a larger count
+    # exhausts memory, and one beyond an int64 overflows numpy
+    "<= 1000000": lambda v: v <= 1_000_000,
+    "<= 1048576": lambda v: v <= 1_048_576,
     "nonzero": lambda v: complex(v[0], v[1]) != 0,
     _VARIABLE: lambda v: v in SWEEP_VARIABLES,
 }
@@ -153,12 +157,14 @@ _RULES = (
     *(("stack", key, "a number", ">= 0") for key in ("d1_um", "d2_um")),
     *(("beam", key, "a number", "> 0") for key in ("lambda_um", "waist_um", "grid_half_extent")),
     ("beam", "grid_samples", "an integer", ">= 256"),
+    ("beam", "grid_samples", None, "<= 1048576"),
     ("beam", None, _beam_grid, None),
     # every missing sweep key is listed before any sweep value is checked
     *(("sweep", key, None, None) for key, needed in _SCHEMA["sweep"].items() if needed),
     ("sweep", "variable", None, _VARIABLE),
     ("sweep", None, _sweep_range, None),
     ("sweep", "samples", "an integer", ">= 2"),
+    ("sweep", "samples", None, "<= 1000000"),
     ("sweep", None, _sweep_fixed, None),
 )
 

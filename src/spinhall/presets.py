@@ -24,80 +24,59 @@ DEFAULT_LAMBDA_UM = 1.85
 # theta grid shared by the angle sweeps (the plots' visible domain)
 _THETA_GRID = dict(variable="theta", lo=0.1, hi=1.5, samples=2001)
 
+_BASE_QW = dict(
+    gamma_bl=1.36,
+    gamma_bd=0.68,
+    gamma_cl=1.36,
+    gamma_cd=0.8,
+    gamma_dl=0.8,
+    gamma_dd=0.5,
+    beta=0.0184,
+    g=-1.0,
+    f=1.0,
+    delta=2.0,
+    omega_c=0.0,
+)
+# raised splitting and dephasing (warmer sample) shared by fig4/fig6
+_RAISED = dict(delta=8.0, gamma_bd=1.36, gamma_cd=1.6)
+_LOSSLESS = (2.22 + 0j, 2.22 + 0j)
 
-def _base_qw(**overrides) -> QwParams:
-    params = dict(
-        gamma_bl=1.36,
-        gamma_bd=0.68,
-        gamma_cl=1.36,
-        gamma_cd=0.8,
-        gamma_dl=0.8,
-        gamma_dd=0.5,
-        beta=0.0184,
-        g=-1.0,
-        f=1.0,
-        delta=2.0,
-        omega_c=0.0,
-    )
-    params.update(overrides)
-    return QwParams(**params)
+
+def _at_angle(variable: str, hi: float, theta: float) -> dict:
+    """A 601-point sweep of omega_c or delta from 0 at a fixed angle."""
+    return dict(variable=variable, lo=0.0, hi=hi, samples=601, fixed={"theta": theta})
 
 
-def _scenario(qw: QwParams, epsilon1: complex = 2.22 + 0j, epsilon3: complex = 2.22 + 0j) -> Scenario:
-    return Scenario(
-        qw=qw,
+# name -> (qw overrides, (epsilon1, epsilon3), sweep)
+_PRESETS = {
+    "fig2": ({}, _LOSSLESS, _THETA_GRID),
+    "fig3": (dict(omega_c=6.0), _LOSSLESS, _THETA_GRID),
+    "fig4": (_RAISED, _LOSSLESS, _THETA_GRID),
+    "fig5a": ({}, _LOSSLESS, _at_angle("omega_c", 6.0, 0.979)),
+    "fig5b": ({}, _LOSSLESS, _at_angle("omega_c", 6.0, 0.98)),
+    "fig5c": (dict(omega_c=2.0), _LOSSLESS, _at_angle("delta", 8.0, 0.979)),
+    # the shift grows with the splitting only until the resonance sweeps
+    # past (near delta = 3.6 at this wavelength); the grid stops before
+    "fig5d": (dict(omega_c=2.0), _LOSSLESS, _at_angle("delta", 3.5, 0.98)),
+    "fig6a": (_RAISED, (2.22 + 0.04j, 2.22 + 0.04j), _THETA_GRID),
+    "fig6b": (_RAISED, (2.22 + 0.04j, 2.22 - 0.04j), _THETA_GRID),
+}
+
+PRESET_NAMES = tuple(_PRESETS)
+
+
+def preset(name: str) -> tuple[Scenario, SweepSpec]:
+    """Fresh (Scenario, SweepSpec) for a named preset."""
+    if name not in PRESET_NAMES:
+        raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+    overrides, (epsilon1, epsilon3), sweep = _PRESETS[name]
+    scenario = Scenario(
+        qw=QwParams(**{**_BASE_QW, **overrides}),
         epsilon1=epsilon1,
         epsilon3=epsilon3,
         d1_um=0.2,
         d2_um=5.0,
         lambda_um=DEFAULT_LAMBDA_UM,
     )
-
-
-# raised splitting and dephasing (warmer sample) shared by fig4/fig6
-def _raised_qw() -> QwParams:
-    return _base_qw(delta=8.0, gamma_bd=1.36, gamma_cd=1.6)
-
-
-def _build(name: str) -> tuple[Scenario, SweepSpec]:
-    if name == "fig2":
-        return _scenario(_base_qw()), SweepSpec(**_THETA_GRID)
-    if name == "fig3":
-        return _scenario(_base_qw(omega_c=6.0)), SweepSpec(**_THETA_GRID)
-    if name == "fig4":
-        return _scenario(_raised_qw()), SweepSpec(**_THETA_GRID)
-    if name == "fig5a":
-        return _scenario(_base_qw()), SweepSpec(
-            variable="omega_c", lo=0.0, hi=6.0, samples=601, fixed={"theta": 0.979}
-        )
-    if name == "fig5b":
-        return _scenario(_base_qw()), SweepSpec(
-            variable="omega_c", lo=0.0, hi=6.0, samples=601, fixed={"theta": 0.98}
-        )
-    if name == "fig5c":
-        return _scenario(_base_qw(omega_c=2.0)), SweepSpec(
-            variable="delta", lo=0.0, hi=8.0, samples=601, fixed={"theta": 0.979}
-        )
-    if name == "fig5d":
-        # the shift grows with the splitting only until the resonance sweeps
-        # past (near delta = 3.6 at this wavelength); the grid stops before
-        return _scenario(_base_qw(omega_c=2.0)), SweepSpec(
-            variable="delta", lo=0.0, hi=3.5, samples=601, fixed={"theta": 0.98}
-        )
-    if name == "fig6a":
-        return _scenario(_raised_qw(), epsilon1=2.22 + 0.04j, epsilon3=2.22 + 0.04j), SweepSpec(
-            **_THETA_GRID
-        )
-    if name == "fig6b":
-        return _scenario(_raised_qw(), epsilon1=2.22 + 0.04j, epsilon3=2.22 - 0.04j), SweepSpec(
-            **_THETA_GRID
-        )
-    raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-
-
-PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5a", "fig5b", "fig5c", "fig5d", "fig6a", "fig6b")
-
-
-def preset(name: str) -> tuple[Scenario, SweepSpec]:
-    """Fresh (Scenario, SweepSpec) for a named preset."""
-    return _build(name)
+    # the table's fixed dicts are shared; each caller gets its own copy
+    return scenario, SweepSpec(**{**sweep, "fixed": dict(sweep.get("fixed", {}))})

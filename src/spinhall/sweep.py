@@ -33,6 +33,7 @@ __all__ = [
     "SweepRow",
     "ResonanceResult",
     "build_stack",
+    "sweep_point",
     "run_sweep",
     "find_resonance",
 ]
@@ -157,15 +158,18 @@ def build_stack(scenario: Scenario, chi: complex) -> Stack:
     return Stack(layers=tuple(Layer(epsilon=e, thickness_um=d) for e, d in _layers(scenario, chi)))
 
 
+def sweep_point(scenario: Scenario, spec: SweepSpec, value: float) -> tuple[QwParams, float]:
+    """The medium and the angle (rad) at one swept value, fixed values applied."""
+    if spec.variable == "theta":
+        return scenario_qw(scenario, spec.fixed), value
+    return scenario_qw(scenario, {**spec.fixed, spec.variable: value}), float(spec.fixed["theta"])
+
+
 def _point_error(scenario: Scenario, spec: SweepSpec, value: float) -> str | None:
     """Why one grid point has no reflection data: the point evaluated on its
     own raises the error the columns masked."""
     try:
-        if spec.variable == "theta":
-            theta, qw = value, scenario_qw(scenario, spec.fixed)
-        else:
-            theta = float(spec.fixed["theta"])
-            qw = scenario_qw(scenario, {**spec.fixed, spec.variable: value})
+        qw, theta = sweep_point(scenario, spec, value)
         stack = build_stack(scenario, susceptibility(qw).chi)
         reflection_pair(stack, Kinematics(lambda_um=scenario.lambda_um, theta_rad=theta))
     except Exception as exc:  # per-point failures become flagged rows
@@ -215,8 +219,10 @@ def run_sweep(scenario: Scenario, spec: SweepSpec, threads: int = 1) -> list[Swe
     return list(map(tuple.__new__, itertools.repeat(SweepRow), zip(*columns, errors)))
 
 
-# points per zoom round of find_resonance: each round narrows the bracket
-# 32-fold, so the 2000-point scan of a 0.15 rad window reaches 1e-7 in 3 rounds
+# points of the coarse scan of find_resonance, and per zoom round: each round
+# narrows the bracket 32-fold, so the 2000-point scan of a 0.15 rad window
+# reaches 1e-7 in 3 rounds
+_COARSE_POINTS = 2000
 _ZOOM_POINTS = 65
 
 
@@ -231,12 +237,11 @@ def _ratio_em(scenario: Scenario, chi: complex, thetas: np.ndarray) -> np.ndarra
 def find_resonance(
     scenario: Scenario,
     theta_window: tuple[float, float],
-    coarse_samples: int = 2000,
     tol_rad: float = 1e-7,
 ) -> ResonanceResult:
     """Locate the angle maximizing |r_e|/|r_m| inside the window.
 
-    A coarse scan (at least 2000 points, one batched call) brackets the
+    A coarse scan (2000 points, one batched call) brackets the
     peak between the neighbours of its maximum.  Each zoom round then
     evaluates the ratio on an evenly spaced batch across the bracket and
     keeps the neighbours of that batch's maximum, until the bracket is at
@@ -247,7 +252,7 @@ def find_resonance(
     if not (0.0 < lo < hi < math.pi / 2):
         raise ValueError(f"theta window must satisfy 0 < lo < hi < pi/2, got {theta_window!r}")
     chi = susceptibility(scenario.qw).chi
-    thetas = np.linspace(lo, hi, max(coarse_samples, 2000))
+    thetas = np.linspace(lo, hi, _COARSE_POINTS)
     values = _ratio_em(scenario, chi, thetas)
     i_best = int(np.argmax(values))
     coarse_theta, coarse_peak = float(thetas[i_best]), float(values[i_best])

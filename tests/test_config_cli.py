@@ -138,6 +138,17 @@ PINNED_PROBLEMS = [
      fig2(sweep={"variable": "omega_c", "lo": 0.0, "hi": 6.0, "samples": 11,
                  "fixed": {"theta": "1", "omega_c": -3.0}}),
      ["sweep.fixed.theta must be a finite number", "sweep.fixed.omega_c must be >= 0"]),
+    ("sweep-huge-samples", fig2(sweep={**THETA_SWEEP, "samples": HUGE}),
+     ["sweep.samples must be <= 1000000"]),
+    ("beam-huge-grid-samples", fig2(beam={"waist_um": 1000.0, "grid_samples": HUGE}),
+     ["beam.grid_samples must be <= 1048576"]),
+    ("samples-one-above-the-bounds",
+     fig2(beam={"waist_um": 1000.0, "grid_samples": 2**20 + 1},
+          sweep={**THETA_SWEEP, "samples": 10**6 + 1}),
+     ["beam.grid_samples must be <= 1048576", "sweep.samples must be <= 1000000"]),
+    ("samples-at-the-bounds",
+     fig2(beam={"waist_um": 1000.0, "grid_samples": 2**20}, sweep={**THETA_SWEEP, "samples": 10**6}),
+     []),
 ]
 
 
@@ -516,6 +527,21 @@ class TestCliFailures:
         result = run_cli(["--config", "huge.json", "--out", "h.csv"], tmp_path)
         assert result.returncode == 2, result.stderr
         assert result.stderr == f"config error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "section, value, message",
+        [("sweep", {**THETA_SWEEP, "samples": HUGE}, "sweep.samples must be <= 1000000"),
+         ("beam", {"waist_um": 1000.0, "grid_samples": HUGE},
+          "beam.grid_samples must be <= 1048576")],
+        ids=["sweep-samples", "beam-grid-samples"],
+    )
+    def test_oversized_sample_count_exits_2_before_output(self, tmp_path, section, value, message):
+        (tmp_path / "huge.json").write_text(json.dumps(fig2(**{section: value})))
+        result = run_cli(["--config", "huge.json", "--out", "h.csv"], tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == f"config error: {message}\n"
+        assert result.stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
 
     @pytest.mark.parametrize(
         "name, text", [("cfg", "Is a directory: 'cfg'"), ("nope.json", "No such file or directory")],
