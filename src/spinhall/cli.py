@@ -21,6 +21,7 @@ from pathlib import Path
 from .config import (
     config_from_scenario,
     load_config_file,
+    merged_config,
     scenario_from_config,
     validate_config,
 )
@@ -29,7 +30,7 @@ from .qw_medium import SingularParameterError, permittivity, susceptibility
 from .shifts import ResolutionError, centroid_shift_oracle
 from .strata import DegenerateGeometryError, Kinematics
 from .sweep import (
-    Scenario, SweepRow, SweepSpec, build_stack, find_resonance, run_sweep, scenario_qw, sweep_point,
+    Scenario, SweepRow, SweepSpec, build_stack, find_resonance, run_sweep, sweep_point,
 )
 
 __all__ = ["main", "build_parser", "write_csv", "CSV_HEADER"]
@@ -135,8 +136,6 @@ def _summary(
     resonance_window: tuple[float, float] | None,
     csv_path: Path | None,
 ) -> dict:
-    # the medium the rows were computed for, fixed-point overrides applied
-    scenario = replace(scenario, qw=scenario_qw(scenario, spec.fixed))
     eps2 = permittivity(susceptibility(scenario.qw).chi)
     summary = {
         "preset": preset_name,
@@ -190,12 +189,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
+    # the preset is built once here: the document holds every value and no known `preset`
+    preset_name = args.preset
     try:
-        if args.config is not None:
-            doc = load_config_file(args.config)
-        else:
-            # every value, no `preset` key: validating and building need not rebuild it
+        if args.config is None:
             doc = config_from_scenario(*preset(args.preset))
+        else:
+            doc = load_config_file(args.config)
+            if isinstance(doc, dict):  # validate_config reports any other root
+                preset_name, doc = doc.get("preset"), merged_config(doc)
     except JSONDecodeError as exc:
         print(
             f"config error: {args.config}: line {exc.lineno} column {exc.colno}: {exc.msg}",
@@ -224,7 +226,6 @@ def main(argv=None) -> int:
             print("config error: --lambda-um must be finite and > 0", file=sys.stderr)
             return 2
         scenario = replace(scenario, lambda_um=args.lambda_um)
-    preset_name = args.preset or doc.get("preset")
 
     out = Path(args.out) if args.out else Path(f"{preset_name or 'sweep'}.csv")
     csv_path = out if args.fmt in ("csv", "both") else None

@@ -3,13 +3,14 @@
 A config document has sections `qw`, `stack`, `beam` and `sweep`, plus an
 optional `preset` name whose values fill any missing keys.  The keys are the
 fields of the domain types, in field order; a field with no default is a
-required key.  qw (`QwParams`): gamma_bl, gamma_bd, gamma_cl, gamma_cd,
-gamma_dl, gamma_dd, beta, g, f, delta, omega_c; delta_p = 0, delta_c = 0.
-stack (`Scenario`): epsilon1, epsilon3, d1_um, d2_um.  beam (`Scenario`,
-then the optional `BeamSpec`): lambda_um; waist_um, grid_half_extent =
-8/waist, grid_samples = 512.  sweep (`SweepSpec`): variable, lo, hi,
-samples; fixed = {}.  Complex numbers are two-element [re, im] arrays; units
-match the domain types (meV, um, rad).  Unknown keys are rejected.
+required key.  qw (`QwParams`, all required): gamma_bl, gamma_bd, gamma_cl,
+gamma_cd, gamma_dl, gamma_dd, beta, g, f, delta, omega_c.  stack
+(`Scenario`): epsilon1, epsilon3, d1_um, d2_um.  beam (`Scenario`, then the
+optional `BeamSpec`): lambda_um; waist_um, grid_half_extent = 8/waist,
+grid_samples = 512.  sweep (`SweepSpec`): variable, lo, hi, samples;
+fixed = {} (only theta, the angle of an omega_c or delta sweep: `qw` is the
+one medium).  Complex numbers are two-element [re, im] arrays; units match
+the domain types (meV, um, rad).  Unknown keys are rejected.
 `validate_config` returns the full list of violations as strings instead of
 raising, so a front end can report everything at once.
 """
@@ -64,13 +65,15 @@ def load_config_file(path):
 
 
 def merged_config(doc: dict) -> dict:
-    """Fill missing keys from the named preset, user values winning."""
+    """Fill missing keys from the named preset, user values winning; a known
+    preset's name is dropped, so merging the result again builds no preset."""
     name = doc.get("preset")
-    merged = config_from_scenario(*preset(name), preset_name=name) if name in PRESET_NAMES else {}
+    known = name in PRESET_NAMES
+    merged = config_from_scenario(*preset(name)) if known else {}
     for key, value in doc.items():
         if key in _SCHEMA and isinstance(value, dict):
             merged.setdefault(key, {}).update(value)
-        elif key not in _SCHEMA or value is not None:
+        elif (key not in _SCHEMA or value is not None) and not (known and key == "preset"):
             merged[key] = value  # a non-object section or an unknown key, for validation to report
     return merged
 
@@ -122,10 +125,10 @@ def _sweep_fixed(sweep: dict) -> list[str]:
     problems = [] if isinstance(fixed, dict) else ["sweep.fixed must be an object"]
     fixed = fixed if isinstance(fixed, dict) else {}
     for key in fixed:
-        if key not in SWEEP_VARIABLES:
+        if key != "theta":
             problems.append(f"unknown key sweep.fixed.{key}")
         elif not _is_number(fixed[key]):
-            problems.append(f"sweep.fixed.{key} must be a finite number")
+            problems.append("sweep.fixed.theta must be a finite number")
     variable, lo = sweep.get("variable"), sweep.get("lo")
     # the angles the sweep visits: its range, or the fixed theta of another variable
     lowest, highest = (lo, sweep.get("hi")) if variable == "theta" else (fixed.get("theta"),) * 2
@@ -136,8 +139,6 @@ def _sweep_fixed(sweep: dict) -> list[str]:
             problems.append("theta must lie in (0, pi/2)")
     if variable == "omega_c" and _is_number(lo) and lo < 0.0:
         problems.append("sweep.lo must be >= 0 for an omega_c sweep")
-    if _is_number(fixed.get("omega_c")) and fixed["omega_c"] < 0.0:
-        problems.append("sweep.fixed.omega_c must be >= 0")
     return problems
 
 
@@ -147,9 +148,8 @@ def _sweep_fixed(sweep: dict) -> list[str]:
 # a rule with no kind may bound a value whose kind an earlier rule checked.  A
 # rule with no key is a cross-field rule: its kind maps the section to messages.
 _RULES = (
-    *(("qw", key, "a finite number", None) for key, needed in _SCHEMA["qw"].items() if needed),
+    *(("qw", key, "a finite number", None) for key in _SCHEMA["qw"]),
     *(("qw", key, None, ">= 0") for key in _NON_NEGATIVE),
-    *(("qw", key, "a finite number", None) for key, needed in _SCHEMA["qw"].items() if not needed),
     ("stack", "epsilon1", _PAIR, None),
     ("stack", "epsilon1", None, "nonzero"),
     ("stack", "epsilon3", _PAIR, None),

@@ -8,9 +8,9 @@ is alpha = sqrt(gamma_bl * gamma_cl).
 
 Two routes to the susceptibility are provided: the closed-form expression
 (`susceptibility`) and an independent steady-state solve of the coherence
-equations of motion (`steady_state_coherences`).  At zero probe and control
-detuning the two agree to machine precision; the second exists so the first
-can be checked against it.
+equations of motion (`steady_state_coherences`, whose keyword arguments are
+the probe and control detunings).  At zero detuning the two agree to machine
+precision; the second exists so the first can be checked against it.
 
 Units: all rates, detunings, splittings and Rabi frequencies in meV.  The
 prefactor beta (density times dipole moment squared over eps0*hbar) is carried
@@ -57,9 +57,7 @@ class QwParams:
     gamma_*d are dephasing rates, for the two intermediate subbands (b, c)
     and the upper subband (d).  g and f are the dipole-moment ratios of the
     probe and control transitions, delta is half the tunneling splitting of
-    the intermediate doublet, omega_c the control Rabi frequency.  delta_p
-    and delta_c are probe/control detunings used only by the steady-state
-    solver.
+    the intermediate doublet, omega_c the control Rabi frequency.
     """
 
     gamma_bl: float
@@ -73,15 +71,13 @@ class QwParams:
     f: float
     delta: float
     omega_c: float
-    delta_p: float = 0.0
-    delta_c: float = 0.0
 
     def __post_init__(self) -> None:
         for name in _NON_NEGATIVE:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be a finite non-negative rate, got {value!r}")
-        for name in ("g", "f", "delta", "delta_p", "delta_c"):
+        for name in ("g", "f", "delta"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -171,22 +167,26 @@ def susceptibility_grid(params: QwParams, variable: str, values: np.ndarray) -> 
     return np.where(rejected, np.nan, chi)
 
 
-def steady_state_coherences(params: QwParams, omega_p: float) -> tuple[complex, complex, complex]:
+def steady_state_coherences(
+    params: QwParams, omega_p: float, *, delta_p: float = 0.0, delta_c: float = 0.0
+) -> tuple[complex, complex, complex]:
     """Weak-probe steady state of the coherence equations of motion.
 
     Sets the ground-state amplitude to 1 and solves the remaining 3x3 complex
     linear system for (B2, B3, B4).  The B2 row carries +delta and the B3 row
     -delta: the two intermediate subbands sit symmetrically about the doublet
-    center.  Unlike the closed form, nonzero delta_p / delta_c are honored.
+    center.  Unlike the closed form, it takes probe and control detunings.
 
     omega_p must be positive and small against the decay rates for the
     linear-response reading of the result to hold.
     """
     if not (omega_p > 0.0 and math.isfinite(omega_p)):
         raise ValueError(f"omega_p must be positive and finite, got {omega_p!r}")
+    if not (math.isfinite(delta_p) and math.isfinite(delta_c)):
+        raise ValueError(f"detunings must be finite, got delta_p={delta_p!r}, delta_c={delta_c!r}")
     d = derived_rates(params)
     g, f = params.g, params.f
-    oc, dp, dc = params.omega_c, params.delta_p, params.delta_c
+    oc, dp, dc = params.omega_c, delta_p, delta_c
     matrix = np.array(
         [
             [1j * (1j * d.gamma2 - dp + params.delta), d.alpha, 1j * f * oc],
@@ -209,9 +209,9 @@ def steady_state_coherences(params: QwParams, omega_p: float) -> tuple[complex, 
 def susceptibility_from_steady_state(params: QwParams, omega_p: float = 1e-3) -> complex:
     """Reconstruct chi from the steady-state coherences.
 
-    chi = beta * (g*B2 + B3) / omega_p.  At delta_p =
-    delta_c = 0 this reproduces the closed form; it is the independent check
-    the closed form is tested against.
+    chi = beta * (g*B2 + B3) / omega_p, at zero probe and control detuning,
+    where it reproduces the closed form; it is the independent check the
+    closed form is tested against.
     """
     b2, b3, _ = steady_state_coherences(params, omega_p)
     return params.beta * (params.g * b2 + b3) / omega_p

@@ -2,9 +2,11 @@
 
 A Scenario bundles the quantum-well medium with the cavity template (two
 fixed walls around the tunable middle layer) and the probe wavelength; a
-SweepSpec picks one variable (theta, omega_c or delta), its grid, and fixed
-values for the others.  Per-point failures degrade to flagged rows instead of
-aborting: the singular geometries are usually the interesting part of a scan.
+SweepSpec picks one variable (theta, omega_c or delta), its grid and, for
+omega_c or delta, a fixed angle.  `Scenario.qw` is the medium; a swept value
+replaces its field in `sweep_point` and, for a whole grid, in `run_sweep`.
+Per-point failures degrade to flagged rows instead of aborting: the singular
+geometries are usually the interesting part of a scan.
 
 A sweep is evaluated as columns: one susceptibility (theta sweeps) or one
 array of them (omega_c/delta sweeps), one batched transfer-matrix call over
@@ -14,6 +16,7 @@ columns at the end.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -40,8 +43,6 @@ __all__ = [
 
 SWEEP_VARIABLES = ("theta", "omega_c", "delta")
 
-_FIXABLE = frozenset(SWEEP_VARIABLES)
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -62,8 +63,9 @@ class Scenario:
 
     def __post_init__(self) -> None:
         for name in ("epsilon1", "epsilon3"):
-            if complex(getattr(self, name)) == 0:
-                raise ValueError(f"{name} must be nonzero")
+            value = complex(getattr(self, name))
+            if value == 0 or not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite and nonzero, got {value!r}")
         for name in ("d1_um", "d2_um"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
@@ -74,9 +76,9 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept variable on [lo, hi] with `samples` points, plus fixed
-    values for the non-swept variables (a theta value is required when the
-    sweep variable is not theta)."""
+    """One swept variable on [lo, hi] with `samples` points.  `fixed` holds
+    only theta, the angle of an omega_c or delta sweep (required there,
+    ignored by a theta sweep)."""
 
     variable: str
     lo: float
@@ -93,7 +95,7 @@ class SweepSpec:
             raise ValueError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 2:
             raise ValueError(f"samples must be >= 2, got {self.samples!r}")
-        unknown = set(self.fixed) - _FIXABLE
+        unknown = set(self.fixed) - {"theta"}
         if unknown:
             raise ValueError(f"unknown fixed keys: {sorted(unknown)}")
         if self.variable == "theta":
@@ -135,14 +137,6 @@ class ResonanceResult:
     boundary: bool
 
 
-def scenario_qw(scenario: Scenario, overrides: dict | None = None) -> QwParams:
-    """Medium parameters with any omega_c/delta fixed-point overrides applied."""
-    if not overrides:
-        return scenario.qw
-    allowed = {k: v for k, v in overrides.items() if k in ("omega_c", "delta")}
-    return replace(scenario.qw, **allowed) if allowed else scenario.qw
-
-
 def _layers(scenario: Scenario, chi) -> tuple:
     """(epsilon, thickness_um) of wall | medium | wall, the middle
     permittivity 1 + chi; chi may be an array."""
@@ -159,10 +153,10 @@ def build_stack(scenario: Scenario, chi: complex) -> Stack:
 
 
 def sweep_point(scenario: Scenario, spec: SweepSpec, value: float) -> tuple[QwParams, float]:
-    """The medium and the angle (rad) at one swept value, fixed values applied."""
+    """The medium and the angle (rad) at one swept value."""
     if spec.variable == "theta":
-        return scenario_qw(scenario, spec.fixed), value
-    return scenario_qw(scenario, {**spec.fixed, spec.variable: value}), float(spec.fixed["theta"])
+        return scenario.qw, value
+    return replace(scenario.qw, **{spec.variable: value}), float(spec.fixed["theta"])
 
 
 def _point_error(scenario: Scenario, spec: SweepSpec, value: float) -> str | None:
@@ -191,12 +185,12 @@ def run_sweep(scenario: Scenario, spec: SweepSpec, threads: int = 1) -> list[Swe
     if spec.variable == "theta":
         theta = values
         try:
-            chi = susceptibility(scenario_qw(scenario, spec.fixed)).chi
+            chi = susceptibility(scenario.qw).chi
         except Exception as exc:  # a failing medium fails every row identically
             chi, medium_error = math.nan, f"{type(exc).__name__}: {exc}"
     else:
         theta = float(spec.fixed["theta"])
-        chi = susceptibility_grid(scenario_qw(scenario, spec.fixed), spec.variable, values)
+        chi = susceptibility_grid(scenario.qw, spec.variable, values)
     r_e, r_m = reflection_arrays(_layers(scenario, chi), scenario.lambda_um, theta)
     pair = ReflectionPair(r_e=r_e, r_m=r_m)
     shifts = transverse_shifts(pair, scenario.lambda_um, theta)

@@ -68,9 +68,9 @@ PINNED_PROBLEMS = [
     ("qw-kinds-then-bounds",
      fig2(qw={"delta_c": "0", "gamma_bl": -1.0, "g": "x", "omega_c": -2, "beta": True,
               "delta_p": None}),
-     ["qw.beta must be a finite number", "qw.g must be a finite number",
-      "qw.gamma_bl must be >= 0", "qw.omega_c must be >= 0",
-      "qw.delta_p must be a finite number", "qw.delta_c must be a finite number"]),
+     ["unknown key qw.delta_c", "unknown key qw.delta_p",
+      "qw.beta must be a finite number", "qw.g must be a finite number",
+      "qw.gamma_bl must be >= 0", "qw.omega_c must be >= 0"]),
     ("qw-all-bounds", fig2(qw={k: -1.0 for k in (*QW_BOUNDED, "g", "f", "delta")}),
      [f"qw.{k} must be >= 0" for k in QW_BOUNDED]),
     ("qw-non-finite", fig2(qw={"delta": math.inf, "f": math.nan}),
@@ -125,19 +125,20 @@ PINNED_PROBLEMS = [
      ["sweep.fixed must be an object"]),
     ("sweep-fixed-keys",
      fig2(sweep={**THETA_SWEEP, "fixed": {"omega_c": -1.0, "bogus": 1, "delta": "2", "theta": 0.5}}),
-     ["unknown key sweep.fixed.bogus", "sweep.fixed.delta must be a finite number",
-      "sweep.fixed.omega_c must be >= 0"]),
+     ["unknown key sweep.fixed.omega_c", "unknown key sweep.fixed.bogus",
+      "unknown key sweep.fixed.delta"]),
     ("omega_c-sweep-needs-theta",
      fig2(sweep={"variable": "omega_c", "lo": -1.0, "hi": 6.0, "samples": 11,
                  "fixed": {"omega_c": 1.0}}),
-     ["a omega_c sweep needs sweep.fixed.theta", "sweep.lo must be >= 0 for an omega_c sweep"]),
+     ["unknown key sweep.fixed.omega_c", "a omega_c sweep needs sweep.fixed.theta",
+      "sweep.lo must be >= 0 for an omega_c sweep"]),
     ("delta-sweep-theta-range",
      fig2(sweep={"variable": "delta", "lo": 0.0, "hi": 4.0, "samples": 11, "fixed": {"theta": 1.6}}),
      ["theta must lie in (0, pi/2)"]),
     ("omega_c-sweep-fixed-theta-kind",
      fig2(sweep={"variable": "omega_c", "lo": 0.0, "hi": 6.0, "samples": 11,
                  "fixed": {"theta": "1", "omega_c": -3.0}}),
-     ["sweep.fixed.theta must be a finite number", "sweep.fixed.omega_c must be >= 0"]),
+     ["sweep.fixed.theta must be a finite number", "unknown key sweep.fixed.omega_c"]),
     ("sweep-huge-samples", fig2(sweep={**THETA_SWEEP, "samples": HUGE}),
      ["sweep.samples must be <= 1000000"]),
     ("beam-huge-grid-samples", fig2(beam={"waist_um": 1000.0, "grid_samples": HUGE}),
@@ -184,7 +185,7 @@ class TestConfigRoundTrip:
 
     QW_KEYS = (
         "gamma_bl", "gamma_bd", "gamma_cl", "gamma_cd", "gamma_dl", "gamma_dd",
-        "beta", "g", "f", "delta", "omega_c", "delta_p", "delta_c",
+        "beta", "g", "f", "delta", "omega_c",
     )
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -411,13 +412,12 @@ class TestWriteCsv:
 
 class TestSummaryMedium:
     def test_resonance_uses_the_fixed_medium_of_the_rows(self, tmp_path, monkeypatch):
-        # a theta sweep with the control field fixed at 6 meV: the summary's
-        # resonance must describe that medium (the fig3 peak), not the
-        # control-off fig2 medium the scenario starts from
+        # a theta sweep of fig2 with the control field set to 6 meV: the
+        # summary's resonance must describe that medium (the fig3 peak), not
+        # the control-off medium of the preset
         doc = config_from_scenario(*preset("fig2"), preset_name="fig2")
-        doc["sweep"] = {
-            "variable": "theta", "lo": 0.9, "hi": 1.05, "samples": 301, "fixed": {"omega_c": 6.0},
-        }
+        doc["qw"]["omega_c"] = 6.0
+        doc["sweep"] = {"variable": "theta", "lo": 0.9, "hi": 1.05, "samples": 301}
         (tmp_path / "run.json").write_text(json.dumps(doc))
         monkeypatch.chdir(tmp_path)
         assert main(["--config", "run.json", "--out", "out.csv"]) == 0
@@ -430,6 +430,30 @@ class TestSummaryMedium:
         _, theta_argmax = max(usable)
         step = (1.05 - 0.9) / 300
         assert abs(resonance["theta_star"] - theta_argmax) <= step
+
+
+    def test_a_medium_value_in_sweep_fixed_is_refused(self, tmp_path, monkeypatch, capsys):
+        # the old override form: the medium goes in qw, sweep.fixed holds only theta
+        doc = fig2(sweep={**THETA_SWEEP, "fixed": {"omega_c": 6.0}})
+        (tmp_path / "run.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", "run.json", "--out", "out.csv"]) == 2
+        assert capsys.readouterr().err == "config error: unknown key sweep.fixed.omega_c\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+    def test_a_fig5_preset_switched_to_a_theta_sweep(self, tmp_path, monkeypatch):
+        # the sweep section merge keeps fig5a's fixed theta, which a theta sweep ignores
+        monkeypatch.chdir(tmp_path)
+        outputs = []
+        for extra in ({}, {"fixed": {}}):
+            doc = {"preset": "fig5a", "sweep": {**THETA_SWEEP, **extra}}
+            (tmp_path / "run.json").write_text(json.dumps(doc))
+            assert main(["--config", "run.json", "--out", "out.csv"]) == 0
+            summary = json.loads((tmp_path / "out.json").read_text())
+            outputs.append(((tmp_path / "out.csv").read_bytes(), summary.pop("sweep")["fixed"],
+                            summary))
+        assert [fixed for _, fixed, _ in outputs] == [{"theta": 0.979}, {}]
+        assert outputs[0][::2] == outputs[1][::2]
 
 
 class TestOracleSpotCheck:
@@ -459,7 +483,7 @@ class TestOracleSpotCheck:
         from spinhall.qw_medium import susceptibility
         from spinhall.shifts import centroid_shift_oracle
         from spinhall.strata import Kinematics
-        from spinhall.sweep import build_stack, scenario_qw
+        from spinhall.sweep import build_stack, sweep_point
 
         doc = config_from_scenario(*preset("fig5a"), preset_name="fig5a")
         doc["sweep"] = {
@@ -468,10 +492,11 @@ class TestOracleSpotCheck:
         doc["beam"]["waist_um"] = 500 * doc["beam"]["lambda_um"]
         oracle = self.run_config(tmp_path, monkeypatch, doc)
         assert 0.0 < oracle["swept"] < 6.0  # an interior row, not the control-off medium
-        scenario, _ = scenario_from_config(doc)
-        qw = scenario_qw(scenario, {"omega_c": oracle["swept"]})
+        scenario, spec = scenario_from_config(doc)
+        qw, theta = sweep_point(scenario, spec, oracle["swept"])
+        assert (qw.omega_c, theta) == (oracle["swept"], 0.9)
         stack = build_stack(scenario, susceptibility(qw).chi)
-        expected = centroid_shift_oracle(stack, Kinematics(scenario.lambda_um, 0.9), scenario.beam)
+        expected = centroid_shift_oracle(stack, Kinematics(scenario.lambda_um, theta), scenario.beam)
         assert (oracle["oracle_h"], oracle["oracle_v"]) == expected
         assert oracle["oracle_h"] == pytest.approx(oracle["closed_h"], rel=1e-2)
 

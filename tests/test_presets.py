@@ -1,5 +1,6 @@
 """The nine figure presets: pinned values, fresh objects, one build per run."""
 
+import json
 from dataclasses import fields
 
 import pytest
@@ -13,7 +14,7 @@ from spinhall.qw_medium import QwParams
 
 BASE_QW = dict(
     gamma_bl=1.36, gamma_bd=0.68, gamma_cl=1.36, gamma_cd=0.8, gamma_dl=0.8, gamma_dd=0.5,
-    beta=0.0184, g=-1.0, f=1.0, delta=2.0, omega_c=0.0, delta_p=0.0, delta_c=0.0,
+    beta=0.0184, g=-1.0, f=1.0, delta=2.0, omega_c=0.0,
 )
 RAISED_QW = {**BASE_QW, "delta": 8.0, "gamma_bd": 1.36, "gamma_cd": 1.6}
 LOSSLESS = (2.22 + 0j, 2.22 + 0j)
@@ -75,4 +76,9 @@ def test_a_preset_run_builds_the_preset_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "preset", counting)
     monkeypatch.chdir(tmp_path)
     assert main(["--preset", "fig5a", "--out", "p.csv"]) == 0
+    assert calls == ["fig5a"]
+    # a config that names a preset is merged once, then validated and built
+    calls.clear()
+    (tmp_path / "run.json").write_text(json.dumps({"preset": "fig5a", "qw": {"omega_c": 1.0}}))
+    assert main(["--config", "run.json", "--out", "c.csv"]) == 0
     assert calls == ["fig5a"]

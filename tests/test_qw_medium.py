@@ -128,13 +128,13 @@ class TestSteadyState:
     def test_decoupled_two_level_limit(self):
         # control off, no cross coupling, no b-dipole: only B3 responds,
         # with a single-Lorentzian coherence
-        params = base_params(g=0.0, gamma_bl=0.0, omega_c=0.0, delta_p=0.3)
-        omega_p = 1e-3
-        b2, b3, b4 = steady_state_coherences(params, omega_p)
+        params = base_params(g=0.0, gamma_bl=0.0, omega_c=0.0)
+        omega_p, delta_p = 1e-3, 0.3
+        b2, b3, b4 = steady_state_coherences(params, omega_p, delta_p=delta_p)
         assert b2 == 0.0
         assert b4 == 0.0
         d = derived_rates(params)
-        expected = -1j * omega_p / (1j * (1j * d.gamma3 - params.delta_p - params.delta))
+        expected = -1j * omega_p / (1j * (1j * d.gamma3 - delta_p - params.delta))
         assert b3 == pytest.approx(expected, rel=1e-12)
 
     def test_linear_response_scaling(self):
@@ -148,6 +148,13 @@ class TestSteadyState:
     def test_probe_must_be_positive(self):
         with pytest.raises(ValueError, match="omega_p"):
             steady_state_coherences(base_params(), 0.0)
+
+    @pytest.mark.parametrize("detuning", ["delta_p", "delta_c"])
+    def test_detunings_are_solver_arguments(self, detuning):
+        with pytest.raises(TypeError):
+            base_params(**{detuning: 0.3})
+        with pytest.raises(ValueError, match="detunings must be finite"):
+            steady_state_coherences(base_params(), 1e-3, **{detuning: np.nan})
 
     def test_reconstruction_matches_closed_form_at_base(self):
         chi_closed = susceptibility(base_params()).chi

@@ -17,6 +17,7 @@ from spinhall.sweep import (
     build_stack,
     find_resonance,
     run_sweep,
+    sweep_point,
 )
 
 BREWSTER_222 = 0.97969212158629573  # atan(sqrt(2.22))
@@ -209,6 +210,25 @@ class TestSweepSpecValidation:
     def test_unknown_fixed_key(self):
         with pytest.raises(ValueError, match="unknown fixed"):
             SweepSpec("omega_c", 0.0, 6.0, 5, fixed={"theta": 0.9, "waist": 1.0})
+
+    @pytest.mark.parametrize("key", ["omega_c", "delta"])
+    def test_fixed_holds_no_medium_value(self, key):
+        # the medium is Scenario.qw alone
+        with pytest.raises(ValueError, match="unknown fixed"):
+            SweepSpec("theta", 0.5, 0.7, 5, fixed={key: 1.0})
+
+    def test_sweep_point_replaces_only_the_swept_field(self):
+        scenario = base_scenario(qw=base_qw(omega_c=2.0))
+        assert sweep_point(scenario, SweepSpec("theta", 0.5, 0.7, 5), 0.6) == (scenario.qw, 0.6)
+        spec = SweepSpec("delta", 0.0, 8.0, 5, fixed={"theta": 0.98})
+        assert sweep_point(scenario, spec, 3.0) == (base_qw(omega_c=2.0, delta=3.0), 0.98)
+
+    @pytest.mark.parametrize("name", ["epsilon1", "epsilon3"])
+    @pytest.mark.parametrize("value", [complex("nan"), complex("inf"), complex(2.22, math.nan)])
+    def test_scenario_rejects_a_non_finite_wall(self, name, value):
+        # accepted, every row of a sweep would fail on its own in Layer
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            base_scenario(**{name: value})
 
 
 class TestFindResonance:
