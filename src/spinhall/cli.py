@@ -145,7 +145,8 @@ def _summary(
             "lo": spec.lo,
             "hi": spec.hi,
             "samples": spec.samples,
-            "fixed": dict(spec.fixed),
+            # a theta sweep ignores sweep.fixed, so it reports none
+            "fixed": {} if spec.variable == "theta" else dict(spec.fixed),
         },
         "effective_epsilon2": [eps2.real, eps2.imag],
         "rows": len(rows),
@@ -240,6 +241,10 @@ def main(argv=None) -> int:
             if path is not None and path.resolve() == config_path:
                 print(f"config error: output {path} is the input config", file=sys.stderr)
                 return 2
+    if args.fmt == "both" and csv_path.resolve() == json_path.resolve():
+        print(f"config error: output {csv_path} would hold both the CSV and the JSON summary",
+              file=sys.stderr)
+        return 2
 
     try:
         rows = run_sweep(scenario, spec)

@@ -442,18 +442,18 @@ class TestSummaryMedium:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
     def test_a_fig5_preset_switched_to_a_theta_sweep(self, tmp_path, monkeypatch):
-        # the sweep section merge keeps fig5a's fixed theta, which a theta sweep ignores
+        # the sweep section merge keeps fig5a's fixed theta, which a theta sweep
+        # ignores, so neither the rows nor the summary may depend on it
         monkeypatch.chdir(tmp_path)
         outputs = []
         for extra in ({}, {"fixed": {}}):
             doc = {"preset": "fig5a", "sweep": {**THETA_SWEEP, **extra}}
             (tmp_path / "run.json").write_text(json.dumps(doc))
             assert main(["--config", "run.json", "--out", "out.csv"]) == 0
-            summary = json.loads((tmp_path / "out.json").read_text())
-            outputs.append(((tmp_path / "out.csv").read_bytes(), summary.pop("sweep")["fixed"],
-                            summary))
-        assert [fixed for _, fixed, _ in outputs] == [{"theta": 0.979}, {}]
-        assert outputs[0][::2] == outputs[1][::2]
+            outputs.append(((tmp_path / "out.csv").read_bytes(),
+                            (tmp_path / "out.json").read_bytes()))
+        assert json.loads(outputs[0][1])["sweep"]["fixed"] == {}
+        assert outputs[0] == outputs[1]
 
 
 class TestOracleSpotCheck:
@@ -611,6 +611,22 @@ class TestCliFailures:
         assert "config error:" in capsys.readouterr().err
         assert (tmp_path / "run.json").read_bytes() == before
         assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("out, link", [("clash.json", None), ("run.csv", "run.json")],
+                             ids=["json-suffix", "json-linked-to-csv"])
+    def test_csv_and_json_onto_one_file_exits_2(self, tmp_path, monkeypatch, capsys, out, link):
+        # format both writes the JSON summary next to the CSV, with a .json suffix
+        if link is not None:
+            (tmp_path / link).symlink_to(out)
+        monkeypatch.chdir(tmp_path)
+        assert main(["--preset", "fig5a", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: output {out} would hold both the CSV and the JSON summary\n"
+        )
+        # nothing written: at most the link is there, still dangling
+        assert [(p.name, p.exists()) for p in tmp_path.iterdir()] == ([(link, False)] if link else [])
 
     @pytest.mark.parametrize("window", ["1.0,0.9", "0,1", "nan,1", "0.9,2"])
     def test_bad_resonance_window_exits_2_before_the_sweep(self, tmp_path, monkeypatch, capsys, window):
