@@ -264,7 +264,3 @@ def main(argv=None) -> int:
         print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
