@@ -3,26 +3,30 @@
 Conventions: x points into the stack (normal direction), the tangential
 wavevector k_z = k*sin(theta) is conserved, and both half-spaces are vacuum
 so the ambient admittance is q0 = cos(theta) for TE and TM alike.  Each layer
-is represented by the standard 2x2 characteristic matrix relating tangential
-field components across it; layer matrices multiply in stack order.  The
-product in stack order describes light entering through the LAST layer (the
-epsilon3 wall of `sweep.build_stack`): it equals the Airy recursion over the
-layers in reverse order, which matters for asymmetric (loss | gain) walls.
+has the standard 2x2 characteristic matrix relating tangential field
+components across it, with equal diagonal entries c = cos(kx d).  The stack
+matrix M, the layer matrices in stack order, describes light entering through
+the LAST layer (the epsilon3 wall of `sweep.build_stack`): it equals the Airy
+recursion over the layers in reverse order, which matters for asymmetric
+(loss | gain) walls.  r depends on M only through the row vector
+(w1, w2) = (-q0, 1) M, as r = (w1 + q0 w2) / (q0 w2 - w1), so M is never
+formed: each layer takes the row to (w1 c + w2 m21, w1 m12 + w2 c).
 
 The in-layer normal wavevector is kx = sqrt(eps*k^2 - k_z^2) on the principal
 branch, with the signed zero of an exactly real-negative radicand normalized
 away so evanescent waves get Im(kx) >= 0.  The layer matrix is an even
 function of kx, so reflection coefficients do not depend on this branch
-choice; the TM matrix uses the same propagation phase kx*d as TE and carries
-the permittivity only in the admittance kx/(k*eps).
+choice.  TE has m12 = i k sin(kx d)/kx (i k d in the kx -> 0 limit) and
+m21 = i kx sin(kx d)/k; the TM entries are eps and 1/eps times these.
 
 `reflection_arrays` evaluates a grid of angles (and layer permittivities)
 elementwise in one pass, with NaN at degenerate or overflowing points.
 `reflection_pair` evaluates one point in Python complex arithmetic (numpy's
-per-call overhead on 0-d values is several times the arithmetic), sharing
-the matrix product and the reflection fraction with the grid and keeping its
-branch rule, kx -> 0 limit and denominator floor; it raises
-DegenerateGeometryError or OverflowError where the grid gives NaN.
+per-call overhead on 0-d values is several times the arithmetic) with the
+same formulas, branch rule, kx -> 0 limit and denominator floor; it raises
+DegenerateGeometryError or OverflowError where the grid gives NaN.  The
+layer terms multiply by 1/z rather than divide by a complex z: numpy's
+reciprocal rounds as CPython's 1/z does, their divisions do not.
 
 Lengths in micrometers, angles in radians.
 """
@@ -110,9 +114,9 @@ class Kinematics:
 
 
 def _normal_k(epsilon, k: float, k_z):
-    radicand = epsilon * k ** 2 - k_z ** 2
-    # drop a signed zero so the branch lands on +i|.| for negative radicand
-    return np.sqrt(np.where(radicand.imag == 0.0, radicand.real + 0j, radicand))
+    # + 0j turns the signed zero -0.0 of a real-negative radicand into +0.0,
+    # so the branch lands on +i|.|
+    return np.sqrt(epsilon * k ** 2 - k_z ** 2 + 0j)
 
 
 def _layer_entries(epsilon, thickness_um: float, k: float, k_z):
@@ -120,57 +124,47 @@ def _layer_entries(epsilon, thickness_um: float, k: float, k_z):
     layer; epsilon and k_z may be arrays that broadcast together."""
     epsilon = np.asarray(epsilon, dtype=complex)
     kx = _normal_k(epsilon, k, k_z)
-    c, s = np.cos(kx * thickness_um), np.sin(kx * thickness_um)
-    entries = []
-    for admittance, eps_factor in ((kx / k, 1.0), (kx / (k * epsilon), epsilon)):
-        # critical-propagation limit kx -> 0: sin(kx d)/admittance -> k*eps*d
-        m12 = np.where(kx == 0, 1j * k * eps_factor * thickness_um, 1j * s / admittance)
-        entries.append((c, m12, 1j * admittance * s, c))
-    return entries
+    phase = kx * thickness_um
+    c, s = np.cos(phase), np.sin(phase)
+    s_over_kx = s * np.reciprocal(kx)
+    if (kx == 0).any():
+        # critical-propagation limit kx -> 0: sin(kx d)/kx -> d
+        s_over_kx = np.where(kx == 0, thickness_um, s_over_kx)
+    m12, m21 = 1j * k * s_over_kx, 1j / k * kx * s
+    return (c, m12, m21, c), (c, epsilon * m12, np.reciprocal(epsilon) * m21, c)
 
 
 def _point_normal_k(epsilon: complex, k: float, k_z: float) -> complex:
     """`_normal_k` at one point, with the same signed-zero rule."""
-    radicand = epsilon * k ** 2 - k_z ** 2
-    return cmath.sqrt(complex(radicand.real, 0.0) if radicand.imag == 0.0 else radicand)
+    return cmath.sqrt(epsilon * k ** 2 - k_z ** 2 + 0j)
 
 
 def _point_entries(epsilon: complex, thickness_um: float, k: float, k_z: float):
     """`_layer_entries` at one point, in Python complex arithmetic; cmath
     raises OverflowError where the batch kernel would overflow to inf."""
     kx = _point_normal_k(epsilon, k, k_z)
-    c, s = cmath.cos(kx * thickness_um), cmath.sin(kx * thickness_um)
-    entries = []
-    for admittance, eps_factor in ((kx / k, 1.0), (kx / (k * epsilon), epsilon)):
-        m12 = 1j * k * eps_factor * thickness_um if kx == 0 else 1j * s / admittance
-        entries.append((c, m12, 1j * admittance * s, c))
-    return entries
+    phase = kx * thickness_um
+    c, s = cmath.cos(phase), cmath.sin(phase)
+    s_over_kx = s * (1 / kx) if kx else thickness_um
+    m12, m21 = 1j * k * s_over_kx, 1j / k * kx * s
+    return (c, m12, m21, c), (c, epsilon * m12, 1 / epsilon * m21, c)
 
 
-def _fraction(m, q0):
-    """Numerator and denominator of the reflection coefficient of a stack
-    with total matrix entries m = (m11, m12, m21, m22), vacuum on both sides."""
-    m11, m12, m21, m22 = m
-    return q0 * (m22 - m11) - (q0 * q0 * m12 - m21), q0 * (m22 + m11) - (q0 * q0 * m12 + m21)
-
-
-def _product(a, b):
-    """Entries (m11, m12, m21, m22) of the 2x2 matrix product a @ b."""
-    a11, a12, a21, a22 = a
-    b11, b12, b21, b22 = b
-    return (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
-            a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
+def _step(row, m):
+    """The row vector (w1, w2) times the layer matrix m = (c, m12, m21, c)."""
+    (w1, w2), (c, m12, m21, _) = row, m
+    return w1 * c + w2 * m21, w1 * m12 + w2 * c
 
 
 def _stack_fractions(layers, k: float, k_z, q0, entries=_layer_entries):
-    """TE and TM (numerator, denominator) of (epsilon, thickness_um) layers,
-    the layer matrices from `entries` multiplied in stack order."""
-    te = tm = None
+    """TE and TM (numerator, denominator) of the reflection coefficient of
+    (epsilon, thickness_um) layers: the row vector (-q0, 1) propagated
+    through the layer matrices from `entries` in stack order."""
+    te = tm = (-q0, 1.0)
     for epsilon, thickness_um in layers:
         layer_te, layer_tm = entries(epsilon, thickness_um, k, k_z)
-        te = layer_te if te is None else _product(te, layer_te)
-        tm = layer_tm if tm is None else _product(tm, layer_tm)
-    return _fraction(te, q0), _fraction(tm, q0)
+        te, tm = _step(te, layer_te), _step(tm, layer_tm)
+    return [(w1 + q0 * w2, q0 * w2 - w1) for w1, w2 in (te, tm)]
 
 
 def reflection_arrays(layers, lambda_um: float, theta) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +186,7 @@ def reflection_arrays(layers, lambda_um: float, theta) -> tuple[np.ndarray, np.n
 
 def _checked(numerator: complex, denominator: complex, q0: float) -> complex:
     if not (cmath.isfinite(numerator) and cmath.isfinite(denominator)):
-        # the matrix product overflowed: |Im(kx) d| summed over the layers
+        # the propagation overflowed: |Im(kx) d| summed over the layers
         # beyond ~700 (cmath.cos raises on its own for one such layer)
         raise OverflowError("math range error")
     if abs(denominator) < DENOMINATOR_FLOOR:

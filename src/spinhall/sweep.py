@@ -239,12 +239,15 @@ def find_resonance(
     peak between the neighbours of its maximum.  Each zoom round then
     evaluates the ratio on an evenly spaced batch across the bracket and
     keeps the neighbours of that batch's maximum, until the bracket is at
-    most tol_rad wide.  If the coarse maximum sits on the window edge the
-    boundary flag is set and no refinement is attempted.
+    most tol_rad wide (0 refines to the spacing of doubles).  If the coarse
+    maximum sits on the window edge the boundary flag is set and no
+    refinement is attempted.
     """
     lo, hi = float(theta_window[0]), float(theta_window[1])
     if not (0.0 < lo < hi < math.pi / 2):
         raise ValueError(f"theta window must satisfy 0 < lo < hi < pi/2, got {theta_window!r}")
+    if not (math.isfinite(tol_rad) and tol_rad >= 0.0):
+        raise ValueError(f"tol_rad must be finite and >= 0, got {tol_rad!r}")
     chi = susceptibility(scenario.qw).chi
     thetas = np.linspace(lo, hi, _COARSE_POINTS)
     values = _ratio_em(scenario, chi, thetas)

@@ -18,9 +18,9 @@ from spinhall.strata import (
     reflection_arrays,
     reflection_pair,
 )
-from spinhall.presets import preset
+from spinhall.presets import PRESET_NAMES, preset
 from spinhall.qw_medium import susceptibility
-from spinhall.sweep import build_stack, find_resonance
+from spinhall.sweep import build_stack, find_resonance, sweep_point
 
 # the reference slab: eps=2.22, d=0.2 um at lambda=1.85 um, theta=0.98 rad
 REF_LAYER = Layer(epsilon=2.22, thickness_um=0.2)
@@ -267,8 +267,13 @@ class TestReflection:
         assert np.all(np.isnan(r_e)) and np.all(np.isnan(r_m))
 
     def test_degenerate_matrix_rejected(self):
-        with pytest.raises(DegenerateGeometryError, match="denominator vanished"):
-            strata._checked(*strata._fraction((0j, 0j, 0j, 0j), 0.5), 0.5)
+        # all-zero layer entries take the row vector (-q0, 1) to (0, 0), so
+        # numerator and denominator vanish in both polarizations
+        zero = (0j, 0j, 0j, 0j)
+        fractions = strata._stack_fractions([(2.22, 0.2)], 1.0, 0.5, 0.5, lambda *layer: (zero, zero))
+        for numerator, denominator in fractions:
+            with pytest.raises(DegenerateGeometryError, match="denominator vanished"):
+                strata._checked(numerator, denominator, 0.5)
 
 
 class TestEntrySide:
@@ -297,6 +302,26 @@ class TestEntrySide:
                 assert abs(got_batch[i] - entering_last) <= 1e-10 * abs(entering_last)
                 # the two sides differ, so the check above pins the side
                 assert abs(entering_first - entering_last) > 1e-3 * abs(entering_last)
+
+
+class TestPresetRows:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_kernel_matches_the_recursion_on_every_row(self, name):
+        # every row of the preset, each with its own medium and angle, in one
+        # batch; the light enters through the last layer (see TestEntrySide)
+        scenario, spec = preset(name)
+        points = [sweep_point(scenario, spec, float(v)) for v in np.linspace(spec.lo, spec.hi, spec.samples)]
+        eps2 = np.array([1.0 + susceptibility(qw).chi for qw, _ in points])
+        thetas = np.array([theta for _, theta in points])
+        thicknesses = (scenario.d1_um, scenario.d2_um, scenario.d1_um)
+        layers = list(zip((scenario.epsilon1, eps2, scenario.epsilon3), thicknesses))
+        batch = reflection_arrays(layers, scenario.lambda_um, thetas)
+        for i, theta in enumerate(thetas):
+            kin = Kinematics(scenario.lambda_um, float(theta))
+            epsilons = (scenario.epsilon3, eps2[i], scenario.epsilon1)
+            for pol, got in zip(("te", "tm"), batch):
+                want = recursion_reflection(epsilons, thicknesses[::-1], kin, pol)
+                assert abs(got[i] - want) <= 1e-10 * abs(want), (name, pol, float(theta))
 
 
 class TestReflectionArrays:

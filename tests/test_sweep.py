@@ -268,6 +268,13 @@ class TestFindResonance:
         with pytest.raises(ValueError, match="window"):
             find_resonance(base_scenario(), (0.0, 1.0))
 
+    @pytest.mark.parametrize("tol_rad", [math.nan, math.inf, -1e-7])
+    def test_tolerance_checked(self, tol_rad):
+        # a NaN or infinite tolerance used to end the zoom before its first
+        # round, returning the coarse point as if refined
+        with pytest.raises(ValueError, match="tol_rad"):
+            find_resonance(base_scenario(), (0.9, 1.05), tol_rad=tol_rad)
+
     def test_search_makes_no_per_point_call(self, monkeypatch):
         def per_point(*args):
             raise AssertionError("per-point reflection_pair called")
