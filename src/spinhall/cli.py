@@ -40,7 +40,8 @@ CSV_HEADER = (
     "delta_h_plus_lambda,delta_v_plus_lambda,flags"
 )
 
-_NUMERICAL_ERRORS = (SingularParameterError, DegenerateGeometryError, ResolutionError)
+# a ResolutionError (a waist too narrow) is reported by _oracle_spot_check as declined
+_NUMERICAL_ERRORS = (SingularParameterError, DegenerateGeometryError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,7 +137,10 @@ def _summary(
     resonance_window: tuple[float, float] | None,
     csv_path: Path | None,
 ) -> dict:
-    eps2 = permittivity(susceptibility(scenario.qw).chi)
+    try:
+        eps2 = permittivity(susceptibility(scenario.qw).chi)
+    except SingularParameterError:  # an omega_c or delta sweep's rows replace that value
+        eps2 = None
     summary = {
         "preset": preset_name,
         "lambda_um": scenario.lambda_um,
@@ -148,7 +152,7 @@ def _summary(
             # a theta sweep ignores sweep.fixed, so it reports none
             "fixed": {} if spec.variable == "theta" else dict(spec.fixed),
         },
-        "effective_epsilon2": [eps2.real, eps2.imag],
+        "effective_epsilon2": None if eps2 is None else [eps2.real, eps2.imag],
         "rows": len(rows),
         "row_errors": sum(1 for r in rows if r.error is not None),
         # peaks over the trustworthy rows only; singular-flagged ratios are
@@ -219,6 +223,10 @@ def main(argv=None) -> int:
         window = _parse_window(args.find_resonance) if args.find_resonance else None
     except ValueError as exc:
         print(f"config error: --find-resonance: {exc}", file=sys.stderr)
+        return 2
+    if window is not None and args.fmt == "csv":
+        print("config error: --find-resonance needs the JSON summary (--format json or both)",
+              file=sys.stderr)
         return 2
 
     scenario, spec = scenario_from_config(doc)

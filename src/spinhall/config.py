@@ -6,13 +6,13 @@ fields of the domain types, in field order; a field with no default is a
 required key.  qw (`QwParams`, all required): gamma_bl, gamma_bd, gamma_cl,
 gamma_cd, gamma_dl, gamma_dd, beta, g, f, delta, omega_c.  stack
 (`Scenario`): epsilon1, epsilon3, d1_um, d2_um.  beam (`Scenario`, then the
-optional `BeamSpec`): lambda_um; waist_um, grid_half_extent = 8/waist,
-grid_samples = 512.  sweep (`SweepSpec`): variable, lo, hi, samples;
-fixed = {} (only theta, the angle of an omega_c or delta sweep: `qw` is the
-one medium).  Complex numbers are two-element [re, im] arrays; units match
-the domain types (meV, um, rad).  Unknown keys are rejected.
-`validate_config` returns the full list of violations as strings instead of
-raising, so a front end can report everything at once.
+optional `BeamSpec`): lambda_um; waist_um (none: no centroid oracle).
+sweep (`SweepSpec`): variable, lo, hi, samples; fixed = {} (only theta, the
+angle of an omega_c or delta sweep: `qw` is the one medium).  Complex numbers
+are two-element [re, im] arrays; units match the domain types (meV, um,
+rad).  Unknown keys are rejected.  `validate_config` returns the full list of
+violations as strings instead of raising, so a front end can report
+everything at once.
 """
 
 from __future__ import annotations
@@ -93,22 +93,12 @@ _TESTS = {
     ">= 0": lambda v: v >= 0.0,
     "> 0": lambda v: v > 0.0,
     ">= 2": lambda v: v >= 2,
-    ">= 256": lambda v: v >= 256,
-    # caps on the sweep rows and the oracle's FFT length: a larger count
-    # exhausts memory, and one beyond an int64 overflows numpy
+    # cap on the sweep rows: a larger count exhausts memory, and one beyond
+    # an int64 overflows numpy
     "<= 1000000": lambda v: v <= 1_000_000,
-    "<= 1048576": lambda v: v <= 1_048_576,
     "nonzero": lambda v: complex(v[0], v[1]) != 0,
     _VARIABLE: lambda v: v in SWEEP_VARIABLES,
 }
-
-
-def _beam_grid(beam: dict) -> list[str]:
-    waist, extent = beam.get("waist_um"), beam.get("grid_half_extent")
-    narrow = _is_number(waist) and waist > 0.0 and _is_number(extent) and extent < 6.0 / waist
-    problems = ["beam.grid_half_extent must be >= 6/waist_um"] if narrow else []
-    grid = [k for k in ("grid_half_extent", "grid_samples") if k in beam and "waist_um" not in beam]
-    return problems + [f"beam.{k} requires beam.waist_um" for k in grid]
 
 
 def _sweep_range(sweep: dict) -> list[str]:
@@ -155,10 +145,7 @@ _RULES = (
     ("stack", "epsilon3", _PAIR, None),
     ("stack", "epsilon3", None, "nonzero"),
     *(("stack", key, "a number", ">= 0") for key in ("d1_um", "d2_um")),
-    *(("beam", key, "a number", "> 0") for key in ("lambda_um", "waist_um", "grid_half_extent")),
-    ("beam", "grid_samples", "an integer", ">= 256"),
-    ("beam", "grid_samples", None, "<= 1048576"),
-    ("beam", None, _beam_grid, None),
+    *(("beam", key, "a number", "> 0") for key in _SCHEMA["beam"]),
     # every missing sweep key is listed before any sweep value is checked
     *(("sweep", key, None, None) for key, needed in _SCHEMA["sweep"].items() if needed),
     ("sweep", "variable", None, _VARIABLE),

@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from typing import ClassVar
 
 import numpy as np
 
@@ -57,51 +57,25 @@ __all__ = [
 # are reported but flagged rather than clipped.
 SINGULAR_REFLECTION = 1e-14
 
-# minimum spectral half-extent in units of 1/waist and minimum samples per
-# axis for the angular-spectrum grid
-_MIN_EXTENT_WAISTS = 6.0
-_MIN_SAMPLES = 256
-
 
 class ResolutionError(ValueError):
-    """The angular-spectrum grid cannot resolve the beam."""
+    """The beam is too narrow for the oracle's first-order expansion."""
 
 
 @dataclass(frozen=True)
 class BeamSpec:
-    """Gaussian beam waist plus the transverse wavevector grid used by the
-    centroid oracle.  grid_half_extent is the maximum |k| on each axis in
-    1/um (defaults to 8/waist), grid_samples the number of points per axis."""
+    """Gaussian beam waist for the centroid oracle, which fixes the oracle's
+    wavevector grid: grid_samples points per axis over |k| <= 8/waist (1/um)."""
 
     waist_um: float
-    grid_half_extent: float | None = None
-    grid_samples: int = 512
+    grid_samples: ClassVar[int] = 512
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.waist_um) and self.waist_um > 0.0):
             raise ValueError(f"waist_um must be positive, got {self.waist_um!r}")
-        if isinstance(self.grid_samples, bool) or not isinstance(self.grid_samples, Integral):
-            raise ValueError(f"grid_samples must be an integer, got {self.grid_samples!r}")
-        if self.grid_samples < _MIN_SAMPLES:
-            raise ResolutionError(
-                f"grid_samples must be >= {_MIN_SAMPLES}, got {self.grid_samples}"
-            )
-        if self.grid_half_extent is not None:
-            if not (math.isfinite(self.grid_half_extent) and self.grid_half_extent > 0.0):
-                raise ValueError(
-                    f"grid_half_extent must be positive and finite, got {self.grid_half_extent!r}"
-                )
-            if self.grid_half_extent < _MIN_EXTENT_WAISTS / self.waist_um:
-                raise ResolutionError(
-                    f"grid_half_extent must be >= {_MIN_EXTENT_WAISTS}/waist "
-                    f"= {_MIN_EXTENT_WAISTS / self.waist_um:.6g} 1/um, "
-                    f"got {self.grid_half_extent!r}"
-                )
 
     @property
     def half_extent(self) -> float:
-        if self.grid_half_extent is not None:
-            return self.grid_half_extent
         return 8.0 / self.waist_um
 
 

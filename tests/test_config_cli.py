@@ -95,17 +95,17 @@ PINNED_PROBLEMS = [
      ["unknown key beam.waist", "missing key beam.lambda_um"]),
     ("beam-bounds",
      fig2(beam={"lambda_um": 0, "waist_um": -1.0, "grid_half_extent": "x", "grid_samples": 255}),
-     ["beam.lambda_um must be a number > 0", "beam.waist_um must be a number > 0",
-      "beam.grid_half_extent must be a number > 0", "beam.grid_samples must be an integer >= 256"]),
+     ["unknown key beam.grid_half_extent", "unknown key beam.grid_samples",
+      "beam.lambda_um must be a number > 0", "beam.waist_um must be a number > 0"]),
+    # the grid keys of older configs: the oracle's grid is fixed by the waist
     ("beam-samples-kind", fig2(beam={"waist_um": 1000.0, "grid_samples": 512.0}),
-     ["beam.grid_samples must be an integer >= 256"]),
+     ["unknown key beam.grid_samples"]),
     ("beam-extent-below-6-over-waist", fig2(beam={"waist_um": 1000.0, "grid_half_extent": 0.005}),
-     ["beam.grid_half_extent must be >= 6/waist_um"]),
+     ["unknown key beam.grid_half_extent"]),
     ("beam-zero-waist-with-extent", fig2(beam={"waist_um": 0, "grid_half_extent": 0.01}),
-     ["beam.waist_um must be a number > 0"]),
+     ["unknown key beam.grid_half_extent", "beam.waist_um must be a number > 0"]),
     ("beam-grid-without-waist", fig2(beam={"grid_half_extent": 0.01, "grid_samples": True}),
-     ["beam.grid_samples must be an integer >= 256", "beam.grid_half_extent requires beam.waist_um",
-      "beam.grid_samples requires beam.waist_um"]),
+     ["unknown key beam.grid_half_extent", "unknown key beam.grid_samples"]),
     ("sweep-missing-first", bare(sweep={"variable": "bogus", "steps": 3}),
      ["unknown key sweep.steps", "missing key sweep.lo", "missing key sweep.hi",
       "missing key sweep.samples", "sweep.variable must be one of theta, omega_c, delta"]),
@@ -142,14 +142,14 @@ PINNED_PROBLEMS = [
     ("sweep-huge-samples", fig2(sweep={**THETA_SWEEP, "samples": HUGE}),
      ["sweep.samples must be <= 1000000"]),
     ("beam-huge-grid-samples", fig2(beam={"waist_um": 1000.0, "grid_samples": HUGE}),
-     ["beam.grid_samples must be <= 1048576"]),
+     ["unknown key beam.grid_samples"]),
     ("samples-one-above-the-bounds",
      fig2(beam={"waist_um": 1000.0, "grid_samples": 2**20 + 1},
           sweep={**THETA_SWEEP, "samples": 10**6 + 1}),
-     ["beam.grid_samples must be <= 1048576", "sweep.samples must be <= 1000000"]),
+     ["unknown key beam.grid_samples", "sweep.samples must be <= 1000000"]),
     ("samples-at-the-bounds",
      fig2(beam={"waist_um": 1000.0, "grid_samples": 2**20}, sweep={**THETA_SWEEP, "samples": 10**6}),
-     []),
+     ["unknown key beam.grid_samples"]),
 ]
 
 
@@ -174,7 +174,7 @@ class TestConfigRoundTrip:
 
     def test_beam_spec_round_trip(self):
         doc = config_from_scenario(*preset("fig2"), preset_name="fig2")
-        doc["beam"].update(waist_um=925.0, grid_half_extent=0.01, grid_samples=512)
+        doc["beam"]["waist_um"] = 925.0
         assert validate_config(doc) == []
         scenario, spec = scenario_from_config(doc)
         assert scenario.beam is not None
@@ -238,9 +238,12 @@ class TestValidate:
         assert any("unknown preset" in p for p in validate_config({"preset": "fig99"}))
 
     def test_grid_keys_require_waist(self):
-        doc = config_from_scenario(*preset("fig2"), preset_name="fig2")
-        doc["beam"]["grid_samples"] = 512
-        assert any("requires beam.waist_um" in p for p in validate_config(doc))
+        # the old form: the grid keys once needed a waist; now they are unknown
+        # keys, with or without one
+        for beam, key in (({}, "grid_samples"), ({"waist_um": 925.0}, "grid_half_extent")):
+            doc = config_from_scenario(*preset("fig2"), preset_name="fig2")
+            doc["beam"].update(beam, **{key: 512})
+            assert validate_config(doc) == [f"unknown key beam.{key}"]
 
     def test_non_theta_sweep_needs_fixed_theta(self):
         # no preset to refill the deleted key, so the gap must be diagnosed
@@ -456,6 +459,25 @@ class TestSummaryMedium:
         assert outputs[0] == outputs[1]
 
 
+    def test_singular_base_medium_of_a_parameter_sweep(self, tmp_path, monkeypatch):
+        # fig5a with the d-level rates off: qw's omega_c = 0 is singular, but the
+        # omega_c sweep replaces it row by row, so the run succeeds whatever it is
+        monkeypatch.chdir(tmp_path)
+        outputs = []
+        for omega_c in (0.0, 3.0):
+            doc = {"preset": "fig5a", "qw": {"gamma_dl": 0, "gamma_dd": 0, "omega_c": omega_c}}
+            (tmp_path / "run.json").write_text(json.dumps(doc))
+            assert main(["--config", "run.json", "--out", "out.csv"]) == 0
+            outputs.append(((tmp_path / "out.csv").read_text(),
+                            json.loads((tmp_path / "out.json").read_text())))
+        (rows, singular), (rows_3, regular) = outputs
+        assert rows == rows_3
+        assert rows.splitlines()[1].endswith(",hve") and len(rows.splitlines()) == 602
+        assert singular["effective_epsilon2"] is None
+        assert regular["effective_epsilon2"] is not None
+        assert {**singular, "effective_epsilon2": None} == {**regular, "effective_epsilon2": None}
+
+
 class TestOracleSpotCheck:
     @staticmethod
     def run_config(tmp_path, monkeypatch, doc):
@@ -555,10 +577,8 @@ class TestCliFailures:
 
     @pytest.mark.parametrize(
         "section, value, message",
-        [("sweep", {**THETA_SWEEP, "samples": HUGE}, "sweep.samples must be <= 1000000"),
-         ("beam", {"waist_um": 1000.0, "grid_samples": HUGE},
-          "beam.grid_samples must be <= 1048576")],
-        ids=["sweep-samples", "beam-grid-samples"],
+        [("sweep", {**THETA_SWEEP, "samples": HUGE}, "sweep.samples must be <= 1000000")],
+        ids=["sweep-samples"],
     )
     def test_oversized_sample_count_exits_2_before_output(self, tmp_path, section, value, message):
         (tmp_path / "huge.json").write_text(json.dumps(fig2(**{section: value})))
@@ -567,6 +587,25 @@ class TestCliFailures:
         assert result.stderr == f"config error: {message}\n"
         assert result.stdout == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
+
+    @pytest.mark.parametrize("key, value", [("grid_samples", 512), ("grid_half_extent", 0.008)])
+    def test_old_grid_key_exits_2(self, tmp_path, monkeypatch, capsys, key, value):
+        # the oracle's grid is fixed by the waist: a config naming it is refused
+        (tmp_path / "old.json").write_text(json.dumps(fig2(beam={"waist_um": 1000.0, key: value})))
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", "old.json", "--out", "o.csv"]) == 2
+        assert capsys.readouterr() == ("", f"config error: unknown key beam.{key}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
+
+    def test_find_resonance_without_json_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the search reports into the JSON summary, which --format csv does not write
+        monkeypatch.chdir(tmp_path)
+        args = ["--preset", "fig2", "--format", "csv", "--find-resonance", "0.9,1.0", "--out", "r.csv"]
+        assert main(args) == 2
+        assert capsys.readouterr() == (
+            "", "config error: --find-resonance needs the JSON summary (--format json or both)\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "name, text", [("cfg", "Is a directory: 'cfg'"), ("nope.json", "No such file or directory")],
