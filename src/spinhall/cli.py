@@ -1,26 +1,30 @@
 """Command-line front end: preset or config in, CSV rows and JSON summary out.
 
-Exit codes: 0 success, 2 configuration error (with per-key diagnostics on
-stderr), 3 numerical failure.  The CSV carries one row per sweep point at
-full double precision; the JSON summary records the effective intracavity
-permittivity, the shift peaks over the non-singular grid rows and, for angle
-sweeps, the resonance located by the coarse scan plus batched bracket zoom
-and, when the beam has a waist, the centroid oracle at the peak row.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure.  `_plan`
+makes every check that can refuse a run (the document, the resonance window,
+the wavelength, the output paths); a refused run prints its `config error:`
+lines, writes nothing and exits 2.  The run writes one CSV row per sweep
+point at full double precision, and a JSON summary, whole or not at all:
+the effective intracavity permittivity (null unless finite), the shift peaks
+over the non-singular grid rows, for angle sweeps the resonance found by the
+coarse scan plus batched bracket zoom and, when the beam has a waist, the
+centroid oracle at the h peak row.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
+import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from json import JSONDecodeError
 from pathlib import Path
 
 from .config import (
     config_from_scenario,
-    load_config_file,
     merged_config,
     scenario_from_config,
     validate_config,
@@ -39,9 +43,6 @@ CSV_HEADER = (
     "swept,re_abs,rm_abs,ratio_em,ratio_me,phi_e,phi_m,"
     "delta_h_plus_lambda,delta_v_plus_lambda,flags"
 )
-
-# a ResolutionError (a waist too narrow) is reported by _oracle_spot_check as declined
-_NUMERICAL_ERRORS = (SingularParameterError, DegenerateGeometryError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,22 +97,14 @@ def _finite_or_none(value):
     return value
 
 
-def _abs_peak(values) -> float | None:
-    finite = [abs(v) for v in values if math.isfinite(v)]
-    return max(finite) if finite else None
-
-
-def _oracle_spot_check(scenario: Scenario, spec: SweepSpec, rows: list[SweepRow]) -> dict | None:
-    """Centroid oracle at the non-singular row with the largest |delta_h|,
-    for that row's medium and angle; None unless the beam has a waist.  A
-    waist too narrow for the oracle, or no usable row, is reported as
-    declined."""
+def _oracle_spot_check(scenario: Scenario, spec: SweepSpec, row: SweepRow | None) -> dict | None:
+    """Centroid oracle at the h peak row, for that row's medium and angle;
+    None unless the beam has a waist.  A waist too narrow for the oracle, or
+    no usable row, is reported as declined."""
     if scenario.beam is None:
         return None
-    usable = [r for r in rows if not r.h_singular and math.isfinite(r.delta_h_plus_lambda)]
-    if not usable:
+    if row is None:
         return {"declined": "no non-singular row"}
-    row = max(usable, key=lambda r: abs(r.delta_h_plus_lambda))
     qw, theta = sweep_point(scenario, spec, row.value)
     stack = build_stack(scenario, susceptibility(qw).chi)
     try:
@@ -134,49 +127,37 @@ def _summary(
     spec: SweepSpec,
     rows: list[SweepRow],
     preset_name: str | None,
-    resonance_window: tuple[float, float] | None,
+    window: tuple[float, float] | None,
     csv_path: Path | None,
 ) -> dict:
     try:
         eps2 = permittivity(susceptibility(scenario.qw).chi)
     except SingularParameterError:  # an omega_c or delta sweep's rows replace that value
-        eps2 = None
+        eps2 = math.nan
+    # the peak rows among the trustworthy ones only; singular-flagged ratios
+    # are noise-floor artifacts
+    h_peak = max((r for r in rows if not r.h_singular and math.isfinite(r.delta_h_plus_lambda)),
+                 key=lambda r: abs(r.delta_h_plus_lambda), default=None)
+    v_peak = max((r for r in rows if not r.v_singular and math.isfinite(r.delta_v_plus_lambda)),
+                 key=lambda r: abs(r.delta_v_plus_lambda), default=None)
     summary = {
         "preset": preset_name,
         "lambda_um": scenario.lambda_um,
-        "sweep": {
-            "variable": spec.variable,
-            "lo": spec.lo,
-            "hi": spec.hi,
-            "samples": spec.samples,
-            # a theta sweep ignores sweep.fixed, so it reports none
-            "fixed": {} if spec.variable == "theta" else dict(spec.fixed),
-        },
-        "effective_epsilon2": None if eps2 is None else [eps2.real, eps2.imag],
+        # a theta sweep ignores sweep.fixed, so it reports none
+        "sweep": asdict(replace(spec, fixed={}) if spec.variable == "theta" else spec),
+        "effective_epsilon2": [eps2.real, eps2.imag] if cmath.isfinite(eps2) else None,
         "rows": len(rows),
         "row_errors": sum(1 for r in rows if r.error is not None),
-        # peaks over the trustworthy rows only; singular-flagged ratios are
-        # noise-floor artifacts
-        "abs_delta_h_plus_lambda_peak": _abs_peak(
-            r.delta_h_plus_lambda for r in rows if not r.h_singular
-        ),
-        "abs_delta_v_plus_lambda_peak": _abs_peak(
-            r.delta_v_plus_lambda for r in rows if not r.v_singular
-        ),
+        "abs_delta_h_plus_lambda_peak": None if h_peak is None else abs(h_peak.delta_h_plus_lambda),
+        "abs_delta_v_plus_lambda_peak": None if v_peak is None else abs(v_peak.delta_v_plus_lambda),
         "resonance": None,
-        "oracle": _oracle_spot_check(scenario, spec, rows),
+        "oracle": _oracle_spot_check(scenario, spec, h_peak),
         "csv": str(csv_path) if csv_path is not None else None,
     }
-    window = resonance_window
-    if window is None and spec.variable == "theta":
-        window = (spec.lo, spec.hi)
     if window is not None:
-        result = find_resonance(scenario, window)
-        summary["resonance"] = {
-            "theta_star": result.theta_star,
-            "ratio_em_peak": _finite_or_none(result.ratio_em_peak),
-            "boundary": result.boundary,
-        }
+        found = find_resonance(scenario, window)
+        ratio = _finite_or_none(found.ratio_em_peak)
+        summary["resonance"] = {**asdict(found), "ratio_em_peak": ratio}
     return summary
 
 
@@ -190,68 +171,71 @@ def _parse_window(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+class _Refusal(Exception):
+    """A run refused before it starts; its args are the `config error:` lines."""
 
+
+def _plan(args: argparse.Namespace) -> tuple:
+    """Every check that can refuse the run, in the order its messages are
+    printed.  Returns the scenario, sweep spec, preset name, resonance window
+    and the CSV and JSON paths (None: not written); raises _Refusal."""
     # the preset is built once here: the document holds every value and no known `preset`
     preset_name = args.preset
-    try:
-        if args.config is None:
-            doc = config_from_scenario(*preset(args.preset))
-        else:
-            doc = load_config_file(args.config)
-            if isinstance(doc, dict):  # validate_config reports any other root
-                preset_name, doc = doc.get("preset"), merged_config(doc)
-    except JSONDecodeError as exc:
-        print(
-            f"config error: {args.config}: line {exc.lineno} column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
+    if args.config is None:
+        doc = config_from_scenario(*preset(args.preset))
+    else:
+        try:
+            with open(args.config, "r", encoding="utf-8") as handle:
+                doc = json.load(handle)
+        except JSONDecodeError as exc:
+            raise _Refusal(f"{args.config}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+        except RecursionError:
+            raise _Refusal(f"{args.config}: nested too deeply to parse")
+        except (OSError, ValueError) as exc:
+            raise _Refusal(str(exc))
+        if isinstance(doc, dict):  # validate_config reports any other root
+            preset_name, doc = doc.get("preset"), merged_config(doc)
     problems = validate_config(doc)
     if problems:
-        for problem in problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return 2
-
-    try:
-        window = _parse_window(args.find_resonance) if args.find_resonance else None
-    except ValueError as exc:
-        print(f"config error: --find-resonance: {exc}", file=sys.stderr)
-        return 2
-    if window is not None and args.fmt == "csv":
-        print("config error: --find-resonance needs the JSON summary (--format json or both)",
-              file=sys.stderr)
-        return 2
-
+        raise _Refusal(*problems)
     scenario, spec = scenario_from_config(doc)
+
+    # a theta sweep searches its own range unless --find-resonance names a window
+    window = (spec.lo, spec.hi) if spec.variable == "theta" else None
+    if args.find_resonance:
+        try:
+            window = _parse_window(args.find_resonance)
+        except ValueError as exc:
+            raise _Refusal(f"--find-resonance: {exc}")
+        if args.fmt == "csv":
+            raise _Refusal("--find-resonance needs the JSON summary (--format json or both)")
     if args.lambda_um is not None:
         if not (math.isfinite(args.lambda_um) and args.lambda_um > 0):
-            print("config error: --lambda-um must be finite and > 0", file=sys.stderr)
-            return 2
+            raise _Refusal("--lambda-um must be finite and > 0")
         scenario = replace(scenario, lambda_um=args.lambda_um)
 
     out = Path(args.out) if args.out else Path(f"{preset_name or 'sweep'}.csv")
-    csv_path = out if args.fmt in ("csv", "both") else None
-    if args.fmt == "json":
-        json_path = out
-    else:
-        json_path = out.with_suffix(".json") if args.fmt == "both" else None
+    if not out.name:
+        raise _Refusal(f"output {out} names no file")
+    csv_path = None if args.fmt == "json" else out
+    json_path = {"csv": None, "json": out, "both": out.with_suffix(".json")}[args.fmt]
+    # realpath, unlike Path.resolve, returns on a symlink loop; writing there then fails
+    real = os.path.realpath
+    for path in (csv_path, json_path) if args.config is not None else ():
+        if path is not None and real(path) == real(args.config):
+            raise _Refusal(f"output {path} is the input config")
+    if args.fmt == "both" and real(csv_path) == real(json_path):
+        raise _Refusal(f"output {csv_path} would hold both the CSV and the JSON summary")
+    return scenario, spec, preset_name, window, csv_path, json_path
 
-    if args.config is not None:
-        config_path = Path(args.config).resolve()
-        for path in (csv_path, json_path):
-            if path is not None and path.resolve() == config_path:
-                print(f"config error: output {path} is the input config", file=sys.stderr)
-                return 2
-    if args.fmt == "both" and csv_path.resolve() == json_path.resolve():
-        print(f"config error: output {csv_path} would hold both the CSV and the JSON summary",
-              file=sys.stderr)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        scenario, spec, preset_name, window, csv_path, json_path = _plan(args)
+    except _Refusal as refusal:
+        for line in refusal.args:
+            print(f"config error: {line}", file=sys.stderr)
         return 2
 
     try:
@@ -261,11 +245,11 @@ def main(argv=None) -> int:
             print(f"wrote {csv_path} ({len(rows)} rows)")
         if json_path is not None:
             summary = _summary(scenario, spec, rows, preset_name, window, csv_path)
-            with open(json_path, "w", encoding="utf-8", newline="\n") as handle:
-                json.dump(summary, handle, indent=2, allow_nan=False)
-                handle.write("\n")
+            # encoded before the file is opened, so a failed encoding leaves no partial file
+            text = json.dumps(summary, indent=2, allow_nan=False) + "\n"
+            json_path.write_text(text, encoding="utf-8", newline="\n")
             print(f"wrote {json_path}")
-    except _NUMERICAL_ERRORS as exc:
+    except (SingularParameterError, DegenerateGeometryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

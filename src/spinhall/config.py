@@ -17,7 +17,6 @@ everything at once.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import MISSING, fields
 from numbers import Real
@@ -29,7 +28,6 @@ from .shifts import BeamSpec
 from .sweep import SWEEP_VARIABLES, Scenario, SweepSpec
 
 __all__ = [
-    "load_config_file",
     "merged_config",
     "validate_config",
     "scenario_from_config",
@@ -55,13 +53,6 @@ _SCHEMA = {
 _FROM_JSON = {"complex": lambda v: complex(v[0], v[1]), "int": int, "str": str,
               "dict": lambda v: {k: float(x) for k, x in v.items()}}
 _TO_JSON = {"complex": lambda v: [complex(v).real, complex(v).imag], "dict": dict}
-
-
-def load_config_file(path):
-    """Parse a JSON config file; json.JSONDecodeError carries line/column.
-    validate_config reports a root that is not an object."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
 
 
 def merged_config(doc: dict) -> dict:

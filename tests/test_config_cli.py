@@ -547,6 +547,46 @@ class TestOracleSpotCheck:
         assert "oracle" in summary and summary["oracle"] is None
 
 
+DEEP = "[" * 100_000 + "]" * 100_000  # nested past the parser's recursion limit
+MULTI = fig2(extra=1, qw={"gamma_bl": -1.0, "bogus": 1}, sweep={"samples": 1})
+
+# every kind of pre-run refusal: (files in the run directory, arguments, stderr);
+# a file value None makes a directory
+REFUSALS = [
+    ("malformed-json", {"bad.json": '{"qw": }'}, ["--config", "bad.json"],
+     "bad.json: line 1 column 8: Expecting value"),
+    ("missing-file", {}, ["--config", "nope.json"],
+     "[Errno 2] No such file or directory: 'nope.json'"),
+    ("directory-as-config", {"cfg": None}, ["--config", "cfg"], "[Errno 21] Is a directory: 'cfg'"),
+    ("validation-list", {"m.json": json.dumps(MULTI)}, ["--config", "m.json"],
+     "unknown top-level key 'extra'\nconfig error: unknown key qw.bogus\n"
+     "config error: qw.gamma_bl must be >= 0\nconfig error: sweep.samples must be an integer >= 2"),
+    ("deep-nesting", {"deep.json": DEEP}, ["--config", "deep.json"],
+     "deep.json: nested too deeply to parse"),
+    ("window-unparsable", {}, ["--preset", "fig5a", "--find-resonance", "0.9,x"],
+     "--find-resonance: could not convert string to float: 'x'"),
+    ("window-out-of-range", {}, ["--preset", "fig5a", "--find-resonance", "1.0,0.9"],
+     "--find-resonance: need 0 < LO < HI < pi/2, got '1.0,0.9'"),
+    ("window-with-csv", {}, ["--preset", "fig5a", "--format", "csv", "--find-resonance", "0.9,1"],
+     "--find-resonance needs the JSON summary (--format json or both)"),
+    ("bad-lambda", {}, ["--preset", "fig5a", "--lambda-um", "-1"],
+     "--lambda-um must be finite and > 0"),
+    ("output-onto-config", {"run.json": '{"preset": "fig5a"}'},
+     ["--config", "run.json", "--out", "run.json", "--format", "json"],
+     "output run.json is the input config"),
+    ("csv-and-json-onto-one-file", {}, ["--preset", "fig5a", "--out", "clash.json"],
+     "output clash.json would hold both the CSV and the JSON summary"),
+    ("out-names-no-file", {}, ["--preset", "fig5a", "--out", "."], "output . names no file"),
+    ("out-is-the-root", {}, ["--preset", "fig5a", "--out", "/"], "output / names no file"),
+    ("out-names-no-file-csv", {}, ["--preset", "fig5a", "--out", ".", "--format", "csv"],
+     "output . names no file"),
+]
+
+
+def snapshot(root):
+    return {p.name: p.read_bytes() if p.is_file() else None for p in root.iterdir()}
+
+
 class TestCliFailures:
     def test_malformed_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -680,6 +720,50 @@ class TestCliFailures:
         assert main(["--preset", "fig5a", "--out", "l.csv", "--lambda-um", value]) == 2
         assert "config error: --lambda-um" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("files, args, message", [row[1:] for row in REFUSALS],
+                             ids=[row[0] for row in REFUSALS])
+    def test_refusal_table(self, tmp_path, monkeypatch, capsys, files, args, message):
+        # each refusal is made before the sweep: config error lines only, nothing written
+        for name, text in files.items():
+            if text is None:
+                (tmp_path / name).mkdir()
+            else:
+                (tmp_path / name).write_text(text)
+        before = snapshot(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(args) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("doc", [fig2(qw={"omega_c": 1e200}, sweep={"samples": 11}),
+                                     {"preset": "fig5a", "qw": {"beta": 1e308}}],
+                             ids=["nan", "-inf"])
+    def test_non_finite_permittivity_is_null(self, tmp_path, monkeypatch, doc):
+        # a valid medium whose 1 + chi overflows: the summary still parses whole
+        (tmp_path / "run.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", "run.json", "--out", "out.csv"]) == 0
+        assert json.loads((tmp_path / "out.json").read_text())["effective_epsilon2"] is None
+
+    def test_a_summary_that_cannot_be_encoded_leaves_no_file(self, tmp_path, monkeypatch):
+        import spinhall.cli
+
+        monkeypatch.setattr(spinhall.cli, "_summary", lambda *args: {"value": math.nan})
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            main(["--preset", "fig5a", "--out", "out.csv"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+    def test_output_on_a_symlink_loop_exits_2(self, tmp_path, monkeypatch, capsys):
+        # a symlink loop passes the path checks; opening it then fails the write
+        (tmp_path / "loop.csv").symlink_to("loop.csv")
+        monkeypatch.chdir(tmp_path)
+        assert main(["--preset", "fig5a", "--out", "loop.csv"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: cannot write output: [Errno ")
+        assert err.endswith(": 'loop.csv'\n") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["loop.csv"]
 
     def test_in_process_main_matches_subprocess_contract(self, tmp_path):
         code = main(["--preset", "fig5b", "--out", str(tmp_path / "m.csv")])
