@@ -155,9 +155,13 @@ def _summary(
         "csv": str(csv_path) if csv_path is not None else None,
     }
     if window is not None:
-        found = find_resonance(scenario, window)
-        ratio = _finite_or_none(found.ratio_em_peak)
-        summary["resonance"] = {**asdict(found), "ratio_em_peak": ratio}
+        try:
+            found = asdict(find_resonance(scenario, window))
+            summary["resonance"] = {**found, "ratio_em_peak": _finite_or_none(found["ratio_em_peak"])}
+        except SingularParameterError:  # a numerical failure of the medium: exit 3
+            raise
+        except ValueError as exc:  # no angle of the window has a ratio
+            summary["resonance"] = {"declined": str(exc)}
     return summary
 
 

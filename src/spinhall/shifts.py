@@ -21,13 +21,13 @@ coefficients held fixed the in-plane axis k_x is separable and integrates out
 exactly (Parseval along x).  Each circular component's spectrum is then
 b(k_y)*(a + c*k_y), so its DFT is a*B0 + c*B1 with B0, B1 the DFTs of b and
 k_y*b, and both centroid sums are quadratic forms in (a, c) over six per-beam
-sums.  Those come from one batched FFT per BeamSpec value, memoized; a point
-then costs one `reflection_pair` (~0.01 ms in Python complex arithmetic) plus
-scalar arithmetic: a warm fig2 point ~0.02-0.03 ms, against ~0.3 ms for one
-1D FFT per circular component.  Space-domain
-fields use the plane-wave phase convention exp(i(w*t - k.r)), i.e.
-spectrum-to-space is a forward DFT; this is what ties the sigma+ label to the
-minus sign above.
+sums.  Those come from one batched FFT per BeamSpec value, memoized and
+fetched once per point; a point then costs one `reflection_pair` in Python
+complex arithmetic (~4.5 us) plus ~2 us of scalar arithmetic: a warm fig2
+point ~7 us (2-vCPU guest, Python 3.11), against ~0.3 ms for one 1D FFT per
+circular component.  Space-domain fields use the plane-wave phase convention
+exp(i(w*t - k.r)), i.e. spectrum-to-space is a forward DFT; this is what ties
+the sigma+ label to the minus sign above.
 """
 
 from __future__ import annotations
@@ -145,13 +145,7 @@ def transverse_shifts(pair: ReflectionPair, lambda_um: float, theta_rad: float) 
     if np.ndim(delta_h) == 0:
         delta_h, delta_v = float(delta_h), float(delta_v)
         h_singular, v_singular = bool(h_singular), bool(v_singular)
-    return ShiftResult(
-        delta_h_plus=delta_h,
-        delta_v_plus=delta_v,
-        lambda_um=lambda_um,
-        h_singular=h_singular,
-        v_singular=v_singular,
-    )
+    return ShiftResult(delta_h, delta_v, lambda_um, h_singular, v_singular)
 
 
 def gaussian_spectrum(beam: BeamSpec, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
@@ -176,19 +170,20 @@ def _beam_moments(beam: BeamSpec) -> tuple[tuple[complex, ...], tuple[complex, .
     return tuple(map(complex, products.sum(axis=1))), tuple(map(complex, products @ y))
 
 
-def _sigma_plus(pair: ReflectionPair, kin: Kinematics, polarization: str) -> tuple[complex, complex]:
-    """(a, c) of the sigma+ spectrum b(ky)*(a + c*ky), up to a common factor;
-    sigma- is (a, -c)."""
+def _sigma_plus(pair: ReflectionPair, kin: Kinematics) -> tuple[tuple[complex, complex], ...]:
+    """(a, c) of the sigma+ spectrum b(ky)*(a + c*ky), up to a common factor,
+    for h input and for v input; sigma- is (a, -c)."""
     g = complex((1.0 / math.tan(kin.theta_rad)) * (pair.r_m + pair.r_e) / kin.k)
-    if polarization == "h":
-        return complex(pair.r_m), -1j * g
-    return 1j * complex(pair.r_e), g
+    return (complex(pair.r_m), -1j * g), (1j * complex(pair.r_e), g)
 
 
-def _centroid(a: complex, c: complex, beam: BeamSpec, lambda_um: float) -> float:
-    """y-centroid, in lambda, of |DFT[b*(a + c*ky)]|^2 = |a*B0 + c*B1|^2."""
-    weights = (abs(a) ** 2, abs(c) ** 2, 2.0 * a * c.conjugate())
-    total, moment = (sum(w * s for w, s in zip(weights, sums)).real for sums in _beam_moments(beam))
+def _centroid(a: complex, c: complex, moments, lambda_um: float) -> float:
+    """y-centroid, in lambda, of |DFT[b*(a + c*ky)]|^2 = |a*B0 + c*B1|^2,
+    from the `_beam_moments` of the beam."""
+    w0, w1, w2 = abs(a) ** 2, abs(c) ** 2, 2.0 * a * c.conjugate()
+    (s0, s1, s2), (y0, y1, y2) = moments
+    total = (w0 * s0 + w1 * s1 + w2 * s2).real
+    moment = (w0 * y0 + w1 * y1 + w2 * y2).real
     return math.nan if total == 0.0 else moment / total / lambda_um
 
 
@@ -208,8 +203,10 @@ def circular_centroids(
     """
     if polarization not in ("h", "v"):
         raise ValueError(f"polarization must be 'h' or 'v', got {polarization!r}")
-    a, c = _sigma_plus(pair, kin, polarization)
-    return _centroid(a, c, beam, kin.lambda_um), _centroid(a, -c, beam, kin.lambda_um)
+    h, v = _sigma_plus(pair, kin)
+    a, c = h if polarization == "h" else v
+    moments = _beam_moments(beam)
+    return _centroid(a, c, moments, kin.lambda_um), _centroid(a, -c, moments, kin.lambda_um)
 
 
 def centroid_shift_oracle(
@@ -228,8 +225,8 @@ def centroid_shift_oracle(
             f"({100.0 * kin.lambda_um:.6g} um) for the first-order expansion"
         )
     pair = reflection_pair(stack, kin)
-    h_singular = abs(pair.r_m) < SINGULAR_REFLECTION
-    v_singular = abs(pair.r_e) < SINGULAR_REFLECTION
-    delta_h = None if h_singular else _centroid(*_sigma_plus(pair, kin, "h"), beam, kin.lambda_um)
-    delta_v = None if v_singular else _centroid(*_sigma_plus(pair, kin, "v"), beam, kin.lambda_um)
+    moments = _beam_moments(beam)
+    h, v = _sigma_plus(pair, kin)
+    delta_h = None if abs(pair.r_m) < SINGULAR_REFLECTION else _centroid(*h, moments, kin.lambda_um)
+    delta_v = None if abs(pair.r_e) < SINGULAR_REFLECTION else _centroid(*v, moments, kin.lambda_um)
     return delta_h, delta_v

@@ -150,21 +150,18 @@ def _point_entries(epsilon: complex, thickness_um: float, k: float, k_z: float):
     return (c, m12, m21, c), (c, epsilon * m12, 1 / epsilon * m21, c)
 
 
-def _step(row, m):
-    """The row vector (w1, w2) times the layer matrix m = (c, m12, m21, c)."""
-    (w1, w2), (c, m12, m21, _) = row, m
-    return w1 * c + w2 * m21, w1 * m12 + w2 * c
-
-
 def _stack_fractions(layers, k: float, k_z, q0, entries=_layer_entries):
     """TE and TM (numerator, denominator) of the reflection coefficient of
-    (epsilon, thickness_um) layers: the row vector (-q0, 1) propagated
-    through the layer matrices from `entries` in stack order."""
-    te = tm = (-q0, 1.0)
+    (epsilon, thickness_um) layers: the rows (te1, te2) and (tm1, tm2), both
+    starting at (-q0, 1), times the layer matrices from `entries` in stack
+    order; TE and TM share the diagonal c = cos(kx d)."""
+    te1 = tm1 = -q0
+    te2 = tm2 = 1.0
     for epsilon, thickness_um in layers:
-        layer_te, layer_tm = entries(epsilon, thickness_um, k, k_z)
-        te, tm = _step(te, layer_te), _step(tm, layer_tm)
-    return [(w1 + q0 * w2, q0 * w2 - w1) for w1, w2 in (te, tm)]
+        (c, e12, e21, _), (_, m12, m21, _) = entries(epsilon, thickness_um, k, k_z)
+        te1, te2 = te1 * c + te2 * e21, te1 * e12 + te2 * c
+        tm1, tm2 = tm1 * c + tm2 * m21, tm1 * m12 + tm2 * c
+    return (te1 + q0 * te2, q0 * te2 - te1), (tm1 + q0 * tm2, q0 * tm2 - tm1)
 
 
 def reflection_arrays(layers, lambda_um: float, theta) -> tuple[np.ndarray, np.ndarray]:
@@ -229,5 +226,5 @@ def reflection_pair(stack: Stack, kin: Kinematics) -> ReflectionPair:
     """
     layers = [(complex(layer.epsilon), layer.thickness_um) for layer in stack.layers]
     q0 = kin.q0
-    fractions = _stack_fractions(layers, kin.k, kin.k_z, q0, _point_entries)
-    return ReflectionPair(*(_checked(n, d, q0) for n, d in fractions))
+    (te_n, te_d), (tm_n, tm_d) = _stack_fractions(layers, kin.k, kin.k_z, q0, _point_entries)
+    return ReflectionPair(_checked(te_n, te_d, q0), _checked(tm_n, tm_d, q0))

@@ -98,15 +98,12 @@ class SweepSpec:
         unknown = set(self.fixed) - {"theta"}
         if unknown:
             raise ValueError(f"unknown fixed keys: {sorted(unknown)}")
-        if self.variable == "theta":
-            if not (0.0 < self.lo and self.hi < math.pi / 2):
-                raise ValueError("theta must lie in (0, pi/2)")
-        else:
-            theta = self.fixed.get("theta")
-            if theta is None:
-                raise ValueError(f"a {self.variable} sweep needs fixed['theta']")
-            if not 0.0 < theta < math.pi / 2:
-                raise ValueError("theta must lie in (0, pi/2)")
+        if self.variable != "theta" and self.fixed.get("theta") is None:
+            raise ValueError(f"a {self.variable} sweep needs fixed['theta']")
+        # the angles of the rows: the swept range, or the one fixed angle
+        lo, hi = (self.lo, self.hi) if self.variable == "theta" else (self.fixed["theta"],) * 2
+        if not (0.0 < lo and hi < math.pi / 2):
+            raise ValueError("theta must lie in (0, pi/2)")
 
 
 class SweepRow(NamedTuple):
@@ -241,7 +238,8 @@ def find_resonance(
     keeps the neighbours of that batch's maximum, until the bracket is at
     most tol_rad wide (0 refines to the spacing of doubles).  If the coarse
     maximum sits on the window edge the boundary flag is set and no
-    refinement is attempted.
+    refinement is attempted.  A window where the coarse scan defines no
+    ratio at all raises ValueError.
     """
     lo, hi = float(theta_window[0]), float(theta_window[1])
     if not (0.0 < lo < hi < math.pi / 2):
@@ -252,6 +250,8 @@ def find_resonance(
     thetas = np.linspace(lo, hi, _COARSE_POINTS)
     values = _ratio_em(scenario, chi, thetas)
     i_best = int(np.argmax(values))
+    if values[i_best] == -math.inf:
+        raise ValueError(f"no |r_e|/|r_m| ratio is defined in the theta window ({lo!r}, {hi!r})")
     coarse_theta, coarse_peak = float(thetas[i_best]), float(values[i_best])
     if i_best == 0 or i_best == len(thetas) - 1:
         return ResonanceResult(theta_star=coarse_theta, ratio_em_peak=coarse_peak, boundary=True)

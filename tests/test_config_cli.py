@@ -435,6 +435,18 @@ class TestSummaryMedium:
         assert abs(resonance["theta_star"] - theta_argmax) <= step
 
 
+    def test_a_window_without_a_ratio_declines_the_resonance(self, tmp_path, monkeypatch):
+        # every row is a NaN error row, so the summary names no resonance angle
+        (tmp_path / "run.json").write_text(json.dumps(fig2(qw={"omega_c": 1e200}, sweep={"samples": 11})))
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", "run.json", "--out", "out.csv"]) == 0
+        _, spec = preset("fig2")
+        assert json.loads((tmp_path / "out.json").read_text())["resonance"] == {
+            "declined": f"no |r_e|/|r_m| ratio is defined in the theta window ({spec.lo!r}, {spec.hi!r})"
+        }
+        rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
+        assert len(rows) == 11 and all(row.endswith(",hve") for row in rows)
+
     def test_a_medium_value_in_sweep_fixed_is_refused(self, tmp_path, monkeypatch, capsys):
         # the old override form: the medium goes in qw, sweep.fixed holds only theta
         doc = fig2(sweep={**THETA_SWEEP, "fixed": {"omega_c": 6.0}})

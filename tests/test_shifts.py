@@ -408,3 +408,103 @@ class TestMomentCentroid:
             oracle = centroid_shift_oracle(base_stack(), Kinematics(LAMBDA, float(theta)), beam)
             assert None not in oracle
         assert calls == {"reflection_pair": 8, "fft": 1}
+
+
+def sigma_plus_reference(pair, kin, polarization):
+    """(a, c) of one polarization, the coupling built for that polarization
+    alone; kept next to the oracle to pin its outputs bit for bit."""
+    g = complex((1.0 / math.tan(kin.theta_rad)) * (pair.r_m + pair.r_e) / kin.k)
+    if polarization == "h":
+        return complex(pair.r_m), -1j * g
+    return 1j * complex(pair.r_e), g
+
+
+def centroid_reference(a, c, beam, lambda_um):
+    """The centroid as two generator sums, each fetching the beam moments."""
+    weights = (abs(a) ** 2, abs(c) ** 2, 2.0 * a * c.conjugate())
+    total, moment = (sum(w * s for w, s in zip(weights, sums)).real for sums in _beam_moments(beam))
+    return math.nan if total == 0.0 else moment / total / lambda_um
+
+
+def circular_reference(pair, kin, beam, polarization):
+    a, c = sigma_plus_reference(pair, kin, polarization)
+    return centroid_reference(a, c, beam, kin.lambda_um), centroid_reference(a, -c, beam, kin.lambda_um)
+
+
+def oracle_reference(stack, kin, beam):
+    pair = reflection_pair(stack, kin)
+    delta_h = delta_v = None
+    if abs(pair.r_m) >= SINGULAR_REFLECTION:
+        delta_h = centroid_reference(*sigma_plus_reference(pair, kin, "h"), beam, kin.lambda_um)
+    if abs(pair.r_e) >= SINGULAR_REFLECTION:
+        delta_v = centroid_reference(*sigma_plus_reference(pair, kin, "v"), beam, kin.lambda_um)
+    return delta_h, delta_v
+
+
+def assert_bit_equal(got, want):
+    """Equal under ==, a NaN matching a NaN and None in the same slots."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None), (got, want)
+        assert g is None or g == w or (math.isnan(g) and math.isnan(w)), (got, want)
+
+
+def moment_grid(name):
+    """TestMomentCentroid's points: (stack, kin, beam) over four waists and
+    41 angles across the preset's range plus ten around its resonance."""
+    scenario, spec = preset(name)
+    lam = scenario.lambda_um
+    stack = build_stack(scenario, susceptibility(scenario.qw).chi)
+    theta_star = find_resonance(scenario, (spec.lo, spec.hi)).theta_star
+    thetas = [*np.linspace(spec.lo, spec.hi, 41), *(theta_star + d for d in RESONANCE_OFFSETS)]
+    for waist in (100, 500, 3000, 30000):
+        beam = BeamSpec(waist_um=waist * lam)
+        for theta in thetas:
+            yield stack, Kinematics(lam, float(theta)), beam
+
+
+class TestOnePassPoint:
+    """A point fetches the beam moments once and builds the cross-polarization
+    coupling once, with the outputs of the per-polarization form."""
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig6a", "fig6b"])
+    def test_outputs_equal_the_per_polarization_form(self, name):
+        for stack, kin, beam in moment_grid(name):
+            assert_bit_equal(centroid_shift_oracle(stack, kin, beam), oracle_reference(stack, kin, beam))
+            pair = reflection_pair(stack, kin)
+            for polarization in ("h", "v"):
+                assert_bit_equal(circular_centroids(pair, kin, beam, polarization),
+                                 circular_reference(pair, kin, beam, polarization))
+
+    def test_zero_field_matches_as_nan(self):
+        kin = Kinematics(LAMBDA, 0.8)
+        beam = BeamSpec(waist_um=500 * LAMBDA)
+        for polarization in ("h", "v"):
+            got = circular_centroids(ReflectionPair(0j, 0j), kin, beam, polarization)
+            assert all(math.isnan(c) for c in got)
+            assert_bit_equal(got, circular_reference(ReflectionPair(0j, 0j), kin, beam, polarization))
+
+    def test_one_moment_lookup_and_one_reflection_pair_per_point(self, monkeypatch):
+        pairs = []
+
+        def counted(*args):
+            pairs.append(args)
+            return reflection_pair(*args)
+
+        def lookups():
+            info = _beam_moments.cache_info()
+            return info.hits + info.misses
+
+        monkeypatch.setattr(spinhall.shifts, "reflection_pair", counted)
+        beam = BeamSpec(waist_um=800 * LAMBDA)
+        thetas = np.linspace(0.3, 1.3, 7)
+        for theta in thetas:
+            kin = Kinematics(LAMBDA, float(theta))
+            before = lookups()
+            assert None not in centroid_shift_oracle(base_stack(), kin, beam)
+            assert lookups() == before + 1
+            for polarization in ("h", "v"):
+                before = lookups()
+                circular_centroids(reflection_pair(base_stack(), kin), kin, beam, polarization)
+                assert lookups() == before + 1
+        assert len(pairs) == len(thetas)

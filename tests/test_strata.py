@@ -20,7 +20,7 @@ from spinhall.strata import (
 )
 from spinhall.presets import PRESET_NAMES, preset
 from spinhall.qw_medium import susceptibility
-from spinhall.sweep import build_stack, find_resonance, sweep_point
+from spinhall.sweep import _layers, build_stack, find_resonance, sweep_point
 
 # the reference slab: eps=2.22, d=0.2 um at lambda=1.85 um, theta=0.98 rad
 REF_LAYER = Layer(epsilon=2.22, thickness_um=0.2)
@@ -459,3 +459,41 @@ class TestValidation:
             Kinematics(1.85, math.pi / 2)
         with pytest.raises(ValueError, match="lambda"):
             Kinematics(0.0, 0.5)
+
+
+def stack_fractions_reference(layers, k, k_z, q0, entries):
+    """`strata._stack_fractions` with the row step as a function of its own:
+    the same products and sums in the same order."""
+
+    def step(row, m):
+        (w1, w2), (c, m12, m21, _) = row, m
+        return w1 * c + w2 * m21, w1 * m12 + w2 * c
+
+    te = tm = (-q0, 1.0)
+    for epsilon, thickness_um in layers:
+        layer_te, layer_tm = entries(epsilon, thickness_um, k, k_z)
+        te, tm = step(te, layer_te), step(tm, layer_tm)
+    return [(w1 + q0 * w2, q0 * w2 - w1) for w1, w2 in (te, tm)]
+
+
+class TestRowLoop:
+    """Both kernels' row loop equals the step-by-step reference bit for bit."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_both_kernels_equal_the_reference(self, name):
+        scenario, _ = preset(name)
+        chi = susceptibility(scenario.qw).chi
+        layers = [(complex(e), d) for e, d in _layers(scenario, chi)]
+        k = 2.0 * math.pi / scenario.lambda_um
+        thetas = np.linspace(0.05, 1.5, 400)
+        with np.errstate(all="ignore"):
+            got = strata._stack_fractions(layers, k, k * np.sin(thetas), np.cos(thetas))
+            want = stack_fractions_reference(layers, k, k * np.sin(thetas), np.cos(thetas),
+                                             strata._layer_entries)
+        for g, w in zip(got, want):
+            for g_part, w_part in zip(g, w):
+                np.testing.assert_array_equal(g_part, w_part)
+        for theta in thetas[::8]:
+            kin = Kinematics(scenario.lambda_um, float(theta))
+            args = (layers, kin.k, kin.k_z, kin.q0, strata._point_entries)
+            assert list(strata._stack_fractions(*args)) == stack_fractions_reference(*args)

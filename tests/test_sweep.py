@@ -264,6 +264,14 @@ class TestFindResonance:
         assert result.boundary
         assert result.theta_star == 0.8
 
+    def test_a_window_without_a_ratio_is_refused(self):
+        # a control field whose square overflows makes chi NaN, so no angle
+        # of the window has a ratio and there is no peak to name
+        scenario = base_scenario(qw=base_qw(omega_c=1e200))
+        with pytest.raises(ValueError, match=r"no \|r_e\|/\|r_m\| ratio .* \(0\.9, 1\.05\)") as info:
+            find_resonance(scenario, (0.9, 1.05))
+        assert type(info.value) is ValueError  # not a numerical failure of the run
+
     def test_window_domain_checked(self):
         with pytest.raises(ValueError, match="window"):
             find_resonance(base_scenario(), (0.0, 1.0))
