@@ -130,10 +130,8 @@ def _summary(
     window: tuple[float, float] | None,
     csv_path: Path | None,
 ) -> dict:
-    try:
-        eps2 = permittivity(susceptibility(scenario.qw).chi)
-    except SingularParameterError:  # an omega_c or delta sweep's rows replace that value
-        eps2 = math.nan
+    # an omega_c or delta sweep's rows replace qw's value, so no one permittivity is theirs
+    eps2 = permittivity(susceptibility(scenario.qw).chi) if spec.variable == "theta" else math.nan
     # the peak rows among the trustworthy ones only; singular-flagged ratios
     # are noise-floor artifacts
     h_peak = max((r for r in rows if not r.h_singular and math.isfinite(r.delta_h_plus_lambda)),

@@ -12,27 +12,27 @@ exact negatives.  Only the magnitude ratio and the phase difference of the two
 reflection coefficients enter, so giant shifts appear wherever one
 polarization is nearly extinguished (the ratio blows up).
 
-`centroid_shift_oracle` checks these formulas independently: it builds a
-Gaussian angular spectrum, applies the first-order reflection matrix with the
-cross-polarization coupling k_y*cot(theta)*(r_m+r_e)/k0 (coefficients held at
-their central-angle values), splits the result into circular components and
-measures the intensity centroid on the real-space grid.  With the
-coefficients held fixed the in-plane axis k_x is separable and integrates out
-exactly (Parseval along x).  Each circular component's spectrum is then
-b(k_y)*(a + c*k_y), so its DFT is a*B0 + c*B1 with B0, B1 the DFTs of b and
-k_y*b, and both centroid sums are quadratic forms in (a, c) over six per-beam
-sums.  Those come from one batched FFT per BeamSpec value, memoized and
-fetched once per point; a point then costs one `reflection_pair` in Python
-complex arithmetic (~4.5 us) plus ~2 us of scalar arithmetic: a warm fig2
-point ~7 us (2-vCPU guest, Python 3.11), against ~0.3 ms for one 1D FFT per
-circular component.  Space-domain fields use the plane-wave phase convention
-exp(i(w*t - k.r)), i.e. spectrum-to-space is a forward DFT; this is what ties
-the sigma+ label to the minus sign above.
+`centroid_shift_oracle` is the intensity-centroid shift of a Gaussian beam of
+waist w0: the first-order reflection matrix, with the cross-polarization
+coupling k_y*cot(theta)*(r_m+r_e)/k0 and the coefficients held at their
+central-angle values, applied to the beam's angular spectrum and split into
+circular components.  The in-plane axis k_x then integrates out, and each
+circular component's spectrum is b(k_y)*(a + c*k_y) with b the Gaussian
+envelope.  Its intensity and y-moment are Gaussian moments in closed form,
+<k_y^2> = 1/w0^2 and a y-moment of i/2 for the a-c cross term, so
+
+    delta = -Im(a*conj(c)) / (|a|^2 + |c|^2/w0^2) / lambda
+
+which is the closed form above times k^2 w0^2 / (k^2 w0^2 + |X|^2), with
+X = (1 + r_e/r_m)*cot(theta) for h input (e and m swapped for v): the
+fixed-coefficient limit of the finite-beam shift of Luo et al., PRA 84,
+043806 (2011).  A point costs one `reflection_pair` plus scalar arithmetic.
+Space-domain fields use the plane-wave phase convention exp(i(w*t - k.r)),
+which is what ties the sigma+ label to the minus sign above.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -46,7 +46,6 @@ __all__ = [
     "ShiftResult",
     "ResolutionError",
     "transverse_shifts",
-    "gaussian_spectrum",
     "circular_centroids",
     "centroid_shift_oracle",
     "SINGULAR_REFLECTION",
@@ -64,19 +63,15 @@ class ResolutionError(ValueError):
 
 @dataclass(frozen=True)
 class BeamSpec:
-    """Gaussian beam waist for the centroid oracle, which fixes the oracle's
-    wavevector grid: grid_samples points per axis over |k| <= 8/waist (1/um)."""
+    """Waist (1/e field radius, um) of the Gaussian beam whose centroid shift
+    `centroid_shift_oracle` computes."""
 
     waist_um: float
-    grid_samples: ClassVar[int] = 512
+    grid_samples: ClassVar[int] = 512  # read by the benchmark's oracle trace; the oracle has no grid
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.waist_um) and self.waist_um > 0.0):
             raise ValueError(f"waist_um must be positive, got {self.waist_um!r}")
-
-    @property
-    def half_extent(self) -> float:
-        return 8.0 / self.waist_um
 
 
 @dataclass(frozen=True)
@@ -148,28 +143,6 @@ def transverse_shifts(pair: ReflectionPair, lambda_um: float, theta_rad: float) 
     return ShiftResult(delta_h, delta_v, lambda_um, h_singular, v_singular)
 
 
-def gaussian_spectrum(beam: BeamSpec, kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
-    """Angular spectrum (w0/sqrt(2pi)) * exp(-w0^2 (kx^2+ky^2)/4); its squared
-    magnitude integrates to 1 independent of the waist."""
-    w0 = beam.waist_um
-    return (w0 / math.sqrt(2.0 * math.pi)) * np.exp(-(w0 * w0) * (kx * kx + ky * ky) / 4.0)
-
-
-@functools.lru_cache(maxsize=64)
-def _beam_moments(beam: BeamSpec) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
-    """(sum |B0|^2, sum |B1|^2, sum B0*conj(B1)), plain and weighted by y (um),
-    B0 and B1 the forward DFTs of the envelope b(ky) and of ky*b(ky).  They
-    depend only on the beam, so every point with an equal BeamSpec shares them."""
-    n = beam.grid_samples
-    dk = 2.0 * beam.half_extent / n
-    ky = -beam.half_extent + dk * np.arange(n)
-    envelope = gaussian_spectrum(beam, 0.0, ky)
-    b0, b1 = np.fft.fft(np.stack((envelope, ky * envelope)))  # exp(-i k.r) convention
-    products = np.stack((np.abs(b0) ** 2, np.abs(b1) ** 2, b0 * b1.conj()))
-    y = np.fft.fftfreq(n, d=dk / (2.0 * math.pi))
-    return tuple(map(complex, products.sum(axis=1))), tuple(map(complex, products @ y))
-
-
 def _sigma_plus(pair: ReflectionPair, kin: Kinematics) -> tuple[tuple[complex, complex], ...]:
     """(a, c) of the sigma+ spectrum b(ky)*(a + c*ky), up to a common factor,
     for h input and for v input; sigma- is (a, -c)."""
@@ -177,14 +150,11 @@ def _sigma_plus(pair: ReflectionPair, kin: Kinematics) -> tuple[tuple[complex, c
     return (complex(pair.r_m), -1j * g), (1j * complex(pair.r_e), g)
 
 
-def _centroid(a: complex, c: complex, moments, lambda_um: float) -> float:
-    """y-centroid, in lambda, of |DFT[b*(a + c*ky)]|^2 = |a*B0 + c*B1|^2,
-    from the `_beam_moments` of the beam."""
-    w0, w1, w2 = abs(a) ** 2, abs(c) ** 2, 2.0 * a * c.conjugate()
-    (s0, s1, s2), (y0, y1, y2) = moments
-    total = (w0 * s0 + w1 * s1 + w2 * s2).real
-    moment = (w0 * y0 + w1 * y1 + w2 * y2).real
-    return math.nan if total == 0.0 else moment / total / lambda_um
+def _centroid(a: complex, c: complex, waist_um: float, lambda_um: float) -> float:
+    """y-centroid, in lambda, of the beam b(ky)*(a + c*ky) with b a Gaussian
+    of waist waist_um: -Im(a*conj(c)) over |a|^2 + |c|^2/w0^2."""
+    total = abs(a) ** 2 + abs(c) ** 2 / (waist_um * waist_um)
+    return math.nan if total == 0.0 else -(a * c.conjugate()).imag / total / lambda_um
 
 
 def circular_centroids(
@@ -196,23 +166,21 @@ def circular_centroids(
     """Transverse intensity centroids (sigma+, sigma-) in units of lambda.
 
     polarization is "h" or "v" and selects the incident linear state.  The
-    centroid is the first moment along y of |E|^2 summed over x, E the forward
-    2D DFT of the reflected spectrum a(kx)*b(ky)*(alpha + beta*ky).  k_x
-    integrates out (Parseval along x) and, the DFT along ky being linear, both
-    moments are quadratic forms in (alpha, beta) over per-beam sums.
+    centroid is the first moment along y of |E|^2 summed over x, E the real-space
+    field of the reflected spectrum a(kx)*b(ky)*(alpha + beta*ky); both moments
+    are Gaussian moments, quadratic in (alpha, beta).
     """
     if polarization not in ("h", "v"):
         raise ValueError(f"polarization must be 'h' or 'v', got {polarization!r}")
     h, v = _sigma_plus(pair, kin)
     a, c = h if polarization == "h" else v
-    moments = _beam_moments(beam)
-    return _centroid(a, c, moments, kin.lambda_um), _centroid(a, -c, moments, kin.lambda_um)
+    return _centroid(a, c, beam.waist_um, kin.lambda_um), _centroid(a, -c, beam.waist_um, kin.lambda_um)
 
 
 def centroid_shift_oracle(
     stack: Stack, kin: Kinematics, beam: BeamSpec
 ) -> tuple[float | None, float | None]:
-    """Numerical sigma+ centroid shifts (h input, v input) in lambda units.
+    """Sigma+ centroid shifts (h input, v input) of the Gaussian beam, in lambda units.
 
     Declines (returns None in the corresponding slot) wherever the ratio
     entering the matching closed form is singular.  The waist must be large
@@ -225,8 +193,7 @@ def centroid_shift_oracle(
             f"({100.0 * kin.lambda_um:.6g} um) for the first-order expansion"
         )
     pair = reflection_pair(stack, kin)
-    moments = _beam_moments(beam)
     h, v = _sigma_plus(pair, kin)
-    delta_h = None if abs(pair.r_m) < SINGULAR_REFLECTION else _centroid(*h, moments, kin.lambda_um)
-    delta_v = None if abs(pair.r_e) < SINGULAR_REFLECTION else _centroid(*v, moments, kin.lambda_um)
+    delta_h = None if abs(pair.r_m) < SINGULAR_REFLECTION else _centroid(*h, beam.waist_um, kin.lambda_um)
+    delta_v = None if abs(pair.r_e) < SINGULAR_REFLECTION else _centroid(*v, beam.waist_um, kin.lambda_um)
     return delta_h, delta_v

@@ -71,8 +71,7 @@ def test_public_surface_is_pinned():
         ("presets", "DEFAULT_LAMBDA_UM"), ("qw_medium", "DecayBundle"),
         ("strata", "ReflectionPair"), ("sweep", "ResonanceResult"), ("shifts", "ShiftResult"),
         ("qw_medium", "Susceptibility"), ("shifts", "circular_centroids"),
-        ("qw_medium", "derived_rates"), ("shifts", "gaussian_spectrum"),
-        ("qw_medium", "steady_state_coherences"),
+        ("qw_medium", "derived_rates"), ("qw_medium", "steady_state_coherences"),
     ]:
         assert hasattr(importlib.import_module(f"spinhall.{module}"), name)
         assert not hasattr(spinhall, name)
