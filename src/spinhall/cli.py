@@ -54,7 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--preset", choices=PRESET_NAMES, help="named figure scenario")
     source.add_argument("--config", metavar="PATH", help="JSON scenario file")
-    parser.add_argument("--out", metavar="PATH", help="CSV output path (default <preset>.csv)")
+    parser.add_argument("--out", metavar="PATH",
+                        help="CSV path, or the JSON path under --format json (default <preset>.csv/.json)")
     parser.add_argument(
         "--format", choices=("csv", "json", "both"), default="both", dest="fmt",
         help="which outputs to write (default both)",
@@ -216,7 +217,7 @@ def _plan(args: argparse.Namespace) -> tuple:
             raise _Refusal("--lambda-um must be finite and > 0")
         scenario = replace(scenario, lambda_um=args.lambda_um)
 
-    out = Path(args.out) if args.out else Path(f"{preset_name or 'sweep'}.csv")
+    out = Path(args.out or f"{preset_name or 'sweep'}.{'json' if args.fmt == 'json' else 'csv'}")
     if not out.name:
         raise _Refusal(f"output {out} names no file")
     csv_path = None if args.fmt == "json" else out

@@ -22,10 +22,11 @@ m21 = i kx sin(kx d)/k; the TM entries are eps and 1/eps times these.
 `reflection_arrays` evaluates a grid of angles (and layer permittivities)
 elementwise in one pass, with NaN at degenerate or overflowing points.
 `reflection_pair` evaluates one point in Python complex arithmetic (numpy's
-per-call overhead on 0-d values is several times the arithmetic) with the
-same formulas, branch rule, kx -> 0 limit and denominator floor; it raises
-DegenerateGeometryError or OverflowError where the grid gives NaN.  The
-layer terms multiply by 1/z rather than divide by a complex z: numpy's
+per-call cost on 0-d values dwarfs the arithmetic) with the same formulas,
+branch rule, kx -> 0 limit and denominator floor, in a row loop of its own
+that takes a layer equal to the first (a symmetric cavity's second wall) from
+the first's entries; it raises DegenerateGeometryError or OverflowError where
+the grid gives NaN.  Layer terms multiply by 1/z, not divide by z: numpy's
 reciprocal rounds as CPython's 1/z does, their divisions do not.
 
 Lengths in micrometers, angles in radians.
@@ -150,15 +151,29 @@ def _point_entries(epsilon: complex, thickness_um: float, k: float, k_z: float):
     return (c, m12, m21, c), (c, epsilon * m12, 1 / epsilon * m21, c)
 
 
-def _stack_fractions(layers, k: float, k_z, q0, entries=_layer_entries):
-    """TE and TM (numerator, denominator) of the reflection coefficient of
-    (epsilon, thickness_um) layers: the rows (te1, te2) and (tm1, tm2), both
-    starting at (-q0, 1), times the layer matrices from `entries` in stack
-    order; TE and TM share the diagonal c = cos(kx d)."""
+def _stack_fractions(layers, k: float, k_z, q0):
+    """TE and TM (numerator, denominator) of r for (epsilon, thickness_um)
+    layers over a grid: the rows (te1, te2) and (tm1, tm2), both from
+    (-q0, 1), times the layer matrices in stack order, sharing c = cos(kx d)."""
     te1 = tm1 = -q0
     te2 = tm2 = 1.0
     for epsilon, thickness_um in layers:
-        (c, e12, e21, _), (_, m12, m21, _) = entries(epsilon, thickness_um, k, k_z)
+        (c, e12, e21, _), (_, m12, m21, _) = _layer_entries(epsilon, thickness_um, k, k_z)
+        te1, te2 = te1 * c + te2 * e21, te1 * e12 + te2 * c
+        tm1, tm2 = tm1 * c + tm2 * m21, tm1 * m12 + tm2 * c
+    return (te1 + q0 * te2, q0 * te2 - te1), (tm1 + q0 * tm2, q0 * tm2 - tm1)
+
+
+def _point_fractions(layers, k: float, k_z, q0):
+    """`_stack_fractions` at one point over `Layer`s, operation for operation;
+    k_z and q0 may be complex.  A repeat of the first layer reuses its entries."""
+    first = layers[0]
+    wall = _point_entries(complex(first.epsilon), first.thickness_um, k, k_z)
+    te1, te2, tm1, tm2 = -q0, 1.0, -q0, 1.0
+    for layer in layers:
+        same = layer.epsilon == first.epsilon and layer.thickness_um == first.thickness_um
+        entries = wall if same else _point_entries(complex(layer.epsilon), layer.thickness_um, k, k_z)
+        (c, e12, e21, _), (_, m12, m21, _) = entries
         te1, te2 = te1 * c + te2 * e21, te1 * e12 + te2 * c
         tm1, tm2 = tm1 * c + tm2 * m21, tm1 * m12 + tm2 * c
     return (te1 + q0 * te2, q0 * te2 - te1), (tm1 + q0 * tm2, q0 * tm2 - tm1)
@@ -224,7 +239,6 @@ def reflection_pair(stack: Stack, kin: Kinematics) -> ReflectionPair:
     overflowing matrix entries, DegenerateGeometryError for a denominator
     under DENOMINATOR_FLOOR.
     """
-    layers = [(complex(layer.epsilon), layer.thickness_um) for layer in stack.layers]
-    q0 = kin.q0
-    (te_n, te_d), (tm_n, tm_d) = _stack_fractions(layers, kin.k, kin.k_z, q0, _point_entries)
+    k, q0 = kin.k, kin.q0
+    (te_n, te_d), (tm_n, tm_d) = _point_fractions(stack.layers, k, k * math.sin(kin.theta_rad), q0)
     return ReflectionPair(_checked(te_n, te_d, q0), _checked(tm_n, tm_d, q0))

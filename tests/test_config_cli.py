@@ -334,6 +334,23 @@ class TestCliRuns:
         assert summary["csv"] is None
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("args, written", [
+        (["--preset", "fig5a"], "fig5a.json"),
+        (["--config", "named.json"], "fig5a.json"),
+        (["--config", "bare.json"], "sweep.json"),
+    ], ids=["preset", "config-naming-a-preset", "config-without-preset"])
+    def test_json_only_without_out_writes_a_json_name(self, tmp_path, monkeypatch, args, written):
+        # with no --out the JSON document is <preset>.json (sweep.json for a
+        # config that names no preset), never a JSON document named .csv
+        doc = config_from_scenario(*preset("fig5a"))
+        doc["sweep"]["samples"] = 11
+        (tmp_path / "bare.json").write_text(json.dumps(doc))
+        (tmp_path / "named.json").write_text(json.dumps({"preset": "fig5a", "sweep": {"samples": 11}}))
+        monkeypatch.chdir(tmp_path)
+        assert main([*args, "--format", "json"]) == 0
+        assert json.loads((tmp_path / written).read_text())["csv"] is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"bare.json", "named.json", written})
+
     def test_explicit_resonance_window(self, tmp_path):
         result = run_cli(
             ["--preset", "fig5a", "--out", "r.csv", "--find-resonance", "0.9,1.05"], tmp_path

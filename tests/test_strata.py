@@ -266,11 +266,12 @@ class TestReflection:
         r_e, r_m = reflection_arrays([(-4.0 + 0.1j, 80.0)], 0.5, np.array([0.3, 1.0]))
         assert np.all(np.isnan(r_e)) and np.all(np.isnan(r_m))
 
-    def test_degenerate_matrix_rejected(self):
+    def test_degenerate_matrix_rejected(self, monkeypatch):
         # all-zero layer entries take the row vector (-q0, 1) to (0, 0), so
         # numerator and denominator vanish in both polarizations
         zero = (0j, 0j, 0j, 0j)
-        fractions = strata._stack_fractions([(2.22, 0.2)], 1.0, 0.5, 0.5, lambda *layer: (zero, zero))
+        monkeypatch.setattr(strata, "_point_entries", lambda *layer: (zero, zero))
+        fractions = strata._point_fractions([Layer(2.22, 0.2)], 1.0, 0.5, 0.5)
         for numerator, denominator in fractions:
             with pytest.raises(DegenerateGeometryError, match="denominator vanished"):
                 strata._checked(numerator, denominator, 0.5)
@@ -493,7 +494,47 @@ class TestRowLoop:
         for g, w in zip(got, want):
             for g_part, w_part in zip(g, w):
                 np.testing.assert_array_equal(g_part, w_part)
+        stack = build_stack(scenario, chi)
         for theta in thetas[::8]:
-            kin = Kinematics(scenario.lambda_um, float(theta))
-            args = (layers, kin.k, kin.k_z, kin.q0, strata._point_entries)
-            assert list(strata._stack_fractions(*args)) == stack_fractions_reference(*args)
+            args = (k, k * math.sin(theta), math.cos(theta))
+            want = stack_fractions_reference(layers, *args, strata._point_entries)
+            assert list(strata._point_fractions(stack.layers, *args)) == want
+
+    def test_point_loop_takes_a_complex_angle(self):
+        # r_m's complex zero z is found by evaluating r at k_z = k sin z, q0 = cos z
+        scenario, _ = preset("fig2")
+        chi = susceptibility(scenario.qw).chi
+        layers = [(complex(e), d) for e, d in _layers(scenario, chi)]
+        k, z = 2.0 * math.pi / scenario.lambda_um, 0.98 + 1e-3j
+        args = (k, k * cmath.sin(z), cmath.cos(z))
+        want = stack_fractions_reference(layers, *args, strata._point_entries)
+        assert list(strata._point_fractions(build_stack(scenario, chi).layers, *args)) == want
+
+
+class TestWallReuse:
+    """The point kernel computes a layer equal to the first (epsilon and
+    thickness) once: a symmetric cavity's second wall costs no entries."""
+
+    @staticmethod
+    def entries_per_pair(monkeypatch, stack):
+        calls = []
+        entries = strata._point_entries
+
+        def counted(*layer):
+            calls.append(layer)
+            return entries(*layer)
+
+        monkeypatch.setattr(strata, "_point_entries", counted)
+        reflection_pair(stack, Kinematics(1.85, 0.979))
+        return len(calls)
+
+    @pytest.mark.parametrize("name, calls", [("fig2", 2), ("fig6b", 3)])
+    def test_preset_cavities(self, monkeypatch, name, calls):
+        # fig2's walls are equal; fig6b's are loss | gain
+        scenario, _ = preset(name)
+        stack = build_stack(scenario, susceptibility(scenario.qw).chi)
+        assert self.entries_per_pair(monkeypatch, stack) == calls
+
+    def test_equal_epsilon_at_another_thickness_is_computed(self, monkeypatch):
+        stack = Stack(layers=(Layer(2.22, 0.2), Layer(1.001 + 0.004j, 5.0), Layer(2.22, 0.3)))
+        assert self.entries_per_pair(monkeypatch, stack) == 3
