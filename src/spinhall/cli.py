@@ -139,6 +139,9 @@ def _summary(
                  key=lambda r: abs(r.delta_h_plus_lambda), default=None)
     v_peak = max((r for r in rows if not r.v_singular and math.isfinite(r.delta_v_plus_lambda)),
                  key=lambda r: abs(r.delta_v_plus_lambda), default=None)
+    failures = {}  # failed rows by exception type: how many, and the first one's message
+    for kind, _, message in (r.error.partition(": ") for r in rows if r.error is not None):
+        failures.setdefault(kind, {"rows": 0, "first": message})["rows"] += 1
     summary = {
         "preset": preset_name,
         "lambda_um": scenario.lambda_um,
@@ -146,7 +149,8 @@ def _summary(
         "sweep": asdict(replace(spec, fixed={}) if spec.variable == "theta" else spec),
         "effective_epsilon2": [eps2.real, eps2.imag] if cmath.isfinite(eps2) else None,
         "rows": len(rows),
-        "row_errors": sum(1 for r in rows if r.error is not None),
+        "row_errors": sum(f["rows"] for f in failures.values()),
+        "row_failures": failures,
         "abs_delta_h_plus_lambda_peak": None if h_peak is None else abs(h_peak.delta_h_plus_lambda),
         "abs_delta_v_plus_lambda_peak": None if v_peak is None else abs(v_peak.delta_v_plus_lambda),
         "resonance": None,

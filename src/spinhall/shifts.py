@@ -26,7 +26,8 @@ envelope.  Its intensity and y-moment are Gaussian moments in closed form,
 which is the closed form above times k^2 w0^2 / (k^2 w0^2 + |X|^2), with
 X = (1 + r_e/r_m)*cot(theta) for h input (e and m swapped for v): the
 fixed-coefficient limit of the finite-beam shift of Luo et al., PRA 84,
-043806 (2011).  A point costs one `reflection_pair` plus scalar arithmetic.
+043806 (2011).  A point costs one `reflection_pair` plus one `_centroids`
+pass, which builds the coupling and w0^2 once for both polarizations.
 Space-domain fields use the plane-wave phase convention exp(i(w*t - k.r)),
 which is what ties the sigma+ label to the minus sign above.
 """
@@ -143,18 +144,18 @@ def transverse_shifts(pair: ReflectionPair, lambda_um: float, theta_rad: float) 
     return ShiftResult(delta_h, delta_v, lambda_um, h_singular, v_singular)
 
 
-def _sigma_plus(pair: ReflectionPair, kin: Kinematics) -> tuple[tuple[complex, complex], ...]:
-    """(a, c) of the sigma+ spectrum b(ky)*(a + c*ky), up to a common factor,
-    for h input and for v input; sigma- is (a, -c)."""
-    g = complex((1.0 / math.tan(kin.theta_rad)) * (pair.r_m + pair.r_e) / kin.k)
-    return (complex(pair.r_m), -1j * g), (1j * complex(pair.r_e), g)
-
-
-def _centroid(a: complex, c: complex, waist_um: float, lambda_um: float) -> float:
-    """y-centroid, in lambda, of the beam b(ky)*(a + c*ky) with b a Gaussian
-    of waist waist_um: -Im(a*conj(c)) over |a|^2 + |c|^2/w0^2."""
-    total = abs(a) ** 2 + abs(c) ** 2 / (waist_um * waist_um)
-    return math.nan if total == 0.0 else -(a * c.conjugate()).imag / total / lambda_um
+def _centroids(pair: ReflectionPair, kin: Kinematics, waist_um: float) -> tuple[float, float]:
+    """sigma+ y-centroids (h, v input) in lambda of b(ky)*(a + c*ky), b the Gaussian of
+    waist w0: -Im(a*conj(c)) / (|a|^2 + |c|^2/w0^2), NaN for a zero field, with (a, c) =
+    (r_m, -i g) for h, (i r_e, g) for v and g = cot(theta)*(r_m + r_e)/k built once."""
+    lambda_um, w2 = kin.lambda_um, waist_um * waist_um
+    g = complex((1.0 / math.tan(kin.theta_rad)) * (pair.r_m + pair.r_e) / (2.0 * math.pi / lambda_um))
+    a, c = complex(pair.r_m), -1j * g
+    total = abs(a) ** 2 + abs(c) ** 2 / w2
+    h = math.nan if total == 0.0 else -(a * c.conjugate()).imag / total / lambda_um
+    a = 1j * complex(pair.r_e)
+    total = abs(a) ** 2 + abs(g) ** 2 / w2
+    return h, math.nan if total == 0.0 else -(a * g.conjugate()).imag / total / lambda_um
 
 
 def circular_centroids(
@@ -168,13 +169,13 @@ def circular_centroids(
     polarization is "h" or "v" and selects the incident linear state.  The
     centroid is the first moment along y of |E|^2 summed over x, E the real-space
     field of the reflected spectrum a(kx)*b(ky)*(alpha + beta*ky); both moments
-    are Gaussian moments, quadratic in (alpha, beta).
+    are Gaussian moments, quadratic in (alpha, beta); sigma- is -sigma+.
     """
     if polarization not in ("h", "v"):
         raise ValueError(f"polarization must be 'h' or 'v', got {polarization!r}")
-    h, v = _sigma_plus(pair, kin)
-    a, c = h if polarization == "h" else v
-    return _centroid(a, c, beam.waist_um, kin.lambda_um), _centroid(a, -c, beam.waist_um, kin.lambda_um)
+    h, v = _centroids(pair, kin, beam.waist_um)
+    plus = h if polarization == "h" else v
+    return plus, -plus
 
 
 def centroid_shift_oracle(
@@ -193,7 +194,6 @@ def centroid_shift_oracle(
             f"({100.0 * kin.lambda_um:.6g} um) for the first-order expansion"
         )
     pair = reflection_pair(stack, kin)
-    h, v = _sigma_plus(pair, kin)
-    delta_h = None if abs(pair.r_m) < SINGULAR_REFLECTION else _centroid(*h, beam.waist_um, kin.lambda_um)
-    delta_v = None if abs(pair.r_e) < SINGULAR_REFLECTION else _centroid(*v, beam.waist_um, kin.lambda_um)
-    return delta_h, delta_v
+    h, v = _centroids(pair, kin, beam.waist_um)
+    return (None if abs(pair.r_m) < SINGULAR_REFLECTION else h,
+            None if abs(pair.r_e) < SINGULAR_REFLECTION else v)

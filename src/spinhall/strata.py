@@ -24,10 +24,11 @@ elementwise in one pass, with NaN at degenerate or overflowing points.
 `reflection_pair` evaluates one point in Python complex arithmetic (numpy's
 per-call cost on 0-d values dwarfs the arithmetic) with the same formulas,
 branch rule, kx -> 0 limit and denominator floor, in a row loop of its own
-that takes a layer equal to the first (a symmetric cavity's second wall) from
-the first's entries; it raises DegenerateGeometryError or OverflowError where
-the grid gives NaN.  Layer terms multiply by 1/z, not divide by z: numpy's
-reciprocal rounds as CPython's 1/z does, their divisions do not.
+that computes each layer's entries inline and takes a layer equal to the
+first (a symmetric cavity's second wall) from the first's entries; it raises
+DegenerateGeometryError or OverflowError where the grid gives NaN.  Layer
+terms multiply by 1/z, not divide by z: numpy's reciprocal rounds as
+CPython's 1/z does, their divisions do not.
 
 Lengths in micrometers, angles in radians.
 """
@@ -135,22 +136,6 @@ def _layer_entries(epsilon, thickness_um: float, k: float, k_z):
     return (c, m12, m21, c), (c, epsilon * m12, np.reciprocal(epsilon) * m21, c)
 
 
-def _point_normal_k(epsilon: complex, k: float, k_z: float) -> complex:
-    """`_normal_k` at one point, with the same signed-zero rule."""
-    return cmath.sqrt(epsilon * k ** 2 - k_z ** 2 + 0j)
-
-
-def _point_entries(epsilon: complex, thickness_um: float, k: float, k_z: float):
-    """`_layer_entries` at one point, in Python complex arithmetic; cmath
-    raises OverflowError where the batch kernel would overflow to inf."""
-    kx = _point_normal_k(epsilon, k, k_z)
-    phase = kx * thickness_um
-    c, s = cmath.cos(phase), cmath.sin(phase)
-    s_over_kx = s * (1 / kx) if kx else thickness_um
-    m12, m21 = 1j * k * s_over_kx, 1j / k * kx * s
-    return (c, m12, m21, c), (c, epsilon * m12, 1 / epsilon * m21, c)
-
-
 def _stack_fractions(layers, k: float, k_z, q0):
     """TE and TM (numerator, denominator) of r for (epsilon, thickness_um)
     layers over a grid: the rows (te1, te2) and (tm1, tm2), both from
@@ -165,15 +150,24 @@ def _stack_fractions(layers, k: float, k_z, q0):
 
 
 def _point_fractions(layers, k: float, k_z, q0):
-    """`_stack_fractions` at one point over `Layer`s, operation for operation;
-    k_z and q0 may be complex.  A repeat of the first layer reuses its entries."""
-    first = layers[0]
-    wall = _point_entries(complex(first.epsilon), first.thickness_um, k, k_z)
+    """`_stack_fractions` and `_layer_entries` at one point over `Layer`s in Python
+    complex, operation for operation (cmath raises OverflowError where the grid gives
+    inf); k_z and q0 may be complex.  A repeat of the first layer reuses its entries."""
+    first, wall = layers[0], None
+    k2, kz2, ik, i_over_k = k ** 2, k_z ** 2, 1j * k, 1j / k
     te1, te2, tm1, tm2 = -q0, 1.0, -q0, 1.0
     for layer in layers:
-        same = layer.epsilon == first.epsilon and layer.thickness_um == first.thickness_um
-        entries = wall if same else _point_entries(complex(layer.epsilon), layer.thickness_um, k, k_z)
-        (c, e12, e21, _), (_, m12, m21, _) = entries
+        d = layer.thickness_um
+        if wall and layer.epsilon == first.epsilon and d == first.thickness_um:
+            c, e12, e21, m12, m21 = wall
+        else:
+            epsilon = complex(layer.epsilon)
+            kx = cmath.sqrt(epsilon * k2 - kz2 + 0j)
+            phase = kx * d
+            c, s = cmath.cos(phase), cmath.sin(phase)
+            e12, e21 = ik * (s * (1 / kx) if kx else d), i_over_k * kx * s
+            m12, m21 = epsilon * e12, 1 / epsilon * e21
+            wall = wall or (c, e12, e21, m12, m21)
         te1, te2 = te1 * c + te2 * e21, te1 * e12 + te2 * c
         tm1, tm2 = tm1 * c + tm2 * m21, tm1 * m12 + tm2 * c
     return (te1 + q0 * te2, q0 * te2 - te1), (tm1 + q0 * tm2, q0 * tm2 - tm1)
@@ -239,6 +233,7 @@ def reflection_pair(stack: Stack, kin: Kinematics) -> ReflectionPair:
     overflowing matrix entries, DegenerateGeometryError for a denominator
     under DENOMINATOR_FLOOR.
     """
-    k, q0 = kin.k, kin.q0
-    (te_n, te_d), (tm_n, tm_d) = _point_fractions(stack.layers, k, k * math.sin(kin.theta_rad), q0)
+    theta = kin.theta_rad
+    k, q0 = 2.0 * math.pi / kin.lambda_um, math.cos(theta)
+    (te_n, te_d), (tm_n, tm_d) = _point_fractions(stack.layers, k, k * math.sin(theta), q0)
     return ReflectionPair(_checked(te_n, te_d, q0), _checked(tm_n, tm_d, q0))

@@ -11,6 +11,7 @@ import pytest
 from spinhall.cli import CSV_HEADER, main, write_csv
 from spinhall.config import (
     config_from_scenario,
+    merged_config,
     scenario_from_config,
     validate_config,
 )
@@ -506,6 +507,45 @@ class TestSummaryMedium:
         assert singular["effective_epsilon2"] is None
         assert regular["effective_epsilon2"] is None
         assert singular == regular
+
+
+class TestRowFailures:
+    """The summary's row_failures: failed rows by exception type, with the
+    count and the first failed row's message; the counts sum to row_errors."""
+
+    @staticmethod
+    def run_summary(tmp_path, monkeypatch, doc):
+        (tmp_path / "run.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", "run.json", "--out", "out.json", "--format", "json"]) == 0
+        return json.loads((tmp_path / "out.json").read_text())
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets_have_none(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--preset", name, "--out", "p.json", "--format", "json"]) == 0
+        summary = json.loads((tmp_path / "p.json").read_text())
+        assert summary["row_errors"] == 0 and summary["row_failures"] == {}
+
+    def test_an_overflowing_medium_names_its_error(self, tmp_path, monkeypatch):
+        summary = self.run_summary(tmp_path, monkeypatch, fig2(qw={"beta": 1e300}))
+        assert summary["row_errors"] == 2001
+        assert summary["row_failures"] == {"OverflowError": {"rows": 2001, "first": "math range error"}}
+
+    def test_singular_rows_report_the_first_message(self, tmp_path, monkeypatch):
+        # fig5c's delta sweep with the control field and the d-level rates
+        # off: every row's medium is singular, each with its own delta
+        from spinhall.sweep import run_sweep
+
+        qw = {"omega_c": 0, "gamma_dl": 0, "gamma_dd": 0}
+        summary = self.run_summary(tmp_path, monkeypatch, {"preset": "fig5c", "qw": qw})
+        scenario, spec = scenario_from_config(merged_config({"preset": "fig5c", "qw": qw}))
+        errors = [row.error for row in run_sweep(scenario, spec)]
+        assert len(set(errors)) == len(errors) == 601
+        kind, _, first = errors[0].partition(": ")
+        assert kind == "SingularParameterError" and "delta=0.0" in first
+        assert summary["row_errors"] == 601
+        assert summary["row_failures"] == {kind: {"rows": 601, "first": first}}
 
 
 class TestOracleSpotCheck:

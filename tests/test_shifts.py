@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -435,15 +436,76 @@ def moment_grid(name, angles=41):
             yield stack, Kinematics(lam, float(theta)), beam
 
 
+def sigma_plus_reference(pair, kin):
+    """(a, c) of the sigma+ spectrum b(ky)*(a + c*ky), up to a common factor,
+    for h input and for v input; sigma- is (a, -c)."""
+    g = complex((1.0 / math.tan(kin.theta_rad)) * (pair.r_m + pair.r_e) / kin.k)
+    return (complex(pair.r_m), -1j * g), (1j * complex(pair.r_e), g)
+
+
+def centroid_reference(a, c, waist_um, lambda_um):
+    """y-centroid, in lambda, of the beam b(ky)*(a + c*ky) with b a Gaussian
+    of waist waist_um: -Im(a*conj(c)) over |a|^2 + |c|^2/w0^2."""
+    total = abs(a) ** 2 + abs(c) ** 2 / (waist_um * waist_um)
+    return math.nan if total == 0.0 else -(a * c.conjugate()).imag / total / lambda_um
+
+
+def python_calls(fn, *args):
+    """Names of the Python functions entered while fn(*args) runs, fn first."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 class TestOnePassPoint:
-    """A point builds the cross-polarization coupling once for h and v, with
-    the outputs of the per-polarization form."""
+    """A point builds the cross-polarization coupling once for h and v, in
+    one `_centroids` pass, with the outputs of the per-polarization form."""
 
     @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig6a", "fig6b"])
     def test_outputs_equal_the_per_polarization_form(self, name):
         for stack, kin, beam in moment_grid(name):
             assert_bit_equal(centroid_shift_oracle(stack, kin, beam),
                              oracle_from_circular_centroids(stack, kin, beam))
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig6a", "fig6b"])
+    def test_outputs_equal_the_per_component_reference(self, name):
+        # the coupling and the centroid of each circular component as
+        # separate steps: sigma- from (a, -c), not as the negated sigma+
+        for stack, kin, beam in moment_grid(name):
+            pair = reflection_pair(stack, kin)
+            h, v = sigma_plus_reference(pair, kin)
+            want = [centroid_reference(*h, beam.waist_um, kin.lambda_um),
+                    centroid_reference(*v, beam.waist_um, kin.lambda_um)]
+            if abs(pair.r_m) < SINGULAR_REFLECTION:
+                want[0] = None
+            if abs(pair.r_e) < SINGULAR_REFLECTION:
+                want[1] = None
+            assert_bit_equal(centroid_shift_oracle(stack, kin, beam), want)
+            for (a, c), polarization in ((h, "h"), (v, "v")):
+                assert_bit_equal(circular_centroids(pair, kin, beam, polarization),
+                                 (centroid_reference(a, c, beam.waist_um, kin.lambda_um),
+                                  centroid_reference(a, -c, beam.waist_um, kin.lambda_um)))
+
+    @pytest.mark.parametrize("name", ["fig2", "fig6b"])
+    def test_a_warm_point_makes_seven_python_calls(self, name):
+        # the oracle, reflection_pair, its row loop, _checked for TE and TM,
+        # ReflectionPair.__init__ and one _centroids: no call per layer
+        scenario, _ = preset(name)
+        stack = build_stack(scenario, susceptibility(scenario.qw).chi)
+        kin, beam = Kinematics(scenario.lambda_um, 0.979), BeamSpec(waist_um=925.0)
+        centroid_shift_oracle(stack, kin, beam)
+        calls = python_calls(centroid_shift_oracle, stack, kin, beam)
+        assert calls == ["centroid_shift_oracle", "reflection_pair", "_point_fractions",
+                         "_checked", "_checked", "__init__", "_centroids"]
 
     def test_zero_field_matches_as_nan(self):
         kin = Kinematics(LAMBDA, 0.8)

@@ -4,6 +4,7 @@ the light enters, and the per-point kernel against the grid kernel."""
 
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -81,19 +82,36 @@ def recursion_reflection(epsilons, thicknesses, kin, polarization):
     return gamma
 
 
+def point_normal_k(epsilon: complex, k: float, k_z: float) -> complex:
+    """`_normal_k` at one point, with the same signed-zero rule."""
+    return cmath.sqrt(epsilon * k ** 2 - k_z ** 2 + 0j)
+
+
+def point_entries(epsilon: complex, thickness_um: float, k: float, k_z: float):
+    """`_layer_entries` at one point, in Python complex arithmetic; cmath
+    raises OverflowError where the batch kernel would overflow to inf.  The
+    reference for the entries the point kernel computes in its row loop."""
+    kx = point_normal_k(epsilon, k, k_z)
+    phase = kx * thickness_um
+    c, s = cmath.cos(phase), cmath.sin(phase)
+    s_over_kx = s * (1 / kx) if kx else thickness_um
+    m12, m21 = 1j * k * s_over_kx, 1j / k * kx * s
+    return (c, m12, m21, c), (c, epsilon * m12, 1 / epsilon * m21, c)
+
+
 def layer_matrices(layer, kin):
-    """[(TE, TM) 2x2 layer matrices] from the per-point kernel and from the
+    """[(TE, TM) 2x2 layer matrices] from the per-point reference and from the
     grid kernel at the same point, in that order."""
-    point = strata._point_entries(complex(layer.epsilon), layer.thickness_um, kin.k, kin.k_z)
+    point = point_entries(complex(layer.epsilon), layer.thickness_um, kin.k, kin.k_z)
     with np.errstate(all="ignore"):  # the grid kernel divides by kx = 0 before masking it
         grid = strata._layer_entries(np.array([layer.epsilon]), layer.thickness_um, kin.k, np.array([kin.k_z]))
     return [tuple(np.array(m, dtype=complex).reshape(2, 2) for m in entries) for entries in (point, grid)]
 
 
 def normal_ks(epsilon, kin):
-    """kx from the per-point kernel and from the grid kernel."""
+    """kx from the per-point reference and from the grid kernel."""
     grid = strata._normal_k(np.array([epsilon], dtype=complex), kin.k, np.array([kin.k_z]))
-    return strata._point_normal_k(complex(epsilon), kin.k, kin.k_z), complex(grid[0])
+    return point_normal_k(complex(epsilon), kin.k, kin.k_z), complex(grid[0])
 
 
 def random_layers(rng, n, lossless=False):
@@ -268,9 +286,11 @@ class TestReflection:
 
     def test_degenerate_matrix_rejected(self, monkeypatch):
         # all-zero layer entries take the row vector (-q0, 1) to (0, 0), so
-        # numerator and denominator vanish in both polarizations
-        zero = (0j, 0j, 0j, 0j)
-        monkeypatch.setattr(strata, "_point_entries", lambda *layer: (zero, zero))
+        # numerator and denominator vanish in both polarizations; a cos and
+        # sin of 0 make every entry zero
+        zero = lambda phase: 0j
+        monkeypatch.setattr(strata, "cmath", SimpleNamespace(sqrt=cmath.sqrt, cos=zero, sin=zero,
+                                                             isfinite=cmath.isfinite))
         fractions = strata._point_fractions([Layer(2.22, 0.2)], 1.0, 0.5, 0.5)
         for numerator, denominator in fractions:
             with pytest.raises(DegenerateGeometryError, match="denominator vanished"):
@@ -497,7 +517,7 @@ class TestRowLoop:
         stack = build_stack(scenario, chi)
         for theta in thetas[::8]:
             args = (k, k * math.sin(theta), math.cos(theta))
-            want = stack_fractions_reference(layers, *args, strata._point_entries)
+            want = stack_fractions_reference(layers, *args, point_entries)
             assert list(strata._point_fractions(stack.layers, *args)) == want
 
     def test_point_loop_takes_a_complex_angle(self):
@@ -507,24 +527,51 @@ class TestRowLoop:
         layers = [(complex(e), d) for e, d in _layers(scenario, chi)]
         k, z = 2.0 * math.pi / scenario.lambda_um, 0.98 + 1e-3j
         args = (k, k * cmath.sin(z), cmath.cos(z))
-        want = stack_fractions_reference(layers, *args, strata._point_entries)
+        want = stack_fractions_reference(layers, *args, point_entries)
         assert list(strata._point_fractions(build_stack(scenario, chi).layers, *args)) == want
+
+    def test_point_loop_on_random_stacks(self):
+        # 1-5 layers drawn among repeats of the first layer, zero-thickness
+        # layers and, at k = 1, exactly critical layers (eps = sin^2(theta),
+        # so kx = 0 and the entries take the kx -> 0 limit)
+        rng = np.random.default_rng(29)
+        critical = 0
+        for _ in range(400):
+            theta = rng.uniform(0.05, 1.5)
+            k = 1.0 if rng.random() < 0.5 else rng.uniform(1.0, 10.0)
+            layers = []
+            for _ in range(rng.integers(1, 6)):
+                kind = rng.integers(0, 4)
+                if kind == 0 and layers:
+                    layers.append(layers[0])
+                elif kind == 1 and k == 1.0:
+                    layers.append(Layer(math.sin(theta) ** 2, rng.uniform(0.0, 3.0)))
+                else:
+                    eps = complex(rng.uniform(-4.0, 6.0), rng.uniform(-0.5, 0.5)) or 1.5
+                    layers.append(Layer(eps, 0.0 if kind == 2 else rng.uniform(0.0, 3.0)))
+            args = (k, k * math.sin(theta), math.cos(theta))
+            critical += sum(point_normal_k(complex(layer.epsilon), k, args[1]) == 0 for layer in layers)
+            reference = [(complex(layer.epsilon), layer.thickness_um) for layer in layers]
+            want = stack_fractions_reference(reference, *args, point_entries)
+            assert list(strata._point_fractions(tuple(layers), *args)) == want
+        assert critical > 50
 
 
 class TestWallReuse:
     """The point kernel computes a layer equal to the first (epsilon and
-    thickness) once: a symmetric cavity's second wall costs no entries."""
+    thickness) once: a symmetric cavity's second wall costs no entries.
+    Each layer's entries take one cmath.sqrt, for its kx."""
 
     @staticmethod
     def entries_per_pair(monkeypatch, stack):
         calls = []
-        entries = strata._point_entries
 
-        def counted(*layer):
-            calls.append(layer)
-            return entries(*layer)
+        def counted(z):
+            calls.append(z)
+            return cmath.sqrt(z)
 
-        monkeypatch.setattr(strata, "_point_entries", counted)
+        monkeypatch.setattr(strata, "cmath", SimpleNamespace(sqrt=counted, cos=cmath.cos, sin=cmath.sin,
+                                                             isfinite=cmath.isfinite))
         reflection_pair(stack, Kinematics(1.85, 0.979))
         return len(calls)
 
