@@ -6,9 +6,12 @@ the wavelength, the output paths); a refused run prints its `config error:`
 lines, writes nothing and exits 2.  The run writes one CSV row per sweep
 point at full double precision, and a JSON summary, whole or not at all:
 the effective intracavity permittivity (null unless finite), the shift peaks
-over the non-singular grid rows, for angle sweeps the resonance found by the
-coarse scan plus batched bracket zoom and, when the beam has a waist, the
-centroid oracle at the h peak row.
+over the non-singular grid rows, for angle sweeps the resonance (a coarse
+scan plus bracket zoom) and, when the beam has a waist, the centroid oracle
+at the h peak row.  A sweep of at most POINT_PATH_ROWS rows is computed by
+`point_sweep`, and the resonance over a theta sweep's own range is refined
+from its rows, so such a run never imports numpy; a larger sweep, or another
+resonance window, takes the batched `run_sweep` or `find_resonance`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from .qw_medium import SingularParameterError, permittivity, susceptibility
 from .shifts import ResolutionError, centroid_shift_oracle
 from .strata import DegenerateGeometryError, Kinematics
 from .sweep import (
-    Scenario, SweepRow, SweepSpec, build_stack, find_resonance, run_sweep, sweep_point,
+    Scenario, SweepRow, SweepSpec, build_stack, find_resonance, point_sweep, refine_resonance,
+    run_sweep, sweep_point,
 )
 
 __all__ = ["main", "build_parser", "write_csv", "CSV_HEADER"]
@@ -43,6 +47,11 @@ CSV_HEADER = (
     "swept,re_abs,rm_abs,ratio_em,ratio_me,phi_e,phi_m,"
     "delta_h_plus_lambda,delta_v_plus_lambda,flags"
 )
+
+# a sweep of at most this many rows runs on the point path, which needs no
+# numpy: at ~30 us an omega_c or delta row (~15 us a theta row) this many cost
+# about what numpy's import does
+POINT_PATH_ROWS = 4096
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threads", type=int,
         help="accepted for compatibility and ignored, as is SPINHALL_THREADS: "
-        "the sweep is evaluated as one batch",
+        "the sweep runs in one thread",
     )
     parser.add_argument(
         "--find-resonance", metavar="LO,HI",
@@ -159,7 +168,12 @@ def _summary(
     }
     if window is not None:
         try:
-            found = asdict(find_resonance(scenario, window))
+            # the point path's rows of a theta sweep's own range are its coarse scan
+            own_range = spec.variable == "theta" and window == (spec.lo, spec.hi)
+            if own_range and len(rows) <= POINT_PATH_ROWS:
+                found = asdict(refine_resonance(scenario, spec, rows))
+            else:
+                found = asdict(find_resonance(scenario, window))
             summary["resonance"] = {**found, "ratio_em_peak": _finite_or_none(found["ratio_em_peak"])}
         except SingularParameterError:  # a numerical failure of the medium: exit 3
             raise
@@ -246,7 +260,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        rows = run_sweep(scenario, spec)
+        rows = (point_sweep if spec.samples <= POINT_PATH_ROWS else run_sweep)(scenario, spec)
         if csv_path is not None:
             write_csv(rows, csv_path)
             print(f"wrote {csv_path} ({len(rows)} rows)")

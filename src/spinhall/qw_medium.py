@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "QwParams",
@@ -154,6 +156,7 @@ def susceptibility_grid(params: QwParams, variable: str, values: np.ndarray) -> 
     """Closed-form chi over a grid of omega_c or delta values, the other
     parameters taken from params.  Points where `susceptibility` would raise
     (a vanishing denominator, or a value QwParams rejects) are NaN."""
+    import numpy as np
     if variable not in ("omega_c", "delta"):
         raise ValueError(f"variable must be omega_c or delta, got {variable!r}")
     values = np.asarray(values, dtype=float)
@@ -184,6 +187,7 @@ def steady_state_coherences(
         raise ValueError(f"omega_p must be positive and finite, got {omega_p!r}")
     if not (math.isfinite(delta_p) and math.isfinite(delta_c)):
         raise ValueError(f"detunings must be finite, got delta_p={delta_p!r}, delta_c={delta_c!r}")
+    import numpy as np
     d = derived_rates(params)
     g, f = params.g, params.f
     oc, dp, dc = params.omega_c, delta_p, delta_c

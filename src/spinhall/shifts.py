@@ -10,7 +10,9 @@ the sigma+ component are
 for horizontally and vertically polarized input, with the sigma- values their
 exact negatives.  Only the magnitude ratio and the phase difference of the two
 reflection coefficients enter, so giant shifts appear wherever one
-polarization is nearly extinguished (the ratio blows up).
+polarization is nearly extinguished (the ratio blows up).  `transverse_shifts`
+computes them for Python numbers in `math` and for arrays in numpy, which is
+imported only then, through one expression.
 
 `centroid_shift_oracle` is the intensity-centroid shift of a Gaussian beam of
 waist w0: the first-order reflection matrix, with the cross-polarization
@@ -37,8 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import ClassVar
-
-import numpy as np
 
 from .strata import Kinematics, ReflectionPair, Stack, reflection_pair
 
@@ -114,9 +114,27 @@ class ShiftResult:
 
 
 def ratio(a, b):
-    """a/b with IEEE semantics at b = 0 (inf, or nan for 0/0); floats or arrays."""
+    """a/b with IEEE semantics at b = 0 (inf, or nan for 0/0): Python floats
+    divide in Python, anything else in numpy."""
+    if type(a) is float and type(b) is float:
+        if b:
+            return a / b
+        return math.nan if a == 0.0 or a != a else math.copysign(math.inf, a) * math.copysign(1.0, b)
+    import numpy as np
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.divide(a, b)
+
+
+def _closed_forms(pair: ReflectionPair, theta_rad, lib) -> tuple:
+    """(delta_h_plus, delta_v_plus, h_singular, v_singular) computed by `lib`:
+    `math` at one point, numpy over a grid, in the same operation order."""
+    re_abs, rm_abs = abs(pair.r_e), abs(pair.r_m)
+    cot = 1.0 / lib.tan(theta_rad)
+    dphi = pair.phi_e - pair.phi_m
+    scale = -cot / (2.0 * math.pi)
+    delta_h = scale * (1.0 + ratio(re_abs, rm_abs) * lib.cos(dphi))
+    delta_v = scale * (1.0 + ratio(rm_abs, re_abs) * lib.cos(-dphi))
+    return delta_h, delta_v, rm_abs < SINGULAR_REFLECTION, re_abs < SINGULAR_REFLECTION
 
 
 def transverse_shifts(pair: ReflectionPair, lambda_um: float, theta_rad: float) -> ShiftResult:
@@ -126,18 +144,18 @@ def transverse_shifts(pair: ReflectionPair, lambda_um: float, theta_rad: float) 
     |r_m| (|r_e|) makes the h (v) ratio blow up: the value is still computed
     and the corresponding singular flag is set.  The pair and theta may hold
     arrays over a grid of points; the result's fields are then arrays too.
+    Python numbers are computed by `math`, anything else by numpy.
     """
+    if type(theta_rad) is float and {type(pair.r_e), type(pair.r_m)} <= {float, complex}:
+        if not 0.0 < theta_rad < math.pi / 2:
+            raise ValueError(f"theta must lie in (0, pi/2), got {theta_rad!r}")
+        delta_h, delta_v, h_singular, v_singular = _closed_forms(pair, theta_rad, math)
+        return ShiftResult(delta_h, delta_v, lambda_um, h_singular, v_singular)
+    import numpy as np
     if not np.all((0.0 < theta_rad) & (theta_rad < math.pi / 2)):
         raise ValueError(f"theta must lie in (0, pi/2), got {theta_rad!r}")
-    re_abs, rm_abs = np.abs(pair.r_e), np.abs(pair.r_m)
-    h_singular = rm_abs < SINGULAR_REFLECTION
-    v_singular = re_abs < SINGULAR_REFLECTION
-    cot = 1.0 / np.tan(theta_rad)
-    dphi = pair.phi_e - pair.phi_m
-    scale = -cot / (2.0 * math.pi)
     with np.errstate(invalid="ignore"):
-        delta_h = scale * (1.0 + ratio(re_abs, rm_abs) * np.cos(dphi))
-        delta_v = scale * (1.0 + ratio(rm_abs, re_abs) * np.cos(-dphi))
+        delta_h, delta_v, h_singular, v_singular = _closed_forms(pair, theta_rad, np)
     if np.ndim(delta_h) == 0:
         delta_h, delta_v = float(delta_h), float(delta_v)
         h_singular, v_singular = bool(h_singular), bool(v_singular)

@@ -28,7 +28,9 @@ that computes each layer's entries inline and takes a layer equal to the
 first (a symmetric cavity's second wall) from the first's entries; it raises
 DegenerateGeometryError or OverflowError where the grid gives NaN.  Layer
 terms multiply by 1/z, not divide by z: numpy's reciprocal rounds as
-CPython's 1/z does, their divisions do not.
+CPython's 1/z does, their divisions do not.  Scalars are computed in Python
+(a Python number's phase by cmath), arrays in numpy, which only the array
+functions import.
 
 Lengths in micrometers, angles in radians.
 """
@@ -38,8 +40,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Layer",
@@ -118,12 +122,14 @@ class Kinematics:
 def _normal_k(epsilon, k: float, k_z):
     # + 0j turns the signed zero -0.0 of a real-negative radicand into +0.0,
     # so the branch lands on +i|.|
+    import numpy as np
     return np.sqrt(epsilon * k ** 2 - k_z ** 2 + 0j)
 
 
 def _layer_entries(epsilon, thickness_um: float, k: float, k_z):
     """TE and TM characteristic-matrix entries (m11, m12, m21, m22) of one
     layer; epsilon and k_z may be arrays that broadcast together."""
+    import numpy as np
     epsilon = np.asarray(epsilon, dtype=complex)
     kx = _normal_k(epsilon, k, k_z)
     phase = kx * thickness_um
@@ -182,6 +188,7 @@ def reflection_arrays(layers, lambda_um: float, theta) -> tuple[np.ndarray, np.n
     whose denominator magnitude falls under DENOMINATOR_FLOOR, or whose
     matrix entries overflow, are NaN.
     """
+    import numpy as np
     k = 2.0 * math.pi / lambda_um
     theta = np.asarray(theta, dtype=float)
     with np.errstate(all="ignore"):
@@ -203,7 +210,12 @@ def _checked(numerator: complex, denominator: complex, q0: float) -> complex:
 
 
 def _principal_phase(z):
-    """arg(z) mapped onto (-pi, pi]; a float for a scalar, else an array."""
+    """arg(z) mapped onto (-pi, pi]: a float for a Python scalar, computed by
+    cmath, else by numpy, a float for a 0-d input and an array otherwise."""
+    if type(z) in (float, complex):
+        phi = cmath.phase(z)
+        return phi + 2.0 * math.pi if phi <= -math.pi else phi
+    import numpy as np
     phi = np.angle(z)
     phi = np.where(phi <= -math.pi, phi + 2.0 * math.pi, phi)
     return float(phi) if phi.ndim == 0 else phi

@@ -8,10 +8,18 @@ replaces its field in `sweep_point` and, for a whole grid, in `run_sweep`.
 Per-point failures degrade to flagged rows instead of aborting: the singular
 geometries are usually the interesting part of a scan.
 
-A sweep is evaluated as columns: one susceptibility (theta sweeps) or one
-array of them (omega_c/delta sweeps), one batched transfer-matrix call over
-the whole grid and one batched shift evaluation.  Rows are built from the
-columns at the end.
+Scalars are computed in Python and arrays in numpy, which only the functions
+that take or build arrays import.  `run_sweep` evaluates a grid as columns:
+one susceptibility (theta) or an array of them (omega_c/delta), one batched
+transfer-matrix call and one batched shift evaluation.  `point_sweep` computes
+the same rows one `reflection_pair` call at a time (~11 us a theta row, ~27 us
+an omega_c/delta row), less than numpy's import costs for a few thousand rows.
+The two agree to rounding: numpy fuses complex multiply-adds and rounds
+`arctan2` and `tan` its own way, which moves a shift near the TM extinction by
+up to a few 1e-10 relative.  `run_sweep` asks the point path why a row failed,
+on the one stack of a theta sweep.  `find_resonance` scans a window with the
+batched kernel, `refine_resonance` zooms from a theta sweep's rows on the
+point path, and both share the zoom rounds of `_peak`.
 """
 
 from __future__ import annotations
@@ -22,8 +30,6 @@ import math
 from dataclasses import dataclass, field, replace
 from numbers import Integral
 from typing import NamedTuple
-
-import numpy as np
 
 from .qw_medium import QwParams, susceptibility, susceptibility_grid
 from .shifts import BeamSpec, ratio, transverse_shifts
@@ -37,8 +43,10 @@ __all__ = [
     "ResonanceResult",
     "build_stack",
     "sweep_point",
+    "point_sweep",
     "run_sweep",
     "find_resonance",
+    "refine_resonance",
 ]
 
 SWEEP_VARIABLES = ("theta", "omega_c", "delta")
@@ -156,16 +164,59 @@ def sweep_point(scenario: Scenario, spec: SweepSpec, value: float) -> tuple[QwPa
     return replace(scenario.qw, **{spec.variable: value}), float(spec.fixed["theta"])
 
 
-def _point_error(scenario: Scenario, spec: SweepSpec, value: float) -> str | None:
-    """Why one grid point has no reflection data: the point evaluated on its
-    own raises the error the columns masked."""
-    try:
-        qw, theta = sweep_point(scenario, spec, value)
-        stack = build_stack(scenario, susceptibility(qw).chi)
-        reflection_pair(stack, Kinematics(lambda_um=scenario.lambda_um, theta_rad=theta))
-    except Exception as exc:  # per-point failures become flagged rows
-        return f"{type(exc).__name__}: {exc}"
-    return None
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """`np.linspace(lo, hi, n).tolist()`, value for value, in Python."""
+    delta = hi - lo
+    step = delta / (n - 1)
+    # numpy's order of operations, including its rule for a step that underflows to 0
+    values = [i * step + lo for i in range(n)] if step else [i / (n - 1) * delta + lo for i in range(n)]
+    values[-1] = hi
+    return values
+
+
+def _row_data(pair: ReflectionPair, lambda_um: float, theta) -> tuple:
+    """The SweepRow fields between `value` and `error`: one row's from a
+    point's pair, or the columns of a grid from arrays."""
+    shifts = transverse_shifts(pair, lambda_um, theta)
+    re_abs, rm_abs = abs(pair.r_e), abs(pair.r_m)
+    return (
+        re_abs, rm_abs, ratio(re_abs, rm_abs), ratio(rm_abs, re_abs), pair.phi_e, pair.phi_m,
+        shifts.delta_h_plus, shifts.delta_v_plus, shifts.h_singular, shifts.v_singular,
+    )
+
+
+def _failed_row(value: float, exc: Exception) -> SweepRow:
+    return SweepRow(value, *(math.nan,) * 8, True, True, f"{type(exc).__name__}: {exc}")
+
+
+def _point_rows(scenario: Scenario, spec: SweepSpec, values: list[float], chi=None) -> list[SweepRow]:
+    """Rows at the swept values, one `reflection_pair` call each.  A theta
+    sweep's rows share one stack, built from `chi` when the caller has the
+    medium's susceptibility; an omega_c or delta row builds its own medium's
+    (and ignores `chi`).  A failed point gives NaN data, both singular flags
+    and the error text."""
+    lambda_um, stack = scenario.lambda_um, None
+    if spec.variable == "theta":
+        try:
+            stack = build_stack(scenario, susceptibility(scenario.qw).chi if chi is None else chi)
+        except Exception as exc:  # a failing medium fails every row identically
+            return [_failed_row(value, exc) for value in values]
+    rows = []
+    for value in values:
+        try:
+            qw, theta = sweep_point(scenario, spec, value)
+            pair = reflection_pair(stack or build_stack(scenario, susceptibility(qw).chi),
+                                   Kinematics(lambda_um, theta))
+            rows.append(SweepRow(value, *_row_data(pair, lambda_um, theta)))
+        except Exception as exc:  # per-point failures become flagged rows
+            rows.append(_failed_row(value, exc))
+    return rows
+
+
+def point_sweep(scenario: Scenario, spec: SweepSpec) -> list[SweepRow]:
+    """`run_sweep`'s rows computed one point at a time in Python, without
+    numpy (see the module docstring for how the two differ)."""
+    return _point_rows(scenario, spec, _linspace(float(spec.lo), float(spec.hi), int(spec.samples)))
 
 
 def run_sweep(scenario: Scenario, spec: SweepSpec, threads: int = 1) -> list[SweepRow]:
@@ -173,41 +224,31 @@ def run_sweep(scenario: Scenario, spec: SweepSpec, threads: int = 1) -> list[Swe
 
     The grid is evaluated as one batch (see the module docstring).  A failed
     point, or a failing medium in a theta sweep, gives rows with NaN data,
-    both singular flags and the error text.  `threads` is accepted for
-    compatibility and has no effect: a batch leaves nothing to run in
-    parallel.
+    both singular flags and the error text, which the point path finds.
+    `threads` is accepted for compatibility and has no effect: a batch
+    leaves nothing to run in parallel.
     """
+    import numpy as np
     values = np.linspace(spec.lo, spec.hi, spec.samples)
-    medium_error = None
     if spec.variable == "theta":
         theta = values
         try:
             chi = susceptibility(scenario.qw).chi
-        except Exception as exc:  # a failing medium fails every row identically
-            chi, medium_error = math.nan, f"{type(exc).__name__}: {exc}"
+        except Exception:  # a failing medium fails every row; the point path says why
+            return _point_rows(scenario, spec, values.tolist())
     else:
         theta = float(spec.fixed["theta"])
         chi = susceptibility_grid(scenario.qw, spec.variable, values)
     r_e, r_m = reflection_arrays(_layers(scenario, chi), scenario.lambda_um, theta)
-    pair = ReflectionPair(r_e=r_e, r_m=r_m)
-    shifts = transverse_shifts(pair, scenario.lambda_um, theta)
-    re_abs, rm_abs = np.abs(r_e), np.abs(r_m)
-    data = [
-        re_abs, rm_abs, ratio(re_abs, rm_abs), ratio(rm_abs, re_abs),
-        pair.phi_e, pair.phi_m, shifts.delta_h_plus, shifts.delta_v_plus,
-    ]
-    flags = [shifts.h_singular, shifts.v_singular]
-    errors = [None] * spec.samples
-    for i in np.flatnonzero(np.isnan(r_e) | np.isnan(r_m)):
-        errors[i] = medium_error or _point_error(scenario, spec, float(values[i]))
-        if errors[i] is not None:
-            for column in data:
-                column[i] = math.nan
-            for column in flags:
-                column[i] = True
-    columns = [c.tolist() for c in (values, *data, *flags)]
+    data = _row_data(ReflectionPair(r_e, r_m), scenario.lambda_um, theta)
+    columns = [c.tolist() for c in (values, *data)]
     # tuple.__new__ fills each row in C, skipping the NamedTuple's Python __new__
-    return list(map(tuple.__new__, itertools.repeat(SweepRow), zip(*columns, errors)))
+    rows = list(map(tuple.__new__, itertools.repeat(SweepRow), zip(*columns, itertools.repeat(None))))
+    failed = np.flatnonzero(np.isnan(r_e) | np.isnan(r_m)).tolist()
+    for i, row in zip(failed, _point_rows(scenario, spec, values[failed].tolist(), chi)):
+        if row.error is not None:
+            rows[i] = row
+    return rows
 
 
 # points of the coarse scan of find_resonance, and per zoom round: each round
@@ -217,12 +258,27 @@ _COARSE_POINTS = 2000
 _ZOOM_POINTS = 65
 
 
-def _ratio_em(scenario: Scenario, chi: complex, thetas: np.ndarray) -> np.ndarray:
-    """|r_e|/|r_m| over an angle array, -inf where it is undefined."""
-    r_e, r_m = reflection_arrays(_layers(scenario, chi), scenario.lambda_um, thetas)
-    values = ratio(np.abs(r_e), np.abs(r_m))
-    values[np.isnan(values)] = -math.inf
-    return values
+def _peak(scan, coarse: tuple, tol_rad: float) -> ResonanceResult:
+    """The |r_e|/|r_m| peak of a coarse scan (angles, ratios with -inf where
+    undefined, index of the largest), zoomed by `scan(a, b, n)`, which gives
+    the same triple over n angles from a to b; see `find_resonance`."""
+    thetas, values, i_best = coarse
+    if values[i_best] == -math.inf:  # the coarse scan spans the window
+        window = f"({float(thetas[0])!r}, {float(thetas[-1])!r})"
+        raise ValueError(f"no |r_e|/|r_m| ratio is defined in the theta window {window}")
+    coarse_theta, coarse_peak = float(thetas[i_best]), float(values[i_best])
+    if i_best == 0 or i_best == len(thetas) - 1:
+        return ResonanceResult(theta_star=coarse_theta, ratio_em_peak=coarse_peak, boundary=True)
+    a, b = thetas[i_best - 1], thetas[i_best + 1]
+    refined_theta, refined_peak = coarse_theta, coarse_peak
+    # below a batch of ulps the bracket can no longer shrink
+    while b - a > max(tol_rad, _ZOOM_POINTS * math.ulp(b)):
+        thetas, values, i = scan(a, b, _ZOOM_POINTS)
+        refined_theta, refined_peak = float(thetas[i]), float(values[i])
+        a, b = thetas[max(i - 1, 0)], thetas[min(i + 1, _ZOOM_POINTS - 1)]
+    if refined_peak >= coarse_peak:
+        return ResonanceResult(theta_star=refined_theta, ratio_em_peak=refined_peak, boundary=False)
+    return ResonanceResult(theta_star=coarse_theta, ratio_em_peak=coarse_peak, boundary=False)
 
 
 def find_resonance(
@@ -246,24 +302,36 @@ def find_resonance(
         raise ValueError(f"theta window must satisfy 0 < lo < hi < pi/2, got {theta_window!r}")
     if not (math.isfinite(tol_rad) and tol_rad >= 0.0):
         raise ValueError(f"tol_rad must be finite and >= 0, got {tol_rad!r}")
+    import numpy as np
     chi = susceptibility(scenario.qw).chi
-    thetas = np.linspace(lo, hi, _COARSE_POINTS)
-    values = _ratio_em(scenario, chi, thetas)
-    i_best = int(np.argmax(values))
-    if values[i_best] == -math.inf:
-        raise ValueError(f"no |r_e|/|r_m| ratio is defined in the theta window ({lo!r}, {hi!r})")
-    coarse_theta, coarse_peak = float(thetas[i_best]), float(values[i_best])
-    if i_best == 0 or i_best == len(thetas) - 1:
-        return ResonanceResult(theta_star=coarse_theta, ratio_em_peak=coarse_peak, boundary=True)
-    a, b = thetas[i_best - 1], thetas[i_best + 1]
-    refined_theta, refined_peak = coarse_theta, coarse_peak
-    # below a batch of ulps the bracket can no longer shrink
-    while b - a > max(tol_rad, _ZOOM_POINTS * math.ulp(b)):
-        thetas = np.linspace(a, b, _ZOOM_POINTS)
-        values = _ratio_em(scenario, chi, thetas)
-        i = int(np.argmax(values))
-        refined_theta, refined_peak = float(thetas[i]), float(values[i])
-        a, b = thetas[max(i - 1, 0)], thetas[min(i + 1, _ZOOM_POINTS - 1)]
-    if refined_peak >= coarse_peak:
-        return ResonanceResult(theta_star=refined_theta, ratio_em_peak=refined_peak, boundary=False)
-    return ResonanceResult(theta_star=coarse_theta, ratio_em_peak=coarse_peak, boundary=False)
+
+    def scan(a, b, n):
+        thetas = np.linspace(a, b, n)
+        r_e, r_m = reflection_arrays(_layers(scenario, chi), scenario.lambda_um, thetas)
+        values = ratio(np.abs(r_e), np.abs(r_m))
+        values[np.isnan(values)] = -math.inf
+        return thetas, values, int(np.argmax(values))
+
+    return _peak(scan, scan(lo, hi, _COARSE_POINTS), tol_rad)
+
+
+def _row_scan(rows: list[SweepRow]) -> tuple:
+    """`_peak`'s scan triple of theta rows."""
+    values = [-math.inf if math.isnan(row.ratio_em) else row.ratio_em for row in rows]
+    return [row.value for row in rows], values, values.index(max(values))
+
+
+def refine_resonance(scenario: Scenario, spec: SweepSpec, rows: list[SweepRow]) -> ResonanceResult:
+    """`find_resonance` over a theta sweep's own range, with the sweep's rows
+    (`point_sweep`'s or `run_sweep`'s) as the coarse scan and the zoom rounds
+    on the point path, so it never imports numpy.  It raises as
+    `find_resonance` does: SingularParameterError for a singular medium,
+    before it looks at the rows, and ValueError when no row has a ratio."""
+    if spec.variable != "theta":
+        raise ValueError(f"rows of a {spec.variable} sweep hold no angle scan")
+    chi = susceptibility(scenario.qw).chi
+
+    def scan(a, b, n):
+        return _row_scan(_point_rows(scenario, spec, _linspace(a, b, n), chi))
+
+    return _peak(scan, _row_scan(rows), 1e-7)

@@ -271,10 +271,11 @@ class TestCliRuns:
         assert summary["effective_epsilon2"][1] > 0  # absorbing medium
 
     def test_csv_reparses_to_the_last_digit(self, tmp_path):
-        from spinhall.sweep import run_sweep
+        # a preset's 2001 rows are within POINT_PATH_ROWS, so the CLI computes them on the point path
+        from spinhall.sweep import point_sweep
 
         scenario, spec = preset("fig2")
-        rows = run_sweep(scenario, spec)
+        rows = point_sweep(scenario, spec)
         result = run_cli(["--preset", "fig2", "--out", "check.csv", "--format", "csv"], tmp_path)
         assert result.returncode == 0, result.stderr
         with open(tmp_path / "check.csv", newline="") as handle:

@@ -16,9 +16,10 @@ from spinhall.shifts import (
     ResolutionError,
     centroid_shift_oracle,
     circular_centroids,
+    ratio,
     transverse_shifts,
 )
-from spinhall.strata import Kinematics, Layer, ReflectionPair, Stack, reflection_pair
+from spinhall.strata import Kinematics, Layer, ReflectionPair, Stack, _principal_phase, reflection_pair
 from spinhall.sweep import build_stack, find_resonance
 
 LAMBDA = 1.85
@@ -126,6 +127,44 @@ class TestClosedForms:
         both = transverse_shifts(ReflectionPair(r_e=0.0, r_m=0.0), LAMBDA, 0.8)
         assert both.h_singular and both.v_singular
         assert math.isnan(both.delta_h_plus)
+
+
+class TestScalarMode:
+    """Python numbers are computed by math and cmath, arrays and numpy
+    scalars by numpy, with the same expressions."""
+
+    SPECIALS = [0.0, -0.0, 1.0, -2.5, 1e-310, 1e308, math.inf, -math.inf, math.nan]
+
+    def test_ratio_divides_as_numpy_does(self):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for a in self.SPECIALS:
+                for b in self.SPECIALS:
+                    got = ratio(a, b)
+                    assert type(got) is float and repr(got) == repr(float(np.divide(a, b))), (a, b)
+
+    def test_principal_phase_matches_numpys(self):
+        for z in (-1 + 0j, complex(-1.0, -0.0), complex(-0.0, -0.0), 0j, -2.0, 3.0, complex(math.nan, 1.0)):
+            assert repr(_principal_phase(z)) == repr(_principal_phase(np.complex128(z))), z
+        rng = np.random.default_rng(8)
+        for z in (rng.normal(size=2000) + 1j * rng.normal(size=2000)).tolist():
+            got, want = _principal_phase(z), _principal_phase(np.complex128(z))
+            assert type(got) is float and abs(got - want) <= 4 * math.ulp(want), z
+
+    def test_shifts_match_the_array_form(self):
+        # numpy's tan and arctan2 may round differently from libm's, so the two
+        # agree to a few ulps of the terms of 1 + R*cos(dphi), R the larger ratio
+        rng = np.random.default_rng(9)
+        r_e = (rng.normal(size=500) + 1j * rng.normal(size=500)) * 10.0 ** rng.uniform(-8, 0, 500)
+        r_m = (rng.normal(size=500) + 1j * rng.normal(size=500)) * 10.0 ** rng.uniform(-8, 0, 500)
+        theta = rng.uniform(0.01, 1.56, 500)
+        grid = transverse_shifts(ReflectionPair(r_e, r_m), LAMBDA, theta)
+        for i, (a, b, t) in enumerate(zip(r_e.tolist(), r_m.tolist(), theta.tolist())):
+            point = transverse_shifts(ReflectionPair(a, b), LAMBDA, t)
+            assert (point.h_singular, point.v_singular) == (grid.h_singular[i], grid.v_singular[i])
+            terms = (1.0 + max(abs(a) / abs(b), abs(b) / abs(a))) / math.tan(t) / (2.0 * math.pi)
+            assert type(point.delta_h_plus) is float and type(point.h_singular) is bool
+            assert abs(point.delta_h_plus - grid.delta_h_plus[i]) <= 1e-14 * terms
+            assert abs(point.delta_v_plus - grid.delta_v_plus[i]) <= 1e-14 * terms
 
 
 class TestBeamSpec:

@@ -2,10 +2,12 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from spinhall.presets import preset
 from spinhall.qw_medium import QwParams, susceptibility
 from spinhall.strata import ReflectionPair, reflection_arrays
 from spinhall.shifts import transverse_shifts
@@ -141,6 +143,35 @@ class TestRunSweep:
         for row in rows:
             assert row.error == "OverflowError: math range error"
             assert math.isnan(row.re_abs) and row.h_singular and row.v_singular
+
+    def test_a_theta_sweep_explains_its_failed_rows_on_its_one_stack(self, monkeypatch):
+        # qw.beta 1e300 overflows every row's propagation; the texts come from
+        # the point path on the sweep's stack, with no susceptibility call per
+        # failed row (there were 2002 calls)
+        import spinhall.sweep
+
+        calls = []
+
+        def counted(qw):
+            calls.append(qw)
+            return susceptibility(qw)
+
+        monkeypatch.setattr(spinhall.sweep, "susceptibility", counted)
+        scenario, spec = preset("fig2")
+        rows = run_sweep(replace(scenario, qw=replace(scenario.qw, beta=1e300)), spec)
+        assert len(calls) == 1
+        assert [row.error for row in rows] == ["OverflowError: math range error"] * 2001
+
+    def test_singular_parameter_rows_carry_their_own_texts(self):
+        # fig5c with the control field and the d-level rates off: every delta is singular
+        scenario, spec = preset("fig5c")
+        rows = run_sweep(replace(scenario, qw=replace(scenario.qw, omega_c=0.0, gamma_dl=0.0, gamma_dd=0.0)), spec)
+        errors = [row.error for row in rows]
+        assert len(set(errors)) == 601
+        assert errors[-1] == (
+            "SingularParameterError: susceptibility denominator vanished (|den|=0.000e+00) for delta=8.0, "
+            "omega_c=0.0, rates summing to gamma2=2.04, gamma3=2.16, gamma4=0.0"
+        )
 
     def test_negative_control_field_rows_fail_as_before(self):
         # QwParams rejects omega_c < 0; those grid points become error rows
