@@ -8,9 +8,9 @@ point at full double precision, and a JSON summary, whole or not at all:
 the effective intracavity permittivity (null unless finite), the shift peaks
 over the non-singular grid rows, for angle sweeps the resonance (a coarse
 scan plus bracket zoom) and, when the beam has a waist, the centroid oracle
-at the h peak row.  A sweep of at most POINT_PATH_ROWS rows is computed by
-`point_sweep`, and the resonance over a theta sweep's own range is refined
-from its rows, so such a run never imports numpy; a larger sweep, or another
+at the h peak row.  A sweep of at most POINT_PATH_ROWS[variable] rows is
+computed one point at a time, and so is the resonance over a theta sweep's
+own range, so such a run never imports numpy; a larger sweep, or another
 resonance window, takes the batched `run_sweep` or `find_resonance`.
 """
 
@@ -37,7 +37,7 @@ from .qw_medium import SingularParameterError, permittivity, susceptibility
 from .shifts import ResolutionError, centroid_shift_oracle
 from .strata import DegenerateGeometryError, Kinematics
 from .sweep import (
-    Scenario, SweepRow, SweepSpec, build_stack, find_resonance, point_sweep, refine_resonance,
+    Scenario, SweepRow, SweepSpec, _point_sweep, _refine_resonance, build_stack, find_resonance,
     run_sweep, sweep_point,
 )
 
@@ -49,9 +49,8 @@ CSV_HEADER = (
 )
 
 # a sweep of at most this many rows runs on the point path, which needs no
-# numpy: at ~30 us an omega_c or delta row (~15 us a theta row) this many cost
-# about what numpy's import does
-POINT_PATH_ROWS = 4096
+# numpy; each limit is about where whole CLI runs of the two paths took equal time (README "CLI")
+POINT_PATH_ROWS = {"theta": 6000, "omega_c": 2000, "delta": 2000}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,6 +138,7 @@ def _summary(
     preset_name: str | None,
     window: tuple[float, float] | None,
     csv_path: Path | None,
+    point_path: bool,
 ) -> dict:
     # an omega_c or delta sweep's rows replace qw's value, so no one permittivity is theirs
     eps2 = permittivity(susceptibility(scenario.qw).chi) if spec.variable == "theta" else math.nan
@@ -168,10 +168,9 @@ def _summary(
     }
     if window is not None:
         try:
-            # the point path's rows of a theta sweep's own range are its coarse scan
-            own_range = spec.variable == "theta" and window == (spec.lo, spec.hi)
-            if own_range and len(rows) <= POINT_PATH_ROWS:
-                found = asdict(refine_resonance(scenario, spec, rows))
+            # a point-path run searches a theta sweep's own range on the point path too
+            if point_path and spec.variable == "theta" and window == (spec.lo, spec.hi):
+                found = asdict(_refine_resonance(scenario, spec, rows))
             else:
                 found = asdict(find_resonance(scenario, window))
             summary["resonance"] = {**found, "ratio_em_peak": _finite_or_none(found["ratio_em_peak"])}
@@ -260,12 +259,13 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        rows = (point_sweep if spec.samples <= POINT_PATH_ROWS else run_sweep)(scenario, spec)
+        point_path = spec.samples <= POINT_PATH_ROWS[spec.variable]
+        rows = (_point_sweep if point_path else run_sweep)(scenario, spec)
         if csv_path is not None:
             write_csv(rows, csv_path)
             print(f"wrote {csv_path} ({len(rows)} rows)")
         if json_path is not None:
-            summary = _summary(scenario, spec, rows, preset_name, window, csv_path)
+            summary = _summary(scenario, spec, rows, preset_name, window, csv_path, point_path)
             # encoded before the file is opened, so a failed encoding leaves no partial file
             text = json.dumps(summary, indent=2, allow_nan=False) + "\n"
             json_path.write_text(text, encoding="utf-8", newline="\n")

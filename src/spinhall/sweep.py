@@ -11,15 +11,14 @@ geometries are usually the interesting part of a scan.
 Scalars are computed in Python and arrays in numpy, which only the functions
 that take or build arrays import.  `run_sweep` evaluates a grid as columns:
 one susceptibility (theta) or an array of them (omega_c/delta), one batched
-transfer-matrix call and one batched shift evaluation.  `point_sweep` computes
-the same rows one `reflection_pair` call at a time (~11 us a theta row, ~27 us
-an omega_c/delta row), less than numpy's import costs for a few thousand rows.
-The two agree to rounding: numpy fuses complex multiply-adds and rounds
-`arctan2` and `tan` its own way, which moves a shift near the TM extinction by
-up to a few 1e-10 relative.  `run_sweep` asks the point path why a row failed,
-on the one stack of a theta sweep.  `find_resonance` scans a window with the
-batched kernel, `refine_resonance` zooms from a theta sweep's rows on the
-point path, and both share the zoom rounds of `_peak`.
+transfer-matrix call and one batched shift evaluation.  The CLI's
+`_point_sweep` computes the same rows one `reflection_pair` call at a time,
+and its `_refine_resonance` is `find_resonance` on that point path; both
+share the zoom rounds of `_peak`.  The two paths agree to rounding: numpy
+fuses complex multiply-adds and rounds `arctan2` and `tan` its own way, which
+moves a shift near the TM extinction by up to a few 1e-10 relative.
+`run_sweep` asks the point path why a row failed, on the one stack of a theta
+sweep.
 """
 
 from __future__ import annotations
@@ -43,10 +42,8 @@ __all__ = [
     "ResonanceResult",
     "build_stack",
     "sweep_point",
-    "point_sweep",
     "run_sweep",
     "find_resonance",
-    "refine_resonance",
 ]
 
 SWEEP_VARIABLES = ("theta", "omega_c", "delta")
@@ -213,9 +210,9 @@ def _point_rows(scenario: Scenario, spec: SweepSpec, values: list[float], chi=No
     return rows
 
 
-def point_sweep(scenario: Scenario, spec: SweepSpec) -> list[SweepRow]:
+def _point_sweep(scenario: Scenario, spec: SweepSpec) -> list[SweepRow]:
     """`run_sweep`'s rows computed one point at a time in Python, without
-    numpy (see the module docstring for how the two differ)."""
+    numpy, for the CLI (see the module docstring for how the two differ)."""
     return _point_rows(scenario, spec, _linspace(float(spec.lo), float(spec.hi), int(spec.samples)))
 
 
@@ -251,11 +248,12 @@ def run_sweep(scenario: Scenario, spec: SweepSpec, threads: int = 1) -> list[Swe
     return rows
 
 
-# points of the coarse scan of find_resonance, and per zoom round: each round
-# narrows the bracket 32-fold, so the 2000-point scan of a 0.15 rad window
-# reaches 1e-7 in 3 rounds
+# points of the coarse scan of find_resonance and per zoom round, and the
+# default bracket width it stops at: each round narrows the bracket 32-fold,
+# so the 2000-point scan of a 0.15 rad window reaches 1e-7 in 3 rounds
 _COARSE_POINTS = 2000
 _ZOOM_POINTS = 65
+_TOL_RAD = 1e-7
 
 
 def _peak(scan, coarse: tuple, tol_rad: float) -> ResonanceResult:
@@ -284,7 +282,7 @@ def _peak(scan, coarse: tuple, tol_rad: float) -> ResonanceResult:
 def find_resonance(
     scenario: Scenario,
     theta_window: tuple[float, float],
-    tol_rad: float = 1e-7,
+    tol_rad: float = _TOL_RAD,
 ) -> ResonanceResult:
     """Locate the angle maximizing |r_e|/|r_m| inside the window.
 
@@ -315,23 +313,38 @@ def find_resonance(
     return _peak(scan, scan(lo, hi, _COARSE_POINTS), tol_rad)
 
 
-def _row_scan(rows: list[SweepRow]) -> tuple:
-    """`_peak`'s scan triple of theta rows."""
-    values = [-math.inf if math.isnan(row.ratio_em) else row.ratio_em for row in rows]
-    return [row.value for row in rows], values, values.index(max(values))
+def _scan(thetas: list[float], ratios) -> tuple:
+    """`_peak`'s scan triple of angles and their |r_e|/|r_m| (NaN undefined)."""
+    values = [-math.inf if math.isnan(value) else value for value in ratios]
+    return thetas, values, values.index(max(values))
 
 
-def refine_resonance(scenario: Scenario, spec: SweepSpec, rows: list[SweepRow]) -> ResonanceResult:
-    """`find_resonance` over a theta sweep's own range, with the sweep's rows
-    (`point_sweep`'s or `run_sweep`'s) as the coarse scan and the zoom rounds
-    on the point path, so it never imports numpy.  It raises as
-    `find_resonance` does: SingularParameterError for a singular medium,
-    before it looks at the rows, and ValueError when no row has a ratio."""
-    if spec.variable != "theta":
-        raise ValueError(f"rows of a {spec.variable} sweep hold no angle scan")
-    chi = susceptibility(scenario.qw).chi
+def _refine_resonance(scenario: Scenario, spec: SweepSpec, rows: list[SweepRow]) -> ResonanceResult:
+    """`find_resonance` over a theta sweep's own range on the point path, the
+    rows of `_point_sweep` its coarse scan if there are as many as that scans.
+    It raises as `find_resonance` does: SingularParameterError for a singular
+    medium, before it reads the rows, and ValueError where no angle has a ratio."""
+    chi, lambda_um = susceptibility(scenario.qw).chi, scenario.lambda_um
+    try:
+        stack = build_stack(scenario, chi)
+    except ValueError:  # a medium no layer can hold gives no angle a ratio
+        stack = None
+
+    def point_ratio(theta):
+        if stack is None:
+            return math.nan
+        try:
+            pair = reflection_pair(stack, Kinematics(lambda_um, theta))
+        except (ArithmeticError, ValueError):  # an overflowing or degenerate point has no ratio
+            return math.nan
+        return ratio(abs(pair.r_e), abs(pair.r_m))
 
     def scan(a, b, n):
-        return _row_scan(_point_rows(scenario, spec, _linspace(a, b, n), chi))
+        thetas = _linspace(a, b, n)
+        return _scan(thetas, map(point_ratio, thetas))
 
-    return _peak(scan, _row_scan(rows), 1e-7)
+    if len(rows) >= _COARSE_POINTS:
+        coarse = _scan([row.value for row in rows], [row.ratio_em for row in rows])
+    else:  # too few rows would miss a narrow peak
+        coarse = scan(float(spec.lo), float(spec.hi), _COARSE_POINTS)
+    return _peak(scan, coarse, _TOL_RAD)

@@ -272,10 +272,10 @@ class TestCliRuns:
 
     def test_csv_reparses_to_the_last_digit(self, tmp_path):
         # a preset's 2001 rows are within POINT_PATH_ROWS, so the CLI computes them on the point path
-        from spinhall.sweep import point_sweep
+        from spinhall.sweep import _point_sweep
 
         scenario, spec = preset("fig2")
-        rows = point_sweep(scenario, spec)
+        rows = _point_sweep(scenario, spec)
         result = run_cli(["--preset", "fig2", "--out", "check.csv", "--format", "csv"], tmp_path)
         assert result.returncode == 0, result.stderr
         with open(tmp_path / "check.csv", newline="") as handle:

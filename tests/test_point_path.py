@@ -1,5 +1,5 @@
-"""The point path: `point_sweep` and `refine_resonance` compute a CLI run of up
-to `POINT_PATH_ROWS` rows in Python, and nothing on that path imports numpy.
+"""The point path: `_point_sweep` and `_refine_resonance` compute a CLI run of
+up to `POINT_PATH_ROWS` rows in Python, and nothing on that path imports numpy.
 
 The import checks run in child interpreters, since this process has numpy
 loaded for its own references.
@@ -20,7 +20,7 @@ from spinhall.config import config_from_scenario
 from spinhall.presets import PRESET_NAMES, preset
 from spinhall.qw_medium import SingularParameterError
 from spinhall.sweep import (
-    SweepRow, SweepSpec, _linspace, find_resonance, point_sweep, refine_resonance, run_sweep, sweep_point,
+    SweepRow, SweepSpec, _linspace, _point_sweep, _refine_resonance, find_resonance, run_sweep, sweep_point,
 )
 
 THETA_PRESETS = [name for name in PRESET_NAMES if preset(name)[1].variable == "theta"]
@@ -57,25 +57,28 @@ class TestNoNumpy:
         assert result.returncode == 0, result.stderr
         assert "import time:" in result.stderr and numpy_modules(result.stderr) == []
 
-    @pytest.mark.parametrize("samples", [POINT_PATH_ROWS, POINT_PATH_ROWS + 1])
-    def test_the_row_count_picks_the_path(self, tmp_path, samples):
-        # up to the limit the CLI writes point_sweep's rows and refines the
-        # resonance from them; above it, run_sweep's rows and find_resonance
-        scenario, spec = preset("fig2")
-        spec = replace(spec, samples=samples)
-        doc = config_from_scenario(scenario, spec, preset_name="fig2")
-        (tmp_path / "config.json").write_text(json.dumps(doc))
+    @pytest.mark.parametrize("name", ["fig2", "fig5a", "fig5c"])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_the_row_count_picks_the_path(self, tmp_path, name, extra):
+        # up to the variable's limit the CLI writes _point_sweep's rows and
+        # refines a theta sweep's resonance on the point path; above it,
+        # run_sweep's rows and find_resonance
+        scenario, spec = preset(name)
+        spec = replace(spec, samples=POINT_PATH_ROWS[spec.variable] + extra)
+        (tmp_path / "config.json").write_text(json.dumps(config_from_scenario(scenario, spec, preset_name=name)))
         result = subprocess.run([sys.executable, "-X", "importtime", "-m", "spinhall", "--config", "config.json",
                                  "--out", "run.csv"], cwd=tmp_path, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        batch = samples > POINT_PATH_ROWS
+        batch = extra > 0
         assert bool(numpy_modules(result.stderr)) == batch
-        rows = (run_sweep if batch else point_sweep)(scenario, spec)
+        rows = (run_sweep if batch else _point_sweep)(scenario, spec)
         write_csv(rows, tmp_path / "want.csv")
         assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-        want = (find_resonance(scenario, (spec.lo, spec.hi)) if batch
-                else refine_resonance(scenario, spec, rows))
-        assert json.loads((tmp_path / "run.json").read_text())["resonance"] == asdict(want)
+        want = None
+        if spec.variable == "theta":
+            want = asdict(find_resonance(scenario, (spec.lo, spec.hi)) if batch
+                          else _refine_resonance(scenario, spec, rows))
+        assert json.loads((tmp_path / "run.json").read_text())["resonance"] == want
 
 
 class TestPointRows:
@@ -89,7 +92,7 @@ class TestPointRows:
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_preset_rows_match_the_batch(self, name):
-        point, batch = point_sweep(*preset(name)), run_sweep(*preset(name))
+        point, batch = _point_sweep(*preset(name)), run_sweep(*preset(name))
         assert [row.value for row in point] == [row.value for row in batch]
         assert [row[9:] for row in point] == [row[9:] for row in batch]
         assert all(type(row) is SweepRow and type(row.re_abs) is float for row in point)
@@ -102,7 +105,7 @@ class TestPointRows:
         # farther than the batch value from a 50-digit evaluation
         mp = pytest.importorskip("mpmath")
         scenario, spec = preset(name)
-        for p, q in zip(point_sweep(scenario, spec), run_sweep(scenario, spec)):
+        for p, q in zip(_point_sweep(scenario, spec), run_sweep(scenario, spec)):
             fields = [f for f, a, b in zip(DATA, p[1:9], q[1:9]) if gap(a, b) > 1e-10]
             if fields:
                 with mp.workdps(50):
@@ -122,7 +125,7 @@ class TestPointRows:
          SweepSpec("theta", 0.3, 1.2, 7), 7),
     ], ids=["overflow", "singular-delta", "negative-omega_c", "nan-chi", "singular-medium"])
     def test_failed_rows_equal_the_batchs(self, scenario, spec, failed):
-        point, batch = point_sweep(scenario, spec), run_sweep(scenario, spec)
+        point, batch = _point_sweep(scenario, spec), run_sweep(scenario, spec)
         assert [row[9:] for row in point] == [row[9:] for row in batch]
         failures = [(p, q) for p, q in zip(point, batch) if p.error is not None]
         assert len(failures) == failed
@@ -168,8 +171,8 @@ class TestRefineResonance:
     @pytest.mark.parametrize("name", THETA_PRESETS)
     def test_matches_find_resonance_and_the_rows(self, name):
         scenario, spec = preset(name)
-        rows = point_sweep(scenario, spec)
-        seeded = refine_resonance(scenario, spec, rows)
+        rows = _point_sweep(scenario, spec)
+        seeded = _refine_resonance(scenario, spec, rows)
         scanned = find_resonance(scenario, (spec.lo, spec.hi))
         # measured: <= 8.9e-9 rad and <= 5.8e-8 relative (fig3)
         assert seeded.boundary == scanned.boundary is False
@@ -181,19 +184,30 @@ class TestRefineResonance:
         step = (spec.hi - spec.lo) / (spec.samples - 1)
         assert abs(seeded.theta_star - theta) <= step and seeded.ratio_em_peak >= peak
 
-    def test_takes_the_batchs_rows_too(self):
+    @pytest.mark.parametrize("samples", [2, 20])
+    def test_a_coarse_sweep_finds_the_interior_peak(self, tmp_path, samples):
+        # fewer rows than find_resonance's coarse scan: the CLI scans the range
+        # on the point path instead of missing the narrow fig2 peak
         scenario, spec = preset("fig2")
-        seeded = refine_resonance(scenario, spec, run_sweep(scenario, spec))
-        assert abs(seeded.theta_star - find_resonance(scenario, (spec.lo, spec.hi)).theta_star) <= 1e-7
+        spec = replace(spec, samples=samples)
+        (tmp_path / "config.json").write_text(json.dumps(config_from_scenario(scenario, spec, preset_name="fig2")))
+        result = subprocess.run([sys.executable, "-m", "spinhall", "--config", "config.json", "--out", "run.csv"],
+                                cwd=tmp_path, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        found = json.loads((tmp_path / "run.json").read_text())["resonance"]
+        scanned = find_resonance(scenario, (spec.lo, spec.hi))
+        assert found["boundary"] == scanned.boundary is False
+        assert abs(found["theta_star"] - scanned.theta_star) <= 1e-7
+        assert found["ratio_em_peak"] == pytest.approx(scanned.ratio_em_peak, rel=1e-6)
 
     def test_a_singular_medium_raises_before_the_rows_are_read(self):
         scenario, spec = preset("fig2")
         rates = ("gamma_bl", "gamma_bd", "gamma_cl", "gamma_cd", "gamma_dl", "gamma_dd", "delta")
         scenario = replace(scenario, qw=replace(scenario.qw, **dict.fromkeys(rates, 0.0)))
-        rows = point_sweep(scenario, spec)
+        rows = _point_sweep(scenario, spec)
         assert all(row.error.startswith("SingularParameterError: ") for row in rows)
         with pytest.raises(SingularParameterError) as seeded:
-            refine_resonance(scenario, spec, rows)
+            _refine_resonance(scenario, spec, rows)
         with pytest.raises(SingularParameterError) as scanned:
             find_resonance(scenario, (spec.lo, spec.hi))
         assert str(seeded.value) == str(scanned.value)
@@ -202,13 +216,8 @@ class TestRefineResonance:
         scenario, spec = preset("fig2")
         scenario, spec = replace(scenario, qw=replace(scenario.qw, omega_c=1e200)), replace(spec, samples=11)
         with pytest.raises(ValueError) as seeded:
-            refine_resonance(scenario, spec, point_sweep(scenario, spec))
+            _refine_resonance(scenario, spec, _point_sweep(scenario, spec))
         with pytest.raises(ValueError) as scanned:
             find_resonance(scenario, (spec.lo, spec.hi))
         assert type(seeded.value) is type(scanned.value) is ValueError
         assert str(seeded.value) == str(scanned.value)
-
-    def test_a_parameter_sweep_is_refused(self):
-        scenario, spec = preset("fig5a")
-        with pytest.raises(ValueError, match="omega_c sweep"):
-            refine_resonance(scenario, spec, point_sweep(scenario, spec))
