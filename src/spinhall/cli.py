@@ -50,7 +50,7 @@ CSV_HEADER = (
 
 # a sweep of at most this many rows runs on the point path, which needs no
 # numpy; each limit is about where whole CLI runs of the two paths took equal time (README "CLI")
-POINT_PATH_ROWS = {"theta": 6000, "omega_c": 2000, "delta": 2000}
+POINT_PATH_ROWS = {"theta": 10000, "omega_c": 4500, "delta": 4500}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -75,14 +75,15 @@ class QwParams:
     omega_c: float
 
     def __post_init__(self) -> None:
-        for name in _NON_NEGATIVE:
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be a finite non-negative rate, got {value!r}")
-        for name in ("g", "f", "delta"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in _NON_NEGATIVE + ("g", "f", "delta"):
+            _check_field(name, getattr(self, name))
+
+
+def _check_field(name: str, value: float) -> None:
+    """QwParams' rule for one field: finite, and >= 0 for a rate, beta and omega_c."""
+    if not math.isfinite(value) or (name in _NON_NEGATIVE and value < 0.0):
+        kind = "a finite non-negative rate" if name in _NON_NEGATIVE else "finite"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -141,15 +142,21 @@ def susceptibility(params: QwParams) -> Susceptibility:
     half splitting delta.  Raises SingularParameterError when the denominator
     magnitude falls below DENOMINATOR_FLOOR.
     """
-    numerator, denominator = _closed_form(params, params.omega_c, params.delta)
+    return Susceptibility(chi=_chi(params, params.omega_c, params.delta))
+
+
+def _chi(params: QwParams, omega_c: float, delta: float) -> complex:
+    """The closed-form chi at one omega_c and delta, the other fields from
+    params; SingularParameterError names the omega_c and delta it was given."""
+    numerator, denominator = _closed_form(params, omega_c, delta)
     if abs(denominator) < DENOMINATOR_FLOOR:
         d = derived_rates(params)
         raise SingularParameterError(
             f"susceptibility denominator vanished (|den|={abs(denominator):.3e}) "
-            f"for delta={params.delta}, omega_c={params.omega_c}, rates summing to "
+            f"for delta={delta}, omega_c={omega_c}, rates summing to "
             f"gamma2={d.gamma2}, gamma3={d.gamma3}, gamma4={d.gamma4}"
         )
-    return Susceptibility(chi=numerator / denominator)
+    return numerator / denominator
 
 
 def susceptibility_grid(params: QwParams, variable: str, values: np.ndarray) -> np.ndarray:

@@ -125,16 +125,17 @@ def ratio(a, b):
         return np.divide(a, b)
 
 
-def _closed_forms(pair: ReflectionPair, theta_rad, lib) -> tuple:
-    """(delta_h_plus, delta_v_plus, h_singular, v_singular) computed by `lib`:
-    `math` at one point, numpy over a grid, in the same operation order."""
-    re_abs, rm_abs = abs(pair.r_e), abs(pair.r_m)
+def _closed_forms(re_abs, rm_abs, phi_e, phi_m, theta_rad, lib) -> tuple:
+    """(|r_e|/|r_m|, |r_m|/|r_e|, delta_h_plus, delta_v_plus, h_singular,
+    v_singular) from the magnitudes and phases of r_e and r_m, computed by
+    `lib`: `math` at one point, numpy over a grid, in the same operation order."""
+    ratio_em, ratio_me = ratio(re_abs, rm_abs), ratio(rm_abs, re_abs)
     cot = 1.0 / lib.tan(theta_rad)
-    dphi = pair.phi_e - pair.phi_m
+    dphi = phi_e - phi_m
     scale = -cot / (2.0 * math.pi)
-    delta_h = scale * (1.0 + ratio(re_abs, rm_abs) * lib.cos(dphi))
-    delta_v = scale * (1.0 + ratio(rm_abs, re_abs) * lib.cos(-dphi))
-    return delta_h, delta_v, rm_abs < SINGULAR_REFLECTION, re_abs < SINGULAR_REFLECTION
+    delta_h = scale * (1.0 + ratio_em * lib.cos(dphi))
+    delta_v = scale * (1.0 + ratio_me * lib.cos(-dphi))
+    return ratio_em, ratio_me, delta_h, delta_v, rm_abs < SINGULAR_REFLECTION, re_abs < SINGULAR_REFLECTION
 
 
 def transverse_shifts(pair: ReflectionPair, lambda_um: float, theta_rad: float) -> ShiftResult:
@@ -146,16 +147,17 @@ def transverse_shifts(pair: ReflectionPair, lambda_um: float, theta_rad: float) 
     arrays over a grid of points; the result's fields are then arrays too.
     Python numbers are computed by `math`, anything else by numpy.
     """
+    polar = abs(pair.r_e), abs(pair.r_m), pair.phi_e, pair.phi_m
     if type(theta_rad) is float and {type(pair.r_e), type(pair.r_m)} <= {float, complex}:
         if not 0.0 < theta_rad < math.pi / 2:
             raise ValueError(f"theta must lie in (0, pi/2), got {theta_rad!r}")
-        delta_h, delta_v, h_singular, v_singular = _closed_forms(pair, theta_rad, math)
+        _, _, delta_h, delta_v, h_singular, v_singular = _closed_forms(*polar, theta_rad, math)
         return ShiftResult(delta_h, delta_v, lambda_um, h_singular, v_singular)
     import numpy as np
     if not np.all((0.0 < theta_rad) & (theta_rad < math.pi / 2)):
         raise ValueError(f"theta must lie in (0, pi/2), got {theta_rad!r}")
     with np.errstate(invalid="ignore"):
-        delta_h, delta_v, h_singular, v_singular = _closed_forms(pair, theta_rad, np)
+        _, _, delta_h, delta_v, h_singular, v_singular = _closed_forms(*polar, theta_rad, np)
     if np.ndim(delta_h) == 0:
         delta_h, delta_v = float(delta_h), float(delta_v)
         h_singular, v_singular = bool(h_singular), bool(v_singular)

@@ -4,21 +4,21 @@ A Scenario bundles the quantum-well medium with the cavity template (two
 fixed walls around the tunable middle layer) and the probe wavelength; a
 SweepSpec picks one variable (theta, omega_c or delta), its grid and, for
 omega_c or delta, a fixed angle.  `Scenario.qw` is the medium; a swept value
-replaces its field in `sweep_point` and, for a whole grid, in `run_sweep`.
-Per-point failures degrade to flagged rows instead of aborting: the singular
-geometries are usually the interesting part of a scan.
+replaces its field in `sweep_point`, and a grid row takes the chi of the
+medium so changed.  Per-point failures degrade to flagged rows instead of
+aborting: the singular geometries are usually the interesting part of a scan.
 
 Scalars are computed in Python and arrays in numpy, which only the functions
 that take or build arrays import.  `run_sweep` evaluates a grid as columns:
 one susceptibility (theta) or an array of them (omega_c/delta), one batched
 transfer-matrix call and one batched shift evaluation.  The CLI's
-`_point_sweep` computes the same rows one `reflection_pair` call at a time,
-and its `_refine_resonance` is `find_resonance` on that point path; both
-share the zoom rounds of `_peak`.  The two paths agree to rounding: numpy
-fuses complex multiply-adds and rounds `arctan2` and `tan` its own way, which
-moves a shift near the TM extinction by up to a few 1e-10 relative.
-`run_sweep` asks the point path why a row failed, on the one stack of a theta
-sweep.
+`_point_sweep` computes the same rows a point at a time, with what the swept
+value leaves unchanged (k, the walls, the fixed angle or a theta sweep's
+medium) set up once per sweep; its `_refine_resonance` is `find_resonance` on
+that point path, and both share the zoom rounds of `_peak`.  The two paths
+agree to rounding: numpy fuses complex multiply-adds and rounds `arctan2` and
+`tan` its own way, which moves a shift near the TM extinction by up to a few
+1e-10 relative.  `run_sweep` asks the point path why a row failed.
 """
 
 from __future__ import annotations
@@ -30,9 +30,12 @@ from dataclasses import dataclass, field, replace
 from numbers import Integral
 from typing import NamedTuple
 
-from .qw_medium import QwParams, susceptibility, susceptibility_grid
-from .shifts import BeamSpec, ratio, transverse_shifts
-from .strata import Kinematics, Layer, ReflectionPair, Stack, reflection_arrays, reflection_pair
+from .qw_medium import QwParams, _check_field, _chi, susceptibility, susceptibility_grid
+# transverse_shifts and reflection_pair are not called here; bench/spans.py wraps these names
+from .shifts import BeamSpec, _closed_forms, ratio, transverse_shifts
+from .strata import (
+    Layer, Stack, _checked, _point_fractions, _principal_phase, reflection_arrays, reflection_pair,
+)
 
 __all__ = [
     "SWEEP_VARIABLES",
@@ -171,40 +174,52 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return values
 
 
-def _row_data(pair: ReflectionPair, lambda_um: float, theta) -> tuple:
-    """The SweepRow fields between `value` and `error`: one row's from a
-    point's pair, or the columns of a grid from arrays."""
-    shifts = transverse_shifts(pair, lambda_um, theta)
-    re_abs, rm_abs = abs(pair.r_e), abs(pair.r_m)
-    return (
-        re_abs, rm_abs, ratio(re_abs, rm_abs), ratio(rm_abs, re_abs), pair.phi_e, pair.phi_m,
-        shifts.delta_h_plus, shifts.delta_v_plus, shifts.h_singular, shifts.v_singular,
-    )
+def _row_data(r_e, r_m, theta, lib) -> tuple:
+    """The SweepRow fields between `value` and `error`, from one pass over the
+    magnitudes and phases: a row's from one point's r_e and r_m (lib `math`),
+    or the columns of a grid from arrays (numpy)."""
+    re_abs, rm_abs, phi_e, phi_m = abs(r_e), abs(r_m), _principal_phase(r_e), _principal_phase(r_m)
+    ratio_em, ratio_me, delta_h, delta_v, h_singular, v_singular = _closed_forms(
+        re_abs, rm_abs, phi_e, phi_m, theta, lib)
+    return re_abs, rm_abs, ratio_em, ratio_me, phi_e, phi_m, delta_h, delta_v, h_singular, v_singular
 
 
 def _failed_row(value: float, exc: Exception) -> SweepRow:
     return SweepRow(value, *(math.nan,) * 8, True, True, f"{type(exc).__name__}: {exc}")
 
 
+def _point_pair(layers: tuple, k: float, k_z: float, q0: float) -> tuple[complex, complex]:
+    """`reflection_pair`'s (r_e, r_m) from k = 2pi/lambda and the angle's k_z
+    and q0, without its Kinematics and ReflectionPair."""
+    (te_n, te_d), (tm_n, tm_d) = _point_fractions(layers, k, k_z, q0)
+    return _checked(te_n, te_d, q0), _checked(tm_n, tm_d, q0)
+
+
 def _point_rows(scenario: Scenario, spec: SweepSpec, values: list[float], chi=None) -> list[SweepRow]:
-    """Rows at the swept values, one `reflection_pair` call each.  A theta
-    sweep's rows share one stack, built from `chi` when the caller has the
-    medium's susceptibility; an omega_c or delta row builds its own medium's
-    (and ignores `chi`).  A failed point gives NaN data, both singular flags
-    and the error text."""
-    lambda_um, stack = scenario.lambda_um, None
-    if spec.variable == "theta":
+    """Rows at the swept values, one point at a time.  k, the walls and a theta
+    sweep's middle layer (from `chi` if given) or the fixed angle are set once;
+    an omega_c or delta row checks its value and builds its middle layer.  A
+    failed point gives NaN data, both singular flags and the error text."""
+    qw, variable, d2, k = scenario.qw, spec.variable, scenario.d2_um, 2.0 * math.pi / scenario.lambda_um
+    wall1, wall3 = Layer(scenario.epsilon1, scenario.d1_um), Layer(scenario.epsilon3, scenario.d1_um)
+    if variable == "theta":
         try:
-            stack = build_stack(scenario, susceptibility(scenario.qw).chi if chi is None else chi)
+            layers = (wall1, Layer(1.0 + (susceptibility(qw).chi if chi is None else chi), d2), wall3)
         except Exception as exc:  # a failing medium fails every row identically
             return [_failed_row(value, exc) for value in values]
+    else:
+        theta = float(spec.fixed["theta"])
+        k_z, q0 = k * math.sin(theta), math.cos(theta)
     rows = []
     for value in values:
         try:
-            qw, theta = sweep_point(scenario, spec, value)
-            pair = reflection_pair(stack or build_stack(scenario, susceptibility(qw).chi),
-                                   Kinematics(lambda_um, theta))
-            rows.append(SweepRow(value, *_row_data(pair, lambda_um, theta)))
+            if variable == "theta":
+                theta, k_z, q0 = value, k * math.sin(value), math.cos(value)
+            else:
+                _check_field(variable, value)
+                omega_c, delta = (value, qw.delta) if variable == "omega_c" else (qw.omega_c, value)
+                layers = (wall1, Layer(1.0 + _chi(qw, omega_c, delta), d2), wall3)
+            rows.append(SweepRow(value, *_row_data(*_point_pair(layers, k, k_z, q0), theta, math)))
         except Exception as exc:  # per-point failures become flagged rows
             rows.append(_failed_row(value, exc))
     return rows
@@ -237,7 +252,8 @@ def run_sweep(scenario: Scenario, spec: SweepSpec, threads: int = 1) -> list[Swe
         theta = float(spec.fixed["theta"])
         chi = susceptibility_grid(scenario.qw, spec.variable, values)
     r_e, r_m = reflection_arrays(_layers(scenario, chi), scenario.lambda_um, theta)
-    data = _row_data(ReflectionPair(r_e, r_m), scenario.lambda_um, theta)
+    with np.errstate(invalid="ignore"):
+        data = _row_data(r_e, r_m, theta, np)
     columns = [c.tolist() for c in (values, *data)]
     # tuple.__new__ fills each row in C, skipping the NamedTuple's Python __new__
     rows = list(map(tuple.__new__, itertools.repeat(SweepRow), zip(*columns, itertools.repeat(None))))
@@ -324,20 +340,20 @@ def _refine_resonance(scenario: Scenario, spec: SweepSpec, rows: list[SweepRow])
     rows of `_point_sweep` its coarse scan if there are as many as that scans.
     It raises as `find_resonance` does: SingularParameterError for a singular
     medium, before it reads the rows, and ValueError where no angle has a ratio."""
-    chi, lambda_um = susceptibility(scenario.qw).chi, scenario.lambda_um
+    chi, k = susceptibility(scenario.qw).chi, 2.0 * math.pi / scenario.lambda_um
     try:
-        stack = build_stack(scenario, chi)
+        layers = build_stack(scenario, chi).layers
     except ValueError:  # a medium no layer can hold gives no angle a ratio
-        stack = None
+        layers = None
 
     def point_ratio(theta):
-        if stack is None:
+        if layers is None:
             return math.nan
         try:
-            pair = reflection_pair(stack, Kinematics(lambda_um, theta))
+            r_e, r_m = _point_pair(layers, k, k * math.sin(theta), math.cos(theta))
         except (ArithmeticError, ValueError):  # an overflowing or degenerate point has no ratio
             return math.nan
-        return ratio(abs(pair.r_e), abs(pair.r_m))
+        return ratio(abs(r_e), abs(r_m))
 
     def scan(a, b, n):
         thetas = _linspace(a, b, n)

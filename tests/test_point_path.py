@@ -18,9 +18,12 @@ import pytest
 from spinhall.cli import POINT_PATH_ROWS, write_csv
 from spinhall.config import config_from_scenario
 from spinhall.presets import PRESET_NAMES, preset
-from spinhall.qw_medium import SingularParameterError
+from spinhall.qw_medium import QwParams, SingularParameterError, susceptibility
+from spinhall.shifts import ratio, transverse_shifts
+from spinhall.strata import Kinematics, Layer, reflection_pair
 from spinhall.sweep import (
-    SweepRow, SweepSpec, _linspace, _point_sweep, _refine_resonance, find_resonance, run_sweep, sweep_point,
+    SweepRow, SweepSpec, _linspace, _point_sweep, _refine_resonance, build_stack, find_resonance, run_sweep,
+    sweep_point,
 )
 
 THETA_PRESETS = [name for name in PRESET_NAMES if preset(name)[1].variable == "theta"]
@@ -165,6 +168,75 @@ def mp_row(mp, scenario, spec, value) -> dict:
         "delta_h_plus_lambda": scale * (1 + abs(r_e) / abs(r_m) * mp.cos(phi_e - phi_m)),
         "delta_v_plus_lambda": scale * (1 + abs(r_m) / abs(r_e) * mp.cos(phi_m - phi_e)),
     }
+
+
+def per_point_rows(scenario, spec) -> list[SweepRow]:
+    """`_point_sweep`'s rows through the public per-point calls, rebuilding
+    everything at every row: `sweep_point`, `susceptibility`, `build_stack`,
+    `reflection_pair` on a `Kinematics` and `transverse_shifts`."""
+    rows = []
+    for value in _linspace(spec.lo, spec.hi, spec.samples):
+        try:
+            qw, theta = sweep_point(scenario, spec, value)
+            kin = Kinematics(scenario.lambda_um, theta)
+            pair = reflection_pair(build_stack(scenario, susceptibility(qw).chi), kin)
+            shifts = transverse_shifts(pair, scenario.lambda_um, theta)
+            re_abs, rm_abs = abs(pair.r_e), abs(pair.r_m)
+            rows.append(SweepRow(value, re_abs, rm_abs, ratio(re_abs, rm_abs), ratio(rm_abs, re_abs),
+                                 pair.phi_e, pair.phi_m, shifts.delta_h_plus, shifts.delta_v_plus,
+                                 shifts.h_singular, shifts.v_singular))
+        except Exception as exc:
+            rows.append(SweepRow(value, *(math.nan,) * 8, True, True, f"{type(exc).__name__}: {exc}"))
+    return rows
+
+
+def with_qw(name, **fields):
+    scenario, spec = preset(name)
+    return replace(scenario, qw=replace(scenario.qw, **fields)), spec
+
+
+class TestPerSweepWork:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_rows_are_the_per_point_rows(self, name):
+        assert repr(_point_sweep(*preset(name))) == repr(per_point_rows(*preset(name)))
+
+    @pytest.mark.parametrize("scenario, spec, error, failed", [
+        (*with_qw("fig5c", omega_c=0.0, gamma_dl=0.0, gamma_dd=0.0), "SingularParameterError", 601),
+        (preset("fig5a")[0], replace(preset("fig5a")[1], lo=-2.0, hi=3.0), "ValueError", 240),
+        (*with_qw("fig5a", beta=1e300), "OverflowError", 601),
+        (*with_qw("fig2", beta=1e300), "OverflowError", 2001),
+    ], ids=["singular-delta", "negative-omega_c", "overflow-omega_c", "overflow-theta"])
+    def test_failed_rows_are_the_per_point_rows(self, scenario, spec, error, failed):
+        rows = _point_sweep(scenario, spec)
+        assert repr(rows) == repr(per_point_rows(scenario, spec))
+        errors = [row.error for row in rows if row.error is not None]
+        assert len(errors) == failed and all(e.startswith(error + ": ") for e in errors)
+        if error != "OverflowError":  # each row's text names its own value
+            assert len(set(errors)) == failed
+
+    @staticmethod
+    def count_checks(monkeypatch, cls, log):
+        check = cls.__post_init__
+
+        def counted(self):
+            log.append(self)
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+
+    @pytest.mark.parametrize("name", ["fig2", "fig5a", "fig5c"])
+    def test_a_row_rebuilds_only_what_its_value_changes(self, monkeypatch, name):
+        # the walls are built once per sweep, an omega_c or delta row builds
+        # only its middle layer and no medium, and a theta row no Kinematics
+        scenario, spec = preset(name)
+        built = {cls: [] for cls in (QwParams, Layer, Kinematics)}
+        for cls, log in built.items():
+            self.count_checks(monkeypatch, cls, log)
+        rows = _point_sweep(scenario, spec)
+        assert all(row.error is None for row in rows)
+        walls = [layer for layer in built[Layer] if layer.thickness_um == scenario.d1_um]
+        assert len(walls) == 2 and len(built[Layer]) == 2 + (1 if spec.variable == "theta" else spec.samples)
+        assert built[QwParams] == [] and built[Kinematics] == []
 
 
 class TestRefineResonance:
