@@ -120,11 +120,10 @@ def derived_rates(params: QwParams) -> DecayBundle:
     return DecayBundle(gamma2=gamma2, gamma3=gamma3, gamma4=gamma4, alpha=alpha, p=p)
 
 
-def _closed_form(params: QwParams, omega_c, delta):
+def _closed_form(params: QwParams, d: DecayBundle, omega_c, delta):
     """Numerator and denominator of the closed-form chi; omega_c and delta
     may be arrays (a grid over one of them), the other fields come from
-    params."""
-    d = derived_rates(params)
+    params and d, its `derived_rates`."""
     g, f = params.g, params.f
     a1 = -1j * delta + 1j * g * g * delta + 2.0 * g * d.alpha + d.gamma2 + g * g * d.gamma3
     a2 = delta * delta - d.alpha * d.alpha - 1j * delta * d.gamma3 + d.gamma2 * (1j * delta + d.gamma3)
@@ -142,15 +141,15 @@ def susceptibility(params: QwParams) -> Susceptibility:
     half splitting delta.  Raises SingularParameterError when the denominator
     magnitude falls below DENOMINATOR_FLOOR.
     """
-    return Susceptibility(chi=_chi(params, params.omega_c, params.delta))
+    return Susceptibility(chi=_chi(params, derived_rates(params), params.omega_c, params.delta))
 
 
-def _chi(params: QwParams, omega_c: float, delta: float) -> complex:
+def _chi(params: QwParams, d: DecayBundle, omega_c: float, delta: float) -> complex:
     """The closed-form chi at one omega_c and delta, the other fields from
-    params; SingularParameterError names the omega_c and delta it was given."""
-    numerator, denominator = _closed_form(params, omega_c, delta)
+    params and d, its `derived_rates`; SingularParameterError names the
+    omega_c and delta it was given."""
+    numerator, denominator = _closed_form(params, d, omega_c, delta)
     if abs(denominator) < DENOMINATOR_FLOOR:
-        d = derived_rates(params)
         raise SingularParameterError(
             f"susceptibility denominator vanished (|den|={abs(denominator):.3e}) "
             f"for delta={delta}, omega_c={omega_c}, rates summing to "
@@ -169,7 +168,7 @@ def susceptibility_grid(params: QwParams, variable: str, values: np.ndarray) -> 
     values = np.asarray(values, dtype=float)
     grid = {"omega_c": params.omega_c, "delta": params.delta, variable: values}
     with np.errstate(all="ignore"):
-        numerator, denominator = _closed_form(params, grid["omega_c"], grid["delta"])
+        numerator, denominator = _closed_form(params, derived_rates(params), grid["omega_c"], grid["delta"])
         chi = numerator / denominator
     rejected = ~np.isfinite(values) | (np.abs(denominator) < DENOMINATOR_FLOOR)
     if variable in _NON_NEGATIVE:

@@ -7,12 +7,12 @@ the sigma+ component are
     delta_h_plus = -(lambda/2pi) * (1 + |r_e|/|r_m| * cos(phi_e - phi_m)) * cot(theta)
     delta_v_plus = -(lambda/2pi) * (1 + |r_m|/|r_e| * cos(phi_m - phi_e)) * cot(theta)
 
-for horizontally and vertically polarized input, with the sigma- values their
-exact negatives.  Only the magnitude ratio and the phase difference of the two
-reflection coefficients enter, so giant shifts appear wherever one
-polarization is nearly extinguished (the ratio blows up).  `transverse_shifts`
-computes them for Python numbers in `math` and for arrays in numpy, which is
-imported only then, through one expression.
+for horizontally and vertically polarized input.  The sigma- values are their
+exact negatives, so only sigma+ is computed.  Only the magnitude ratio and the
+phase difference of the two reflection coefficients enter, so giant shifts
+appear wherever one polarization is nearly extinguished (the ratio blows up).
+`transverse_shifts` computes them for Python numbers in `math` and for arrays
+in numpy, which is imported only then, through one expression.
 
 `centroid_shift_oracle` is the intensity-centroid shift of a Gaussian beam of
 waist w0: the first-order reflection matrix, with the cross-polarization
@@ -47,7 +47,6 @@ __all__ = [
     "ShiftResult",
     "ResolutionError",
     "transverse_shifts",
-    "circular_centroids",
     "centroid_shift_oracle",
     "SINGULAR_REFLECTION",
     "ratio",
@@ -77,40 +76,16 @@ class BeamSpec:
 
 @dataclass(frozen=True)
 class ShiftResult:
-    """Transverse shifts of the two circular components, in units of the
-    wavelength; sigma- values and absolute lengths in mm are derived views.
-    A singular flag marks a ratio taken against a noise-floor magnitude.
-    Computed over a grid, every field but lambda_um is an array."""
+    """Sigma+ transverse shifts for h and v input, in units of the wavelength;
+    the sigma- shift is the exact negative, and a shift times lambda_um * 1e-3
+    is in mm.  A singular flag marks a ratio taken against a noise-floor
+    magnitude.  Computed over a grid, every field but lambda_um is an array."""
 
     delta_h_plus: float
     delta_v_plus: float
     lambda_um: float
     h_singular: bool
     v_singular: bool
-
-    @property
-    def delta_h_minus(self) -> float:
-        return -self.delta_h_plus
-
-    @property
-    def delta_v_minus(self) -> float:
-        return -self.delta_v_plus
-
-    @property
-    def delta_h_plus_mm(self) -> float:
-        return self.delta_h_plus * self.lambda_um * 1e-3
-
-    @property
-    def delta_h_minus_mm(self) -> float:
-        return -self.delta_h_plus * self.lambda_um * 1e-3
-
-    @property
-    def delta_v_plus_mm(self) -> float:
-        return self.delta_v_plus * self.lambda_um * 1e-3
-
-    @property
-    def delta_v_minus_mm(self) -> float:
-        return -self.delta_v_plus * self.lambda_um * 1e-3
 
 
 def ratio(a, b):
@@ -176,26 +151,6 @@ def _centroids(pair: ReflectionPair, kin: Kinematics, waist_um: float) -> tuple[
     a = 1j * complex(pair.r_e)
     total = abs(a) ** 2 + abs(g) ** 2 / w2
     return h, math.nan if total == 0.0 else -(a * g.conjugate()).imag / total / lambda_um
-
-
-def circular_centroids(
-    pair: ReflectionPair,
-    kin: Kinematics,
-    beam: BeamSpec,
-    polarization: str,
-) -> tuple[float, float]:
-    """Transverse intensity centroids (sigma+, sigma-) in units of lambda.
-
-    polarization is "h" or "v" and selects the incident linear state.  The
-    centroid is the first moment along y of |E|^2 summed over x, E the real-space
-    field of the reflected spectrum a(kx)*b(ky)*(alpha + beta*ky); both moments
-    are Gaussian moments, quadratic in (alpha, beta); sigma- is -sigma+.
-    """
-    if polarization not in ("h", "v"):
-        raise ValueError(f"polarization must be 'h' or 'v', got {polarization!r}")
-    h, v = _centroids(pair, kin, beam.waist_um)
-    plus = h if polarization == "h" else v
-    return plus, -plus
 
 
 def centroid_shift_oracle(

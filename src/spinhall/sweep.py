@@ -13,12 +13,13 @@ that take or build arrays import.  `run_sweep` evaluates a grid as columns:
 one susceptibility (theta) or an array of them (omega_c/delta), one batched
 transfer-matrix call and one batched shift evaluation.  The CLI's
 `_point_sweep` computes the same rows a point at a time, with what the swept
-value leaves unchanged (k, the walls, the fixed angle or a theta sweep's
-medium) set up once per sweep; its `_refine_resonance` is `find_resonance` on
-that point path, and both share the zoom rounds of `_peak`.  The two paths
-agree to rounding: numpy fuses complex multiply-adds and rounds `arctan2` and
-`tan` its own way, which moves a shift near the TM extinction by up to a few
-1e-10 relative.  `run_sweep` asks the point path why a row failed.
+value leaves unchanged (k, the walls, the fixed angle and decay rates or a
+theta sweep's medium) set up once per sweep; its `_refine_resonance` is
+`find_resonance` on that point path, and both share the zoom rounds of
+`_peak`.  The two paths agree to rounding: numpy fuses complex multiply-adds
+and rounds `arctan2` and `tan` its own way, which moves a shift near the TM
+extinction by up to a few 1e-10 relative.  `run_sweep` asks the point path
+why a row failed.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from numbers import Integral
 from typing import NamedTuple
 
-from .qw_medium import QwParams, _check_field, _chi, susceptibility, susceptibility_grid
+from .qw_medium import QwParams, _check_field, _chi, derived_rates, susceptibility, susceptibility_grid
 # transverse_shifts and reflection_pair are not called here; bench/spans.py wraps these names
 from .shifts import BeamSpec, _closed_forms, ratio, transverse_shifts
 from .strata import (
@@ -197,9 +198,10 @@ def _point_pair(layers: tuple, k: float, k_z: float, q0: float) -> tuple[complex
 
 def _point_rows(scenario: Scenario, spec: SweepSpec, values: list[float], chi=None) -> list[SweepRow]:
     """Rows at the swept values, one point at a time.  k, the walls and a theta
-    sweep's middle layer (from `chi` if given) or the fixed angle are set once;
-    an omega_c or delta row checks its value and builds its middle layer.  A
-    failed point gives NaN data, both singular flags and the error text."""
+    sweep's middle layer (from `chi` if given) or the fixed angle and decay
+    rates are set once; an omega_c or delta row checks its value and builds
+    its middle layer.  A failed point gives NaN data, both singular flags and
+    the error text."""
     qw, variable, d2, k = scenario.qw, spec.variable, scenario.d2_um, 2.0 * math.pi / scenario.lambda_um
     wall1, wall3 = Layer(scenario.epsilon1, scenario.d1_um), Layer(scenario.epsilon3, scenario.d1_um)
     if variable == "theta":
@@ -208,7 +210,7 @@ def _point_rows(scenario: Scenario, spec: SweepSpec, values: list[float], chi=No
         except Exception as exc:  # a failing medium fails every row identically
             return [_failed_row(value, exc) for value in values]
     else:
-        theta = float(spec.fixed["theta"])
+        theta, rates = float(spec.fixed["theta"]), derived_rates(qw)
         k_z, q0 = k * math.sin(theta), math.cos(theta)
     rows = []
     for value in values:
@@ -218,7 +220,7 @@ def _point_rows(scenario: Scenario, spec: SweepSpec, values: list[float], chi=No
             else:
                 _check_field(variable, value)
                 omega_c, delta = (value, qw.delta) if variable == "omega_c" else (qw.omega_c, value)
-                layers = (wall1, Layer(1.0 + _chi(qw, omega_c, delta), d2), wall3)
+                layers = (wall1, Layer(1.0 + _chi(qw, rates, omega_c, delta), d2), wall3)
             rows.append(SweepRow(value, *_row_data(*_point_pair(layers, k, k_z, q0), theta, math)))
         except Exception as exc:  # per-point failures become flagged rows
             rows.append(_failed_row(value, exc))
@@ -265,14 +267,14 @@ def run_sweep(scenario: Scenario, spec: SweepSpec, threads: int = 1) -> list[Swe
 
 
 # points of the coarse scan of find_resonance and per zoom round, and the
-# default bracket width it stops at: each round narrows the bracket 32-fold,
-# so the 2000-point scan of a 0.15 rad window reaches 1e-7 in 3 rounds
+# bracket width it stops at: each round narrows the bracket 32-fold, so the
+# 2000-point scan of a 0.15 rad window reaches 1e-7 in 3 rounds
 _COARSE_POINTS = 2000
 _ZOOM_POINTS = 65
 _TOL_RAD = 1e-7
 
 
-def _peak(scan, coarse: tuple, tol_rad: float) -> ResonanceResult:
+def _peak(scan, coarse: tuple) -> ResonanceResult:
     """The |r_e|/|r_m| peak of a coarse scan (angles, ratios with -inf where
     undefined, index of the largest), zoomed by `scan(a, b, n)`, which gives
     the same triple over n angles from a to b; see `find_resonance`."""
@@ -285,8 +287,7 @@ def _peak(scan, coarse: tuple, tol_rad: float) -> ResonanceResult:
         return ResonanceResult(theta_star=coarse_theta, ratio_em_peak=coarse_peak, boundary=True)
     a, b = thetas[i_best - 1], thetas[i_best + 1]
     refined_theta, refined_peak = coarse_theta, coarse_peak
-    # below a batch of ulps the bracket can no longer shrink
-    while b - a > max(tol_rad, _ZOOM_POINTS * math.ulp(b)):
+    while b - a > _TOL_RAD:
         thetas, values, i = scan(a, b, _ZOOM_POINTS)
         refined_theta, refined_peak = float(thetas[i]), float(values[i])
         a, b = thetas[max(i - 1, 0)], thetas[min(i + 1, _ZOOM_POINTS - 1)]
@@ -295,27 +296,20 @@ def _peak(scan, coarse: tuple, tol_rad: float) -> ResonanceResult:
     return ResonanceResult(theta_star=coarse_theta, ratio_em_peak=coarse_peak, boundary=False)
 
 
-def find_resonance(
-    scenario: Scenario,
-    theta_window: tuple[float, float],
-    tol_rad: float = _TOL_RAD,
-) -> ResonanceResult:
+def find_resonance(scenario: Scenario, theta_window: tuple[float, float]) -> ResonanceResult:
     """Locate the angle maximizing |r_e|/|r_m| inside the window.
 
     A coarse scan (2000 points, one batched call) brackets the
     peak between the neighbours of its maximum.  Each zoom round then
     evaluates the ratio on an evenly spaced batch across the bracket and
     keeps the neighbours of that batch's maximum, until the bracket is at
-    most tol_rad wide (0 refines to the spacing of doubles).  If the coarse
-    maximum sits on the window edge the boundary flag is set and no
-    refinement is attempted.  A window where the coarse scan defines no
-    ratio at all raises ValueError.
+    most 1e-7 rad wide.  If the coarse maximum sits on the window edge the
+    boundary flag is set and no refinement is attempted.  A window where
+    the coarse scan defines no ratio at all raises ValueError.
     """
     lo, hi = float(theta_window[0]), float(theta_window[1])
     if not (0.0 < lo < hi < math.pi / 2):
         raise ValueError(f"theta window must satisfy 0 < lo < hi < pi/2, got {theta_window!r}")
-    if not (math.isfinite(tol_rad) and tol_rad >= 0.0):
-        raise ValueError(f"tol_rad must be finite and >= 0, got {tol_rad!r}")
     import numpy as np
     chi = susceptibility(scenario.qw).chi
 
@@ -326,7 +320,7 @@ def find_resonance(
         values[np.isnan(values)] = -math.inf
         return thetas, values, int(np.argmax(values))
 
-    return _peak(scan, scan(lo, hi, _COARSE_POINTS), tol_rad)
+    return _peak(scan, scan(lo, hi, _COARSE_POINTS))
 
 
 def _scan(thetas: list[float], ratios) -> tuple:
@@ -363,4 +357,4 @@ def _refine_resonance(scenario: Scenario, spec: SweepSpec, rows: list[SweepRow])
         coarse = _scan([row.value for row in rows], [row.ratio_em for row in rows])
     else:  # too few rows would miss a narrow peak
         coarse = scan(float(spec.lo), float(spec.hi), _COARSE_POINTS)
-    return _peak(scan, coarse, _TOL_RAD)
+    return _peak(scan, coarse)

@@ -18,7 +18,7 @@ import pytest
 from spinhall.cli import POINT_PATH_ROWS, write_csv
 from spinhall.config import config_from_scenario
 from spinhall.presets import PRESET_NAMES, preset
-from spinhall.qw_medium import QwParams, SingularParameterError, susceptibility
+from spinhall.qw_medium import DecayBundle, QwParams, SingularParameterError, susceptibility
 from spinhall.shifts import ratio, transverse_shifts
 from spinhall.strata import Kinematics, Layer, reflection_pair
 from spinhall.sweep import (
@@ -215,28 +215,30 @@ class TestPerSweepWork:
             assert len(set(errors)) == failed
 
     @staticmethod
-    def count_checks(monkeypatch, cls, log):
-        check = cls.__post_init__
+    def count_builds(monkeypatch, cls, log):
+        init = cls.__init__
 
-        def counted(self):
+        def counted(self, *args, **kwargs):
             log.append(self)
-            check(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__post_init__", counted)
+        monkeypatch.setattr(cls, "__init__", counted)
 
     @pytest.mark.parametrize("name", ["fig2", "fig5a", "fig5c"])
     def test_a_row_rebuilds_only_what_its_value_changes(self, monkeypatch, name):
-        # the walls are built once per sweep, an omega_c or delta row builds
-        # only its middle layer and no medium, and a theta row no Kinematics
+        # the walls and decay rates are built once per sweep, an omega_c or
+        # delta row builds only its middle layer and no medium, and a theta
+        # row no Kinematics
         scenario, spec = preset(name)
-        built = {cls: [] for cls in (QwParams, Layer, Kinematics)}
+        built = {cls: [] for cls in (QwParams, Layer, Kinematics, DecayBundle)}
         for cls, log in built.items():
-            self.count_checks(monkeypatch, cls, log)
+            self.count_builds(monkeypatch, cls, log)
         rows = _point_sweep(scenario, spec)
         assert all(row.error is None for row in rows)
         walls = [layer for layer in built[Layer] if layer.thickness_um == scenario.d1_um]
         assert len(walls) == 2 and len(built[Layer]) == 2 + (1 if spec.variable == "theta" else spec.samples)
         assert built[QwParams] == [] and built[Kinematics] == []
+        assert len(built[DecayBundle]) == 1
 
 
 class TestRefineResonance:

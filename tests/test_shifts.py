@@ -14,8 +14,8 @@ from spinhall.shifts import (
     SINGULAR_REFLECTION,
     BeamSpec,
     ResolutionError,
+    _centroids,
     centroid_shift_oracle,
-    circular_centroids,
     ratio,
     transverse_shifts,
 )
@@ -44,6 +44,11 @@ def closed_form_h(r_e, r_m, theta):
     ) / math.tan(theta)
 
 
+def sigma_plus(pair, kin, beam, polarization):
+    """The sigma+ centroid, in lambda, of `_centroids` for "h" or "v" input."""
+    return _centroids(pair, kin, beam.waist_um)["hv".index(polarization)]
+
+
 class TestClosedForms:
     def test_equal_coefficients(self):
         pair = ReflectionPair(r_e=0.4 + 0.1j, r_m=0.4 + 0.1j)
@@ -59,24 +64,6 @@ class TestClosedForms:
         expected = -(1.0 / (2 * math.pi)) / math.tan(0.8)
         assert result.delta_h_plus == pytest.approx(expected, rel=1e-12)
         assert result.delta_v_plus == pytest.approx(expected, rel=1e-12)
-
-    def test_millimeter_view(self):
-        pair = ReflectionPair(r_e=0.4, r_m=0.2)
-        result = transverse_shifts(pair, LAMBDA, 0.7)
-        assert result.delta_h_plus_mm == result.delta_h_plus * LAMBDA * 1e-3
-        assert result.delta_v_minus_mm == -result.delta_v_plus * LAMBDA * 1e-3
-
-    def test_antisymmetry_is_exact(self):
-        rng = np.random.default_rng(23)
-        for _ in range(200):
-            pair = ReflectionPair(
-                r_e=complex(rng.normal(), rng.normal()),
-                r_m=complex(rng.normal(), rng.normal()),
-            )
-            theta = rng.uniform(0.05, 1.5)
-            result = transverse_shifts(pair, LAMBDA, theta)
-            assert result.delta_h_minus == -result.delta_h_plus
-            assert result.delta_v_minus == -result.delta_v_plus
 
     def test_global_phase_invariance(self):
         rng = np.random.default_rng(29)
@@ -112,7 +99,6 @@ class TestClosedForms:
         a = transverse_shifts(pair, 0.8, 0.9)
         b = transverse_shifts(pair, 12.0, 0.9)
         assert a.delta_h_plus == b.delta_h_plus
-        assert b.delta_h_plus_mm == pytest.approx(a.delta_h_plus_mm * 12.0 / 0.8, rel=1e-12)
 
     def test_theta_domain(self):
         pair = ReflectionPair(r_e=0.3, r_m=0.5)
@@ -211,18 +197,9 @@ class TestAngularSpectrum:
         pair = ReflectionPair(r_e=0.5, r_m=0.5)
         kin = Kinematics(LAMBDA, 0.8)
         beam = BeamSpec(waist_um=500 * LAMBDA)
-        plus, minus = circular_centroids(pair, kin, beam, "h")
+        plus = sigma_plus(pair, kin, beam, "h")
         expected = -(1.0 / (2 * math.pi)) * 2.0 / math.tan(0.8)
         assert plus == pytest.approx(expected, rel=1e-2)
-        assert minus == pytest.approx(-plus, rel=1e-9)
-
-    def test_sigma_components_mirror(self):
-        pair = ReflectionPair(r_e=0.3 * cmath.exp(0.5j), r_m=0.45 * cmath.exp(-0.2j))
-        kin = Kinematics(LAMBDA, 0.7)
-        beam = BeamSpec(waist_um=500 * LAMBDA)
-        for pol in ("h", "v"):
-            plus, minus = circular_centroids(pair, kin, beam, pol)
-            assert minus == pytest.approx(-plus, rel=1e-9)
 
     def test_oracle_agrees_with_closed_forms_on_random_pairs(self):
         rng = np.random.default_rng(37)
@@ -239,7 +216,7 @@ class TestAngularSpectrum:
             if abs(closed.delta_h_plus) < 0.05 or abs(closed.delta_h_plus) > 10.0:
                 continue
             kin = Kinematics(LAMBDA, theta)
-            plus, _ = circular_centroids(pair, kin, beam, "h")
+            plus = sigma_plus(pair, kin, beam, "h")
             assert plus == pytest.approx(closed.delta_h_plus, rel=1e-2)
             checked += 1
 
@@ -285,13 +262,6 @@ class TestAngularSpectrum:
         kin = Kinematics(LAMBDA, 0.8)
         with pytest.raises(ResolutionError, match="waist"):
             centroid_shift_oracle(base_stack(), kin, BeamSpec(waist_um=50 * LAMBDA))
-
-    def test_polarization_argument_checked(self):
-        pair = ReflectionPair(0.4, 0.5)
-        kin = Kinematics(LAMBDA, 0.8)
-        with pytest.raises(ValueError, match="polarization"):
-            circular_centroids(pair, kin, BeamSpec(waist_um=500 * LAMBDA), "x")
-
 
 def fft2_centroids(pair, kin, beam, polarization):
     """The full 2D reference: the reflected spectrum on the kx-ky meshgrid,
@@ -353,10 +323,9 @@ class TestSeparableCentroid:
     @pytest.mark.parametrize("polarization", ["h", "v"])
     def test_matches_fft2_reference(self, cases, polarization):
         for pair, kin, beam in cases():
-            got = circular_centroids(pair, kin, beam, polarization)
-            want = fft2_centroids(pair, kin, beam, polarization)
-            for g, w in zip(got, want):
-                assert g == pytest.approx(w, rel=1e-10, abs=0.0)
+            got = sigma_plus(pair, kin, beam, polarization)
+            want = fft2_centroids(pair, kin, beam, polarization)[0]
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 def fft1_centroids(pair, kin, beam, polarization):
@@ -409,14 +378,14 @@ class TestMomentCentroid:
                     assert g is None or g == pytest.approx(w, rel=1e-9, abs=0.0)
                 pair = reflection_pair(stack, kin)
                 for polarization in ("h", "v"):
-                    got = circular_centroids(pair, kin, beam, polarization)
-                    want = fft1_centroids(pair, kin, beam, polarization)
+                    got = sigma_plus(pair, kin, beam, polarization)
+                    want = fft1_centroids(pair, kin, beam, polarization)[0]
                     assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
     def test_zero_field_centroid_is_nan(self):
         kin = Kinematics(LAMBDA, 0.8)
         beam = BeamSpec(waist_um=500 * LAMBDA)
-        got = circular_centroids(ReflectionPair(0j, 0j), kin, beam, "h")
+        got = _centroids(ReflectionPair(0j, 0j), kin, beam.waist_um)
         assert all(math.isnan(c) for c in got)
         assert all(math.isnan(c) for c in fft1_centroids(ReflectionPair(0j, 0j), kin, beam, "h"))
 
@@ -438,18 +407,18 @@ class TestMomentCentroid:
         for theta in thetas:
             kin = Kinematics(LAMBDA, float(theta))
             assert None not in centroid_shift_oracle(base_stack(), kin, beam)
-            circular_centroids(ReflectionPair(0.4, 0.5), kin, beam, "h")
+            _centroids(ReflectionPair(0.4, 0.5), kin, beam.waist_um)
         assert len(pairs) == len(thetas)
 
 
-def oracle_from_circular_centroids(stack, kin, beam):
-    """The oracle's slots as the sigma+ centroids of the per-polarization API."""
+def oracle_from_centroids(stack, kin, beam):
+    """The oracle's slots as the sigma+ centroids taken one polarization at a time."""
     pair = reflection_pair(stack, kin)
     delta_h = delta_v = None
     if abs(pair.r_m) >= SINGULAR_REFLECTION:
-        delta_h = circular_centroids(pair, kin, beam, "h")[0]
+        delta_h = sigma_plus(pair, kin, beam, "h")
     if abs(pair.r_e) >= SINGULAR_REFLECTION:
-        delta_v = circular_centroids(pair, kin, beam, "v")[0]
+        delta_v = sigma_plus(pair, kin, beam, "v")
     return delta_h, delta_v
 
 
@@ -513,12 +482,12 @@ class TestOnePassPoint:
     def test_outputs_equal_the_per_polarization_form(self, name):
         for stack, kin, beam in moment_grid(name):
             assert_bit_equal(centroid_shift_oracle(stack, kin, beam),
-                             oracle_from_circular_centroids(stack, kin, beam))
+                             oracle_from_centroids(stack, kin, beam))
 
     @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig6a", "fig6b"])
     def test_outputs_equal_the_per_component_reference(self, name):
-        # the coupling and the centroid of each circular component as
-        # separate steps: sigma- from (a, -c), not as the negated sigma+
+        # the coupling and the sigma+ centroid of each polarization as
+        # separate steps
         for stack, kin, beam in moment_grid(name):
             pair = reflection_pair(stack, kin)
             h, v = sigma_plus_reference(pair, kin)
@@ -529,10 +498,9 @@ class TestOnePassPoint:
             if abs(pair.r_e) < SINGULAR_REFLECTION:
                 want[1] = None
             assert_bit_equal(centroid_shift_oracle(stack, kin, beam), want)
-            for (a, c), polarization in ((h, "h"), (v, "v")):
-                assert_bit_equal(circular_centroids(pair, kin, beam, polarization),
-                                 (centroid_reference(a, c, beam.waist_um, kin.lambda_um),
-                                  centroid_reference(a, -c, beam.waist_um, kin.lambda_um)))
+            assert_bit_equal(_centroids(pair, kin, beam.waist_um),
+                             [centroid_reference(*h, beam.waist_um, kin.lambda_um),
+                              centroid_reference(*v, beam.waist_um, kin.lambda_um)])
 
     @pytest.mark.parametrize("name", ["fig2", "fig6b"])
     def test_a_warm_point_makes_seven_python_calls(self, name):
@@ -549,9 +517,8 @@ class TestOnePassPoint:
     def test_zero_field_matches_as_nan(self):
         kin = Kinematics(LAMBDA, 0.8)
         beam = BeamSpec(waist_um=500 * LAMBDA)
-        for polarization in ("h", "v"):
-            got = circular_centroids(ReflectionPair(0j, 0j), kin, beam, polarization)
-            assert all(math.isnan(c) for c in got)
+        got = _centroids(ReflectionPair(0j, 0j), kin, beam.waist_um)
+        assert all(math.isnan(c) for c in got)
 
 
 class TestWaistFactor:

@@ -15,6 +15,7 @@ from spinhall.sweep import (
     Scenario,
     SweepRow,
     SweepSpec,
+    _TOL_RAD,
     _layers,
     build_stack,
     find_resonance,
@@ -307,13 +308,6 @@ class TestFindResonance:
         with pytest.raises(ValueError, match="window"):
             find_resonance(base_scenario(), (0.0, 1.0))
 
-    @pytest.mark.parametrize("tol_rad", [math.nan, math.inf, -1e-7])
-    def test_tolerance_checked(self, tol_rad):
-        # a NaN or infinite tolerance used to end the zoom before its first
-        # round, returning the coarse point as if refined
-        with pytest.raises(ValueError, match="tol_rad"):
-            find_resonance(base_scenario(), (0.9, 1.05), tol_rad=tol_rad)
-
     def test_search_makes_no_per_point_call(self, monkeypatch):
         def per_point(*args):
             raise AssertionError("per-point reflection_pair called")
@@ -322,10 +316,10 @@ class TestFindResonance:
         result = find_resonance(base_scenario(), (0.9, 1.05))
         assert not result.boundary and result.ratio_em_peak > 1e2
 
-    @pytest.mark.parametrize("tol_rad", [1e-7, 1e-5])
+    @pytest.mark.parametrize("tol_rad", [_TOL_RAD])
     def test_peak_within_tol_of_a_dense_scan(self, tol_rad):
         scenario = base_scenario()
-        result = find_resonance(scenario, (0.9, 1.05), tol_rad=tol_rad)
+        result = find_resonance(scenario, (0.9, 1.05))
         chi = susceptibility(scenario.qw).chi
         thetas = np.linspace(result.theta_star - 2 * tol_rad, result.theta_star + 2 * tol_rad, 4001)
         r_e, r_m = reflection_arrays(_layers(scenario, chi), scenario.lambda_um, thetas)
@@ -341,30 +335,6 @@ class TestFindResonance:
             _layers(scenario, chi), scenario.lambda_um, np.array([result.theta_star])
         )
         assert result.ratio_em_peak == pytest.approx(abs(r_e[0]) / abs(r_m[0]), rel=1e-12)
-
-    def test_looser_tolerance_takes_fewer_batches(self, monkeypatch):
-        import spinhall.sweep
-
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return reflection_arrays(*args)
-
-        monkeypatch.setattr(spinhall.sweep, "reflection_arrays", counted)
-        find_resonance(base_scenario(), (0.9, 1.05), tol_rad=1e-5)
-        loose = len(calls)
-        calls.clear()
-        find_resonance(base_scenario(), (0.9, 1.05))
-        assert 2 <= loose < len(calls)
-
-    def test_zero_tolerance_stops_at_float_resolution(self):
-        # the bracket cannot shrink below the spacing of doubles; the search
-        # used to loop forever here
-        fine = find_resonance(base_scenario(), (0.9, 1.05), tol_rad=0.0)
-        default = find_resonance(base_scenario(), (0.9, 1.05))
-        assert abs(fine.theta_star - default.theta_star) <= 1e-7
-        assert fine.ratio_em_peak >= default.ratio_em_peak * (1 - 1e-12)
 
 
 class TestSweepRow:
