@@ -9,9 +9,9 @@ the effective intracavity permittivity (null unless finite), the shift peaks
 over the non-singular grid rows, for angle sweeps the resonance (a coarse
 scan plus bracket zoom) and, when the beam has a waist, the centroid oracle
 at the h peak row.  A sweep of at most POINT_PATH_ROWS[variable] rows is
-computed one point at a time, and so is the resonance over a theta sweep's
-own range, so such a run never imports numpy; a larger sweep, or another
-resonance window, takes the batched `run_sweep` or `find_resonance`.
+computed one point at a time and a larger one by the batched `run_sweep`, the
+only part of a run that imports numpy.  The resonance search runs on the point
+path for any window, with a theta sweep's rows of its own range as its coarse scan.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .presets import PRESET_NAMES, preset
 from .qw_medium import SingularParameterError, permittivity, susceptibility
 from .shifts import ResolutionError, centroid_shift_oracle
 from .strata import DegenerateGeometryError, Kinematics
+# find_resonance is not called here; bench/spans.py wraps this name
 from .sweep import (
     Scenario, SweepRow, SweepSpec, _point_sweep, _refine_resonance, build_stack, find_resonance,
     run_sweep, sweep_point,
@@ -138,7 +139,6 @@ def _summary(
     preset_name: str | None,
     window: tuple[float, float] | None,
     csv_path: Path | None,
-    point_path: bool,
 ) -> dict:
     # an omega_c or delta sweep's rows replace qw's value, so no one permittivity is theirs
     eps2 = permittivity(susceptibility(scenario.qw).chi) if spec.variable == "theta" else math.nan
@@ -167,12 +167,9 @@ def _summary(
         "csv": str(csv_path) if csv_path is not None else None,
     }
     if window is not None:
+        own = spec.variable == "theta" and window == (spec.lo, spec.hi)  # its rows seed the search
         try:
-            # a point-path run searches a theta sweep's own range on the point path too
-            if point_path and spec.variable == "theta" and window == (spec.lo, spec.hi):
-                found = asdict(_refine_resonance(scenario, spec, rows))
-            else:
-                found = asdict(find_resonance(scenario, window))
+            found = asdict(_refine_resonance(scenario, window, rows if own else []))
             summary["resonance"] = {**found, "ratio_em_peak": _finite_or_none(found["ratio_em_peak"])}
         except SingularParameterError:  # a numerical failure of the medium: exit 3
             raise
@@ -259,13 +256,12 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        point_path = spec.samples <= POINT_PATH_ROWS[spec.variable]
-        rows = (_point_sweep if point_path else run_sweep)(scenario, spec)
+        rows = (_point_sweep if spec.samples <= POINT_PATH_ROWS[spec.variable] else run_sweep)(scenario, spec)
         if csv_path is not None:
             write_csv(rows, csv_path)
             print(f"wrote {csv_path} ({len(rows)} rows)")
         if json_path is not None:
-            summary = _summary(scenario, spec, rows, preset_name, window, csv_path, point_path)
+            summary = _summary(scenario, spec, rows, preset_name, window, csv_path)
             # encoded before the file is opened, so a failed encoding leaves no partial file
             text = json.dumps(summary, indent=2, allow_nan=False) + "\n"
             json_path.write_text(text, encoding="utf-8", newline="\n")

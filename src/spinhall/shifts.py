@@ -11,8 +11,8 @@ for horizontally and vertically polarized input.  The sigma- values are their
 exact negatives, so only sigma+ is computed.  Only the magnitude ratio and the
 phase difference of the two reflection coefficients enter, so giant shifts
 appear wherever one polarization is nearly extinguished (the ratio blows up).
-`transverse_shifts` computes them for Python numbers in `math` and for arrays
-in numpy, which is imported only then, through one expression.
+`transverse_shifts` computes them for Python numbers in `math`; `run_sweep`
+takes the same expression over arrays in numpy.
 
 `centroid_shift_oracle` is the intensity-centroid shift of a Gaussian beam of
 waist w0: the first-order reflection matrix, with the cross-polarization
@@ -77,9 +77,8 @@ class BeamSpec:
 @dataclass(frozen=True)
 class ShiftResult:
     """Sigma+ transverse shifts for h and v input, in units of the wavelength;
-    the sigma- shift is the exact negative, and a shift times lambda_um * 1e-3
-    is in mm.  A singular flag marks a ratio taken against a noise-floor
-    magnitude.  Computed over a grid, every field but lambda_um is an array."""
+    the sigma- shift is the exact negative, and a shift times lambda_um * 1e-3 is
+    in mm.  A singular flag marks a ratio taken against a noise-floor magnitude."""
 
     delta_h_plus: float
     delta_v_plus: float
@@ -118,24 +117,13 @@ def transverse_shifts(pair: ReflectionPair, lambda_um: float, theta_rad: float) 
 
     theta must lie in (0, pi/2); cot(theta) diverges at 0.  Near-vanishing
     |r_m| (|r_e|) makes the h (v) ratio blow up: the value is still computed
-    and the corresponding singular flag is set.  The pair and theta may hold
-    arrays over a grid of points; the result's fields are then arrays too.
-    Python numbers are computed by `math`, anything else by numpy.
+    and the corresponding singular flag is set.  The pair and theta are
+    Python numbers, computed by `math`.
     """
-    polar = abs(pair.r_e), abs(pair.r_m), pair.phi_e, pair.phi_m
-    if type(theta_rad) is float and {type(pair.r_e), type(pair.r_m)} <= {float, complex}:
-        if not 0.0 < theta_rad < math.pi / 2:
-            raise ValueError(f"theta must lie in (0, pi/2), got {theta_rad!r}")
-        _, _, delta_h, delta_v, h_singular, v_singular = _closed_forms(*polar, theta_rad, math)
-        return ShiftResult(delta_h, delta_v, lambda_um, h_singular, v_singular)
-    import numpy as np
-    if not np.all((0.0 < theta_rad) & (theta_rad < math.pi / 2)):
+    if not 0.0 < theta_rad < math.pi / 2:
         raise ValueError(f"theta must lie in (0, pi/2), got {theta_rad!r}")
-    with np.errstate(invalid="ignore"):
-        _, _, delta_h, delta_v, h_singular, v_singular = _closed_forms(*polar, theta_rad, np)
-    if np.ndim(delta_h) == 0:
-        delta_h, delta_v = float(delta_h), float(delta_v)
-        h_singular, v_singular = bool(h_singular), bool(v_singular)
+    polar = abs(pair.r_e), abs(pair.r_m), pair.phi_e, pair.phi_m
+    _, _, delta_h, delta_v, h_singular, v_singular = _closed_forms(*polar, theta_rad, math)
     return ShiftResult(delta_h, delta_v, lambda_um, h_singular, v_singular)
 
 

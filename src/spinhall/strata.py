@@ -223,8 +223,7 @@ def _principal_phase(z):
 
 @dataclass(frozen=True)
 class ReflectionPair:
-    """TE and TM reflection coefficients at one (lambda, theta) point, or
-    arrays of them over a grid of points."""
+    """TE and TM reflection coefficients at one (lambda, theta) point."""
 
     r_e: complex
     r_m: complex

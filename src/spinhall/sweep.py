@@ -15,11 +15,11 @@ transfer-matrix call and one batched shift evaluation.  The CLI's
 `_point_sweep` computes the same rows a point at a time, with what the swept
 value leaves unchanged (k, the walls, the fixed angle and decay rates or a
 theta sweep's medium) set up once per sweep; its `_refine_resonance` is
-`find_resonance` on that point path, and both share the zoom rounds of
-`_peak`.  The two paths agree to rounding: numpy fuses complex multiply-adds
-and rounds `arctan2` and `tan` its own way, which moves a shift near the TM
-extinction by up to a few 1e-10 relative.  `run_sweep` asks the point path
-why a row failed.
+`find_resonance` on that point path for any window, with a theta sweep's rows
+as its coarse scan, and both share the zoom rounds of `_peak`.  The two paths
+agree to rounding: numpy fuses complex multiply-adds and rounds `arctan2` and
+`tan` its own way, which moves a shift near the TM extinction by up to a few
+1e-10 relative.  `run_sweep` asks the point path why a row failed.
 """
 
 from __future__ import annotations
@@ -274,6 +274,13 @@ _ZOOM_POINTS = 65
 _TOL_RAD = 1e-7
 
 
+def _window(theta_window) -> tuple[float, float]:
+    lo, hi = float(theta_window[0]), float(theta_window[1])
+    if not (0.0 < lo < hi < math.pi / 2):
+        raise ValueError(f"theta window must satisfy 0 < lo < hi < pi/2, got {theta_window!r}")
+    return lo, hi
+
+
 def _peak(scan, coarse: tuple) -> ResonanceResult:
     """The |r_e|/|r_m| peak of a coarse scan (angles, ratios with -inf where
     undefined, index of the largest), zoomed by `scan(a, b, n)`, which gives
@@ -307,9 +314,7 @@ def find_resonance(scenario: Scenario, theta_window: tuple[float, float]) -> Res
     boundary flag is set and no refinement is attempted.  A window where
     the coarse scan defines no ratio at all raises ValueError.
     """
-    lo, hi = float(theta_window[0]), float(theta_window[1])
-    if not (0.0 < lo < hi < math.pi / 2):
-        raise ValueError(f"theta window must satisfy 0 < lo < hi < pi/2, got {theta_window!r}")
+    lo, hi = _window(theta_window)
     import numpy as np
     chi = susceptibility(scenario.qw).chi
 
@@ -329,11 +334,12 @@ def _scan(thetas: list[float], ratios) -> tuple:
     return thetas, values, values.index(max(values))
 
 
-def _refine_resonance(scenario: Scenario, spec: SweepSpec, rows: list[SweepRow]) -> ResonanceResult:
-    """`find_resonance` over a theta sweep's own range on the point path, the
-    rows of `_point_sweep` its coarse scan if there are as many as that scans.
-    It raises as `find_resonance` does: SingularParameterError for a singular
-    medium, before it reads the rows, and ValueError where no angle has a ratio."""
+def _refine_resonance(scenario: Scenario, theta_window: tuple, rows: list[SweepRow]) -> ResonanceResult:
+    """`find_resonance` on the point path, the rows of a theta sweep of the window
+    its coarse scan if there are as many as that scans.  It raises as `find_resonance`
+    does: SingularParameterError for a singular medium, before it reads the rows, and
+    ValueError for a window outside (0, pi/2) or where no angle has a ratio."""
+    lo, hi = _window(theta_window)
     chi, k = susceptibility(scenario.qw).chi, 2.0 * math.pi / scenario.lambda_um
     try:
         layers = build_stack(scenario, chi).layers
@@ -356,5 +362,5 @@ def _refine_resonance(scenario: Scenario, spec: SweepSpec, rows: list[SweepRow])
     if len(rows) >= _COARSE_POINTS:
         coarse = _scan([row.value for row in rows], [row.ratio_em for row in rows])
     else:  # too few rows would miss a narrow peak
-        coarse = scan(float(spec.lo), float(spec.hi), _COARSE_POINTS)
+        coarse = scan(lo, hi, _COARSE_POINTS)
     return _peak(scan, coarse)

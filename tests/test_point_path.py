@@ -1,5 +1,6 @@
-"""The point path: `_point_sweep` and `_refine_resonance` compute a CLI run of
-up to `POINT_PATH_ROWS` rows in Python, and nothing on that path imports numpy.
+"""The point path: `_point_sweep` computes a CLI sweep of up to
+`POINT_PATH_ROWS` rows in Python and `_refine_resonance` every CLI resonance
+search, so only a larger sweep imports numpy.
 
 The import checks run in child interpreters, since this process has numpy
 loaded for its own references.
@@ -60,12 +61,25 @@ class TestNoNumpy:
         assert result.returncode == 0, result.stderr
         assert "import time:" in result.stderr and numpy_modules(result.stderr) == []
 
+    @pytest.mark.parametrize("name", ["fig4", "fig5a"])
+    def test_a_resonance_window_run(self, tmp_path, name):
+        # a --find-resonance window is searched on the point path, as find_resonance searches it
+        result = subprocess.run([sys.executable, "-X", "importtime", "-m", "spinhall", "--preset", name,
+                                 "--find-resonance", "0.9,1.05", "--format", "json", "--out", "run.json"],
+                                cwd=tmp_path, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert "import time:" in result.stderr and numpy_modules(result.stderr) == []
+        found = json.loads((tmp_path / "run.json").read_text())["resonance"]
+        scanned = find_resonance(preset(name)[0], (0.9, 1.05))
+        assert (found["theta_star"], found["boundary"]) == (scanned.theta_star, scanned.boundary)
+        assert found["ratio_em_peak"] == pytest.approx(scanned.ratio_em_peak, rel=1e-9)
+
     @pytest.mark.parametrize("name", ["fig2", "fig5a", "fig5c"])
     @pytest.mark.parametrize("extra", [0, 1])
     def test_the_row_count_picks_the_path(self, tmp_path, name, extra):
-        # up to the variable's limit the CLI writes _point_sweep's rows and
-        # refines a theta sweep's resonance on the point path; above it,
-        # run_sweep's rows and find_resonance
+        # up to the variable's limit the CLI writes _point_sweep's rows, above
+        # it run_sweep's, and either way a theta sweep's rows seed the point-path
+        # resonance search over its own range
         scenario, spec = preset(name)
         spec = replace(spec, samples=POINT_PATH_ROWS[spec.variable] + extra)
         (tmp_path / "config.json").write_text(json.dumps(config_from_scenario(scenario, spec, preset_name=name)))
@@ -79,8 +93,7 @@ class TestNoNumpy:
         assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         want = None
         if spec.variable == "theta":
-            want = asdict(find_resonance(scenario, (spec.lo, spec.hi)) if batch
-                          else _refine_resonance(scenario, spec, rows))
+            want = asdict(_refine_resonance(scenario, (spec.lo, spec.hi), rows))
         assert json.loads((tmp_path / "run.json").read_text())["resonance"] == want
 
 
@@ -246,7 +259,7 @@ class TestRefineResonance:
     def test_matches_find_resonance_and_the_rows(self, name):
         scenario, spec = preset(name)
         rows = _point_sweep(scenario, spec)
-        seeded = _refine_resonance(scenario, spec, rows)
+        seeded = _refine_resonance(scenario, (spec.lo, spec.hi), rows)
         scanned = find_resonance(scenario, (spec.lo, spec.hi))
         # measured: <= 8.9e-9 rad and <= 5.8e-8 relative (fig3)
         assert seeded.boundary == scanned.boundary is False
@@ -274,6 +287,29 @@ class TestRefineResonance:
         assert abs(found["theta_star"] - scanned.theta_star) <= 1e-7
         assert found["ratio_em_peak"] == pytest.approx(scanned.ratio_em_peak, rel=1e-6)
 
+    def test_any_window_matches_find_resonance(self):
+        # without rows the search scans the window itself; measured on the nine
+        # presets: theta_star and boundary identical, peaks within 3.5e-13 relative
+        rng = random.Random(25)
+        for name in PRESET_NAMES:
+            scenario = preset(name)[0]
+            for _ in range(4):
+                lo = rng.uniform(0.05, 1.4)
+                window = (lo, rng.uniform(lo + 1e-3, min(lo + 0.4, 1.55)))
+                searched, scanned = _refine_resonance(scenario, window, []), find_resonance(scenario, window)
+                assert searched.boundary == scanned.boundary, (name, window)
+                assert abs(searched.theta_star - scanned.theta_star) <= 1e-7, (name, window)
+                assert searched.ratio_em_peak == pytest.approx(scanned.ratio_em_peak, rel=1e-9), (name, window)
+
+    @pytest.mark.parametrize("window", [(0.0, 1.0), (1.0, 0.9), (0.5, math.pi / 2)])
+    def test_a_window_outside_the_angles_raises_as_find_resonance_does(self, window):
+        scenario = preset("fig2")[0]
+        with pytest.raises(ValueError) as searched:
+            _refine_resonance(scenario, window, [])
+        with pytest.raises(ValueError) as scanned:
+            find_resonance(scenario, window)
+        assert str(searched.value) == str(scanned.value)
+
     def test_a_singular_medium_raises_before_the_rows_are_read(self):
         scenario, spec = preset("fig2")
         rates = ("gamma_bl", "gamma_bd", "gamma_cl", "gamma_cd", "gamma_dl", "gamma_dd", "delta")
@@ -281,7 +317,7 @@ class TestRefineResonance:
         rows = _point_sweep(scenario, spec)
         assert all(row.error.startswith("SingularParameterError: ") for row in rows)
         with pytest.raises(SingularParameterError) as seeded:
-            _refine_resonance(scenario, spec, rows)
+            _refine_resonance(scenario, (spec.lo, spec.hi), rows)
         with pytest.raises(SingularParameterError) as scanned:
             find_resonance(scenario, (spec.lo, spec.hi))
         assert str(seeded.value) == str(scanned.value)
@@ -290,7 +326,7 @@ class TestRefineResonance:
         scenario, spec = preset("fig2")
         scenario, spec = replace(scenario, qw=replace(scenario.qw, omega_c=1e200)), replace(spec, samples=11)
         with pytest.raises(ValueError) as seeded:
-            _refine_resonance(scenario, spec, _point_sweep(scenario, spec))
+            _refine_resonance(scenario, (spec.lo, spec.hi), _point_sweep(scenario, spec))
         with pytest.raises(ValueError) as scanned:
             find_resonance(scenario, (spec.lo, spec.hi))
         assert type(seeded.value) is type(scanned.value) is ValueError

@@ -15,6 +15,7 @@ from spinhall.shifts import (
     BeamSpec,
     ResolutionError,
     _centroids,
+    _closed_forms,
     centroid_shift_oracle,
     ratio,
     transverse_shifts,
@@ -137,20 +138,23 @@ class TestScalarMode:
             assert type(got) is float and abs(got - want) <= 4 * math.ulp(want), z
 
     def test_shifts_match_the_array_form(self):
-        # numpy's tan and arctan2 may round differently from libm's, so the two
-        # agree to a few ulps of the terms of 1 + R*cos(dphi), R the larger ratio
+        # transverse_shifts at each point against the numpy closed forms that
+        # run_sweep evaluates over the arrays; numpy's tan and arctan2 may round
+        # differently from libm's, so the two agree to a few ulps of the terms
+        # of 1 + R*cos(dphi), R the larger ratio
         rng = np.random.default_rng(9)
         r_e = (rng.normal(size=500) + 1j * rng.normal(size=500)) * 10.0 ** rng.uniform(-8, 0, 500)
         r_m = (rng.normal(size=500) + 1j * rng.normal(size=500)) * 10.0 ** rng.uniform(-8, 0, 500)
         theta = rng.uniform(0.01, 1.56, 500)
-        grid = transverse_shifts(ReflectionPair(r_e, r_m), LAMBDA, theta)
+        polar = np.abs(r_e), np.abs(r_m), _principal_phase(r_e), _principal_phase(r_m)
+        _, _, grid_h, grid_v, grid_h_singular, grid_v_singular = _closed_forms(*polar, theta, np)
         for i, (a, b, t) in enumerate(zip(r_e.tolist(), r_m.tolist(), theta.tolist())):
             point = transverse_shifts(ReflectionPair(a, b), LAMBDA, t)
-            assert (point.h_singular, point.v_singular) == (grid.h_singular[i], grid.v_singular[i])
+            assert (point.h_singular, point.v_singular) == (grid_h_singular[i], grid_v_singular[i])
             terms = (1.0 + max(abs(a) / abs(b), abs(b) / abs(a))) / math.tan(t) / (2.0 * math.pi)
             assert type(point.delta_h_plus) is float and type(point.h_singular) is bool
-            assert abs(point.delta_h_plus - grid.delta_h_plus[i]) <= 1e-14 * terms
-            assert abs(point.delta_v_plus - grid.delta_v_plus[i]) <= 1e-14 * terms
+            assert abs(point.delta_h_plus - grid_h[i]) <= 1e-14 * terms
+            assert abs(point.delta_v_plus - grid_v[i]) <= 1e-14 * terms
 
 
 class TestBeamSpec:
