@@ -11,8 +11,9 @@ for horizontally and vertically polarized input.  The sigma- values are their
 exact negatives, so only sigma+ is computed.  Only the magnitude ratio and the
 phase difference of the two reflection coefficients enter, so giant shifts
 appear wherever one polarization is nearly extinguished (the ratio blows up).
-`transverse_shifts` computes them for Python numbers in `math`; `run_sweep`
-takes the same expression over arrays in numpy.
+`_row_data` is the one pass from a pair (r_e, r_m) to these closed forms:
+`transverse_shifts` and the sweep's point path take it in `math` at one
+point, `run_sweep` in numpy over arrays.
 
 `centroid_shift_oracle` is the intensity-centroid shift of a Gaussian beam of
 waist w0: the first-order reflection matrix, with the cross-polarization
@@ -40,7 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .strata import Kinematics, ReflectionPair, Stack, reflection_pair
+from .strata import Kinematics, Stack, _principal_phase, reflection_pair
 
 __all__ = [
     "BeamSpec",
@@ -112,31 +113,41 @@ def _closed_forms(re_abs, rm_abs, phi_e, phi_m, theta_rad, lib) -> tuple:
     return ratio_em, ratio_me, delta_h, delta_v, rm_abs < SINGULAR_REFLECTION, re_abs < SINGULAR_REFLECTION
 
 
-def transverse_shifts(pair: ReflectionPair, lambda_um: float, theta_rad: float) -> ShiftResult:
+def _row_data(r_e, r_m, theta, lib) -> tuple:
+    """(|r_e|, |r_m|, ratio_em, ratio_me, phi_e, phi_m, delta_h_plus, delta_v_plus,
+    h_singular, v_singular), a `SweepRow`'s data, from one pass over the magnitudes
+    and phases: of one point's r_e and r_m (lib `math`) or of a grid's arrays (numpy)."""
+    re_abs, rm_abs, phi_e, phi_m = abs(r_e), abs(r_m), _principal_phase(r_e), _principal_phase(r_m)
+    ratio_em, ratio_me, delta_h, delta_v, h_singular, v_singular = _closed_forms(
+        re_abs, rm_abs, phi_e, phi_m, theta, lib)
+    return re_abs, rm_abs, ratio_em, ratio_me, phi_e, phi_m, delta_h, delta_v, h_singular, v_singular
+
+
+def transverse_shifts(pair: tuple[complex, complex], lambda_um: float, theta_rad: float) -> ShiftResult:
     """Closed-form sigma+ shifts for h- and v-polarized input.
 
     theta must lie in (0, pi/2); cot(theta) diverges at 0.  Near-vanishing
     |r_m| (|r_e|) makes the h (v) ratio blow up: the value is still computed
-    and the corresponding singular flag is set.  The pair and theta are
-    Python numbers, computed by `math`.
+    and the corresponding singular flag is set.  The pair (r_e, r_m), as
+    `reflection_pair` returns it, and theta are Python numbers, computed by `math`.
     """
     if not 0.0 < theta_rad < math.pi / 2:
         raise ValueError(f"theta must lie in (0, pi/2), got {theta_rad!r}")
-    polar = abs(pair.r_e), abs(pair.r_m), pair.phi_e, pair.phi_m
-    _, _, delta_h, delta_v, h_singular, v_singular = _closed_forms(*polar, theta_rad, math)
+    delta_h, delta_v, h_singular, v_singular = _row_data(*pair, theta_rad, math)[6:]
     return ShiftResult(delta_h, delta_v, lambda_um, h_singular, v_singular)
 
 
-def _centroids(pair: ReflectionPair, kin: Kinematics, waist_um: float) -> tuple[float, float]:
+def _centroids(pair: tuple[complex, complex], kin: Kinematics, waist_um: float) -> tuple[float, float]:
     """sigma+ y-centroids (h, v input) in lambda of b(ky)*(a + c*ky), b the Gaussian of
     waist w0: -Im(a*conj(c)) / (|a|^2 + |c|^2/w0^2), NaN for a zero field, with (a, c) =
     (r_m, -i g) for h, (i r_e, g) for v and g = cot(theta)*(r_m + r_e)/k built once."""
+    r_e, r_m = pair
     lambda_um, w2 = kin.lambda_um, waist_um * waist_um
-    g = complex((1.0 / math.tan(kin.theta_rad)) * (pair.r_m + pair.r_e) / (2.0 * math.pi / lambda_um))
-    a, c = complex(pair.r_m), -1j * g
+    g = complex((1.0 / math.tan(kin.theta_rad)) * (r_m + r_e) / (2.0 * math.pi / lambda_um))
+    a, c = complex(r_m), -1j * g
     total = abs(a) ** 2 + abs(c) ** 2 / w2
     h = math.nan if total == 0.0 else -(a * c.conjugate()).imag / total / lambda_um
-    a = 1j * complex(pair.r_e)
+    a = 1j * complex(r_e)
     total = abs(a) ** 2 + abs(g) ** 2 / w2
     return h, math.nan if total == 0.0 else -(a * g.conjugate()).imag / total / lambda_um
 
@@ -156,7 +167,7 @@ def centroid_shift_oracle(
             f"waist_um={beam.waist_um!r} too small: need >= 100*lambda "
             f"({100.0 * kin.lambda_um:.6g} um) for the first-order expansion"
         )
-    pair = reflection_pair(stack, kin)
+    r_e, r_m = pair = reflection_pair(stack, kin)
     h, v = _centroids(pair, kin, beam.waist_um)
-    return (None if abs(pair.r_m) < SINGULAR_REFLECTION else h,
-            None if abs(pair.r_e) < SINGULAR_REFLECTION else v)
+    return (None if abs(r_m) < SINGULAR_REFLECTION else h,
+            None if abs(r_e) < SINGULAR_REFLECTION else v)

@@ -20,13 +20,16 @@ choice.  TE has m12 = i k sin(kx d)/kx (i k d in the kx -> 0 limit) and
 m21 = i kx sin(kx d)/k; the TM entries are eps and 1/eps times these.
 
 `reflection_arrays` evaluates a grid of angles (and layer permittivities)
-elementwise in one pass, with NaN at degenerate or overflowing points.
-`reflection_pair` evaluates one point in Python complex arithmetic (numpy's
-per-call cost on 0-d values dwarfs the arithmetic) with the same formulas,
-branch rule, kx -> 0 limit and denominator floor, in a row loop of its own
-that computes each layer's entries inline and takes a layer equal to the
-first (a symmetric cavity's second wall) from the first's entries; it raises
-DegenerateGeometryError or OverflowError where the grid gives NaN.  Layer
+elementwise in one pass, with NaN at degenerate or overflowing points, and
+returns the arrays (r_e, r_m).  `reflection_pair` returns the same pair at
+one point as a tuple of Python complex, from `_point_pair`, the one point
+evaluator, which the sweep's point path calls directly.  It computes in
+Python complex arithmetic (numpy's per-call cost on 0-d values dwarfs the
+arithmetic) with the same formulas, branch rule, kx -> 0 limit and
+denominator floor, in a row loop of its own that computes each layer's
+entries inline and takes a layer equal to the first (a symmetric cavity's
+second wall) from the first's entries; it raises DegenerateGeometryError or
+OverflowError where the grid gives NaN.  Layer
 terms multiply by 1/z, not divide by z: numpy's reciprocal rounds as
 CPython's 1/z does, their divisions do not.  Scalars are computed in Python
 (a Python number's phase by cmath), arrays in numpy, which only the array
@@ -49,7 +52,6 @@ __all__ = [
     "Layer",
     "Stack",
     "Kinematics",
-    "ReflectionPair",
     "DegenerateGeometryError",
     "reflection_pair",
     "reflection_arrays",
@@ -221,30 +223,18 @@ def _principal_phase(z):
     return float(phi) if phi.ndim == 0 else phi
 
 
-@dataclass(frozen=True)
-class ReflectionPair:
-    """TE and TM reflection coefficients at one (lambda, theta) point."""
-
-    r_e: complex
-    r_m: complex
-
-    @property
-    def phi_e(self) -> float:
-        return _principal_phase(self.r_e)
-
-    @property
-    def phi_m(self) -> float:
-        return _principal_phase(self.r_m)
+def _point_pair(layers, k: float, k_z: float, q0: float) -> tuple[complex, complex]:
+    """(r_e, r_m) of `Layer`s at one point from k = 2pi/lambda and the angle's k_z and q0."""
+    (te_n, te_d), (tm_n, tm_d) = _point_fractions(layers, k, k_z, q0)
+    return _checked(te_n, te_d, q0), _checked(tm_n, tm_d, q0)
 
 
-def reflection_pair(stack: Stack, kin: Kinematics) -> ReflectionPair:
-    """TE and TM reflection coefficients at one point, as Python complex.
+def reflection_pair(stack: Stack, kin: Kinematics) -> tuple[complex, complex]:
+    """TE and TM reflection coefficients (r_e, r_m) at one point, as Python complex.
 
     Where `reflection_arrays` gives NaN this raises: OverflowError for
     overflowing matrix entries, DegenerateGeometryError for a denominator
     under DENOMINATOR_FLOOR.
     """
-    theta = kin.theta_rad
-    k, q0 = 2.0 * math.pi / kin.lambda_um, math.cos(theta)
-    (te_n, te_d), (tm_n, tm_d) = _point_fractions(stack.layers, k, k * math.sin(theta), q0)
-    return ReflectionPair(_checked(te_n, te_d, q0), _checked(tm_n, tm_d, q0))
+    theta, k = kin.theta_rad, 2.0 * math.pi / kin.lambda_um
+    return _point_pair(stack.layers, k, k * math.sin(theta), math.cos(theta))

@@ -19,7 +19,10 @@ theta sweep's medium) set up once per sweep; its `_refine_resonance` is
 as its coarse scan, and both share the zoom rounds of `_peak`.  The two paths
 agree to rounding: numpy fuses complex multiply-adds and rounds `arctan2` and
 `tan` its own way, which moves a shift near the TM extinction by up to a few
-1e-10 relative.  `run_sweep` asks the point path why a row failed.
+1e-10 relative.  Both take a pair (r_e, r_m) to a row's data through
+`shifts._row_data`, and the point path takes a point to its pair through
+`strata._point_pair`, as `reflection_pair` does.  `run_sweep` asks the
+point path why a row failed.
 """
 
 from __future__ import annotations
@@ -33,10 +36,8 @@ from typing import NamedTuple
 
 from .qw_medium import QwParams, _check_field, _chi, derived_rates, susceptibility, susceptibility_grid
 # transverse_shifts and reflection_pair are not called here; bench/spans.py wraps these names
-from .shifts import BeamSpec, _closed_forms, ratio, transverse_shifts
-from .strata import (
-    Layer, Stack, _checked, _point_fractions, _principal_phase, reflection_arrays, reflection_pair,
-)
+from .shifts import BeamSpec, _row_data, ratio, transverse_shifts
+from .strata import Layer, Stack, _point_pair, reflection_arrays, reflection_pair
 
 __all__ = [
     "SWEEP_VARIABLES",
@@ -175,38 +176,20 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return values
 
 
-def _row_data(r_e, r_m, theta, lib) -> tuple:
-    """The SweepRow fields between `value` and `error`, from one pass over the
-    magnitudes and phases: a row's from one point's r_e and r_m (lib `math`),
-    or the columns of a grid from arrays (numpy)."""
-    re_abs, rm_abs, phi_e, phi_m = abs(r_e), abs(r_m), _principal_phase(r_e), _principal_phase(r_m)
-    ratio_em, ratio_me, delta_h, delta_v, h_singular, v_singular = _closed_forms(
-        re_abs, rm_abs, phi_e, phi_m, theta, lib)
-    return re_abs, rm_abs, ratio_em, ratio_me, phi_e, phi_m, delta_h, delta_v, h_singular, v_singular
-
-
 def _failed_row(value: float, exc: Exception) -> SweepRow:
     return SweepRow(value, *(math.nan,) * 8, True, True, f"{type(exc).__name__}: {exc}")
 
 
-def _point_pair(layers: tuple, k: float, k_z: float, q0: float) -> tuple[complex, complex]:
-    """`reflection_pair`'s (r_e, r_m) from k = 2pi/lambda and the angle's k_z
-    and q0, without its Kinematics and ReflectionPair."""
-    (te_n, te_d), (tm_n, tm_d) = _point_fractions(layers, k, k_z, q0)
-    return _checked(te_n, te_d, q0), _checked(tm_n, tm_d, q0)
-
-
-def _point_rows(scenario: Scenario, spec: SweepSpec, values: list[float], chi=None) -> list[SweepRow]:
+def _point_rows(scenario: Scenario, spec: SweepSpec, values: list[float]) -> list[SweepRow]:
     """Rows at the swept values, one point at a time.  k, the walls and a theta
-    sweep's middle layer (from `chi` if given) or the fixed angle and decay
-    rates are set once; an omega_c or delta row checks its value and builds
-    its middle layer.  A failed point gives NaN data, both singular flags and
-    the error text."""
+    sweep's middle layer or the fixed angle and decay rates are set once; an
+    omega_c or delta row checks its value and builds its middle layer.  A
+    failed point gives NaN data, both singular flags and the error text."""
     qw, variable, d2, k = scenario.qw, spec.variable, scenario.d2_um, 2.0 * math.pi / scenario.lambda_um
     wall1, wall3 = Layer(scenario.epsilon1, scenario.d1_um), Layer(scenario.epsilon3, scenario.d1_um)
     if variable == "theta":
         try:
-            layers = (wall1, Layer(1.0 + (susceptibility(qw).chi if chi is None else chi), d2), wall3)
+            layers = (wall1, Layer(1.0 + susceptibility(qw).chi, d2), wall3)
         except Exception as exc:  # a failing medium fails every row identically
             return [_failed_row(value, exc) for value in values]
     else:
@@ -260,7 +243,7 @@ def run_sweep(scenario: Scenario, spec: SweepSpec, threads: int = 1) -> list[Swe
     # tuple.__new__ fills each row in C, skipping the NamedTuple's Python __new__
     rows = list(map(tuple.__new__, itertools.repeat(SweepRow), zip(*columns, itertools.repeat(None))))
     failed = np.flatnonzero(np.isnan(r_e) | np.isnan(r_m)).tolist()
-    for i, row in zip(failed, _point_rows(scenario, spec, values[failed].tolist(), chi)):
+    for i, row in zip(failed, _point_rows(scenario, spec, values[failed].tolist())):
         if row.error is not None:
             rows[i] = row
     return rows

@@ -69,11 +69,13 @@ def test_public_surface_is_pinned():
     # names dropped from the top level stay importable from their modules
     for module, name in [
         ("presets", "DEFAULT_LAMBDA_UM"), ("qw_medium", "DecayBundle"),
-        ("strata", "ReflectionPair"), ("sweep", "ResonanceResult"), ("shifts", "ShiftResult"),
+        ("sweep", "ResonanceResult"), ("shifts", "ShiftResult"),
         ("qw_medium", "Susceptibility"), ("qw_medium", "derived_rates"),
         ("qw_medium", "steady_state_coherences"),
     ]:
         assert hasattr(importlib.import_module(f"spinhall.{module}"), name)
         assert not hasattr(spinhall, name)
+    # `reflection_pair` returns the tuple (r_e, r_m), with no pair class
+    assert not hasattr(importlib.import_module("spinhall.strata"), "ReflectionPair")
     # `_centroids` is the one centroid formula, with no public wrapper
     assert not hasattr(importlib.import_module("spinhall.shifts"), "circular_centroids")

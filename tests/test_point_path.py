@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 from spinhall.cli import POINT_PATH_ROWS, write_csv
-from spinhall.config import config_from_scenario
+from spinhall.config import config_from_scenario, scenario_from_config
 from spinhall.presets import PRESET_NAMES, preset
 from spinhall.qw_medium import DecayBundle, QwParams, SingularParameterError, susceptibility
-from spinhall.shifts import ratio, transverse_shifts
-from spinhall.strata import Kinematics, Layer, reflection_pair
+from spinhall.shifts import centroid_shift_oracle, ratio, transverse_shifts
+from spinhall.strata import Kinematics, Layer, _principal_phase, reflection_pair
 from spinhall.sweep import (
     SweepRow, SweepSpec, _linspace, _point_sweep, _refine_resonance, build_stack, find_resonance, run_sweep,
     sweep_point,
@@ -73,6 +73,23 @@ class TestNoNumpy:
         scanned = find_resonance(preset(name)[0], (0.9, 1.05))
         assert (found["theta_star"], found["boundary"]) == (scanned.theta_star, scanned.boundary)
         assert found["ratio_em_peak"] == pytest.approx(scanned.ratio_em_peak, rel=1e-9)
+
+    @pytest.mark.parametrize("name", ["fig2", "fig5a"])
+    def test_an_oracle_spot_check_run(self, tmp_path, name):
+        # a beam with a waist adds the centroid oracle at the h peak row, which
+        # runs on the point kernel as the sweep does
+        config = {"preset": name, "beam": {"waist_um": 925.0}}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        result = subprocess.run([sys.executable, "-X", "importtime", "-m", "spinhall", "--config", "config.json",
+                                 "--format", "json", "--out", "run.json"], cwd=tmp_path, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert "import time:" in result.stderr and numpy_modules(result.stderr) == []
+        found = json.loads((tmp_path / "run.json").read_text())["oracle"]
+        scenario, spec = scenario_from_config(config)
+        qw, theta = sweep_point(scenario, spec, found["swept"])
+        stack = build_stack(scenario, susceptibility(qw).chi)
+        want = centroid_shift_oracle(stack, Kinematics(scenario.lambda_um, theta), scenario.beam)
+        assert (found["oracle_h"], found["oracle_v"]) == want
 
     @pytest.mark.parametrize("name", ["fig2", "fig5a", "fig5c"])
     @pytest.mark.parametrize("extra", [0, 1])
@@ -192,11 +209,12 @@ def per_point_rows(scenario, spec) -> list[SweepRow]:
         try:
             qw, theta = sweep_point(scenario, spec, value)
             kin = Kinematics(scenario.lambda_um, theta)
-            pair = reflection_pair(build_stack(scenario, susceptibility(qw).chi), kin)
+            r_e, r_m = pair = reflection_pair(build_stack(scenario, susceptibility(qw).chi), kin)
             shifts = transverse_shifts(pair, scenario.lambda_um, theta)
-            re_abs, rm_abs = abs(pair.r_e), abs(pair.r_m)
+            re_abs, rm_abs = abs(r_e), abs(r_m)
             rows.append(SweepRow(value, re_abs, rm_abs, ratio(re_abs, rm_abs), ratio(rm_abs, re_abs),
-                                 pair.phi_e, pair.phi_m, shifts.delta_h_plus, shifts.delta_v_plus,
+                                 _principal_phase(r_e), _principal_phase(r_m),
+                                 shifts.delta_h_plus, shifts.delta_v_plus,
                                  shifts.h_singular, shifts.v_singular))
         except Exception as exc:
             rows.append(SweepRow(value, *(math.nan,) * 8, True, True, f"{type(exc).__name__}: {exc}"))

@@ -20,7 +20,7 @@ from spinhall.shifts import (
     ratio,
     transverse_shifts,
 )
-from spinhall.strata import Kinematics, Layer, ReflectionPair, Stack, _principal_phase, reflection_pair
+from spinhall.strata import Kinematics, Layer, Stack, _principal_phase, reflection_pair
 from spinhall.sweep import build_stack, find_resonance
 
 LAMBDA = 1.85
@@ -52,7 +52,7 @@ def sigma_plus(pair, kin, beam, polarization):
 
 class TestClosedForms:
     def test_equal_coefficients(self):
-        pair = ReflectionPair(r_e=0.4 + 0.1j, r_m=0.4 + 0.1j)
+        pair = (0.4 + 0.1j, 0.4 + 0.1j)
         result = transverse_shifts(pair, LAMBDA, 0.8)
         expected = -(1.0 / (2 * math.pi)) * 2.0 / math.tan(0.8)
         assert result.delta_h_plus == pytest.approx(expected, rel=1e-14)
@@ -60,7 +60,7 @@ class TestClosedForms:
         assert not result.h_singular and not result.v_singular
 
     def test_quadrature_phases_drop_ratio_term(self):
-        pair = ReflectionPair(r_e=0.5j, r_m=0.5)  # phase difference pi/2
+        pair = (0.5j, 0.5)  # phase difference pi/2
         result = transverse_shifts(pair, LAMBDA, 0.8)
         expected = -(1.0 / (2 * math.pi)) / math.tan(0.8)
         assert result.delta_h_plus == pytest.approx(expected, rel=1e-12)
@@ -75,9 +75,9 @@ class TestClosedForms:
                 continue  # keep the ratio well conditioned at the 1e-12 scale
             psi = rng.uniform(-math.pi, math.pi)
             theta = rng.uniform(0.05, 1.5)
-            a = transverse_shifts(ReflectionPair(r_e, r_m), LAMBDA, theta)
+            a = transverse_shifts((r_e, r_m), LAMBDA, theta)
             rot = cmath.exp(1j * psi)
-            b = transverse_shifts(ReflectionPair(r_e * rot, r_m * rot), LAMBDA, theta)
+            b = transverse_shifts((r_e * rot, r_m * rot), LAMBDA, theta)
             assert abs(a.delta_h_plus - b.delta_h_plus) < 1e-12 * max(1.0, abs(a.delta_h_plus))
             assert abs(a.delta_v_plus - b.delta_v_plus) < 1e-12 * max(1.0, abs(a.delta_v_plus))
 
@@ -90,28 +90,28 @@ class TestClosedForms:
                 continue
             scale = rng.uniform(0.01, 100.0)
             theta = rng.uniform(0.05, 1.5)
-            a = transverse_shifts(ReflectionPair(r_e, r_m), LAMBDA, theta)
-            b = transverse_shifts(ReflectionPair(r_e * scale, r_m * scale), LAMBDA, theta)
+            a = transverse_shifts((r_e, r_m), LAMBDA, theta)
+            b = transverse_shifts((r_e * scale, r_m * scale), LAMBDA, theta)
             assert abs(a.delta_h_plus - b.delta_h_plus) < 1e-12 * max(1.0, abs(a.delta_h_plus))
             assert abs(a.delta_v_plus - b.delta_v_plus) < 1e-12 * max(1.0, abs(a.delta_v_plus))
 
     def test_lambda_units_independent_of_lambda(self):
-        pair = ReflectionPair(r_e=0.3 + 0.2j, r_m=0.5 - 0.1j)
+        pair = (0.3 + 0.2j, 0.5 - 0.1j)
         a = transverse_shifts(pair, 0.8, 0.9)
         b = transverse_shifts(pair, 12.0, 0.9)
         assert a.delta_h_plus == b.delta_h_plus
 
     def test_theta_domain(self):
-        pair = ReflectionPair(r_e=0.3, r_m=0.5)
+        pair = (0.3, 0.5)
         for theta in (0.0, -0.2, math.pi / 2, 2.0):
             with pytest.raises(ValueError, match="theta"):
                 transverse_shifts(pair, LAMBDA, theta)
 
     def test_singular_flags(self):
-        result = transverse_shifts(ReflectionPair(r_e=0.5, r_m=0.0), LAMBDA, 0.8)
+        result = transverse_shifts((0.5, 0.0), LAMBDA, 0.8)
         assert result.h_singular and not result.v_singular
         assert math.isinf(result.delta_h_plus)
-        both = transverse_shifts(ReflectionPair(r_e=0.0, r_m=0.0), LAMBDA, 0.8)
+        both = transverse_shifts((0.0, 0.0), LAMBDA, 0.8)
         assert both.h_singular and both.v_singular
         assert math.isnan(both.delta_h_plus)
 
@@ -149,7 +149,7 @@ class TestScalarMode:
         polar = np.abs(r_e), np.abs(r_m), _principal_phase(r_e), _principal_phase(r_m)
         _, _, grid_h, grid_v, grid_h_singular, grid_v_singular = _closed_forms(*polar, theta, np)
         for i, (a, b, t) in enumerate(zip(r_e.tolist(), r_m.tolist(), theta.tolist())):
-            point = transverse_shifts(ReflectionPair(a, b), LAMBDA, t)
+            point = transverse_shifts((a, b), LAMBDA, t)
             assert (point.h_singular, point.v_singular) == (grid_h_singular[i], grid_v_singular[i])
             terms = (1.0 + max(abs(a) / abs(b), abs(b) / abs(a))) / math.tan(t) / (2.0 * math.pi)
             assert type(point.delta_h_plus) is float and type(point.h_singular) is bool
@@ -198,7 +198,7 @@ class TestAngularSpectrum:
             assert energy == pytest.approx(1.0, abs=1e-6)
 
     def test_centroid_matches_trivial_closed_form(self):
-        pair = ReflectionPair(r_e=0.5, r_m=0.5)
+        pair = (0.5, 0.5)
         kin = Kinematics(LAMBDA, 0.8)
         beam = BeamSpec(waist_um=500 * LAMBDA)
         plus = sigma_plus(pair, kin, beam, "h")
@@ -215,7 +215,7 @@ class TestAngularSpectrum:
             theta = rng.uniform(0.4, 1.2)
             if abs(r_e) < 0.1 or abs(r_m) < 0.1:
                 continue
-            pair = ReflectionPair(r_e, r_m)
+            pair = (r_e, r_m)
             closed = transverse_shifts(pair, LAMBDA, theta)
             if abs(closed.delta_h_plus) < 0.05 or abs(closed.delta_h_plus) > 10.0:
                 continue
@@ -273,11 +273,12 @@ def fft2_centroids(pair, kin, beam, polarization):
     k1, dk = fft_axis(beam)
     kx, ky = np.meshgrid(k1, k1, indexing="ij")
     envelope = gaussian_spectrum(beam, kx, ky)
-    cross = ky * (1.0 / math.tan(kin.theta_rad)) * (pair.r_m + pair.r_e) / kin.k
+    r_e, r_m = pair
+    cross = ky * (1.0 / math.tan(kin.theta_rad)) * (r_m + r_e) / kin.k
     if polarization == "h":
-        e_h, e_v = pair.r_m * envelope, -cross * envelope
+        e_h, e_v = r_m * envelope, -cross * envelope
     else:
-        e_h, e_v = cross * envelope, pair.r_e * envelope
+        e_h, e_v = cross * envelope, r_e * envelope
     y = np.fft.fftfreq(FFT_SAMPLES, d=dk / (2.0 * math.pi))
     centroids = []
     for spectrum in ((e_h + 1j * e_v) / math.sqrt(2.0), (e_h - 1j * e_v) / math.sqrt(2.0)):
@@ -289,7 +290,7 @@ def fft2_centroids(pair, kin, beam, polarization):
 def _random_pair_cases():
     rng = np.random.default_rng(41)
     for _ in range(4):
-        pair = ReflectionPair(
+        pair = (
             complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
             complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
         )
@@ -298,7 +299,7 @@ def _random_pair_cases():
 
 def _near_extinction_cases():
     for rm_abs, theta in ((1e-3, 0.95), (1e-4, 0.98), (1e-5, 1.0)):
-        pair = ReflectionPair(r_e=0.6 * cmath.exp(0.4j), r_m=rm_abs * cmath.exp(-1.1j))
+        pair = (0.6 * cmath.exp(0.4j), rm_abs * cmath.exp(-1.1j))
         yield pair, Kinematics(LAMBDA, theta), BeamSpec(waist_um=500 * LAMBDA)
 
 
@@ -337,11 +338,12 @@ def fft1_centroids(pair, kin, beam, polarization):
     per circular component, |E|^2 and its y-moment summed on the grid."""
     ky, dk = fft_axis(beam)
     envelope = gaussian_spectrum(beam, 0.0, ky)
-    cross = ky * (1.0 / math.tan(kin.theta_rad)) * (pair.r_m + pair.r_e) / kin.k
+    r_e, r_m = pair
+    cross = ky * (1.0 / math.tan(kin.theta_rad)) * (r_m + r_e) / kin.k
     if polarization == "h":
-        e_h, e_v = pair.r_m * envelope, -cross * envelope
+        e_h, e_v = r_m * envelope, -cross * envelope
     else:
-        e_h, e_v = cross * envelope, pair.r_e * envelope
+        e_h, e_v = cross * envelope, r_e * envelope
     y = np.fft.fftfreq(FFT_SAMPLES, d=dk / (2.0 * math.pi))
     centroids = []
     for spectrum in ((e_h + 1j * e_v) / math.sqrt(2.0), (e_h - 1j * e_v) / math.sqrt(2.0)):
@@ -353,9 +355,9 @@ def fft1_centroids(pair, kin, beam, polarization):
 
 def fft1_oracle(stack, kin, beam):
     """centroid_shift_oracle on the per-component reference."""
-    pair = reflection_pair(stack, kin)
-    delta_h = None if abs(pair.r_m) < SINGULAR_REFLECTION else fft1_centroids(pair, kin, beam, "h")[0]
-    delta_v = None if abs(pair.r_e) < SINGULAR_REFLECTION else fft1_centroids(pair, kin, beam, "v")[0]
+    r_e, r_m = pair = reflection_pair(stack, kin)
+    delta_h = None if abs(r_m) < SINGULAR_REFLECTION else fft1_centroids(pair, kin, beam, "h")[0]
+    delta_v = None if abs(r_e) < SINGULAR_REFLECTION else fft1_centroids(pair, kin, beam, "v")[0]
     return delta_h, delta_v
 
 
@@ -389,9 +391,9 @@ class TestMomentCentroid:
     def test_zero_field_centroid_is_nan(self):
         kin = Kinematics(LAMBDA, 0.8)
         beam = BeamSpec(waist_um=500 * LAMBDA)
-        got = _centroids(ReflectionPair(0j, 0j), kin, beam.waist_um)
+        got = _centroids((0j, 0j), kin, beam.waist_um)
         assert all(math.isnan(c) for c in got)
-        assert all(math.isnan(c) for c in fft1_centroids(ReflectionPair(0j, 0j), kin, beam, "h"))
+        assert all(math.isnan(c) for c in fft1_centroids((0j, 0j), kin, beam, "h"))
 
     def test_warm_beam_costs_one_reflection_pair_and_no_fft(self, monkeypatch):
         pairs = []
@@ -411,17 +413,17 @@ class TestMomentCentroid:
         for theta in thetas:
             kin = Kinematics(LAMBDA, float(theta))
             assert None not in centroid_shift_oracle(base_stack(), kin, beam)
-            _centroids(ReflectionPair(0.4, 0.5), kin, beam.waist_um)
+            _centroids((0.4, 0.5), kin, beam.waist_um)
         assert len(pairs) == len(thetas)
 
 
 def oracle_from_centroids(stack, kin, beam):
     """The oracle's slots as the sigma+ centroids taken one polarization at a time."""
-    pair = reflection_pair(stack, kin)
+    r_e, r_m = pair = reflection_pair(stack, kin)
     delta_h = delta_v = None
-    if abs(pair.r_m) >= SINGULAR_REFLECTION:
+    if abs(r_m) >= SINGULAR_REFLECTION:
         delta_h = sigma_plus(pair, kin, beam, "h")
-    if abs(pair.r_e) >= SINGULAR_REFLECTION:
+    if abs(r_e) >= SINGULAR_REFLECTION:
         delta_v = sigma_plus(pair, kin, beam, "v")
     return delta_h, delta_v
 
@@ -451,8 +453,9 @@ def moment_grid(name, angles=41):
 def sigma_plus_reference(pair, kin):
     """(a, c) of the sigma+ spectrum b(ky)*(a + c*ky), up to a common factor,
     for h input and for v input; sigma- is (a, -c)."""
-    g = complex((1.0 / math.tan(kin.theta_rad)) * (pair.r_m + pair.r_e) / kin.k)
-    return (complex(pair.r_m), -1j * g), (1j * complex(pair.r_e), g)
+    r_e, r_m = pair
+    g = complex((1.0 / math.tan(kin.theta_rad)) * (r_m + r_e) / kin.k)
+    return (complex(r_m), -1j * g), (1j * complex(r_e), g)
 
 
 def centroid_reference(a, c, waist_um, lambda_um):
@@ -493,13 +496,13 @@ class TestOnePassPoint:
         # the coupling and the sigma+ centroid of each polarization as
         # separate steps
         for stack, kin, beam in moment_grid(name):
-            pair = reflection_pair(stack, kin)
+            r_e, r_m = pair = reflection_pair(stack, kin)
             h, v = sigma_plus_reference(pair, kin)
             want = [centroid_reference(*h, beam.waist_um, kin.lambda_um),
                     centroid_reference(*v, beam.waist_um, kin.lambda_um)]
-            if abs(pair.r_m) < SINGULAR_REFLECTION:
+            if abs(r_m) < SINGULAR_REFLECTION:
                 want[0] = None
-            if abs(pair.r_e) < SINGULAR_REFLECTION:
+            if abs(r_e) < SINGULAR_REFLECTION:
                 want[1] = None
             assert_bit_equal(centroid_shift_oracle(stack, kin, beam), want)
             assert_bit_equal(_centroids(pair, kin, beam.waist_um),
@@ -508,20 +511,20 @@ class TestOnePassPoint:
 
     @pytest.mark.parametrize("name", ["fig2", "fig6b"])
     def test_a_warm_point_makes_seven_python_calls(self, name):
-        # the oracle, reflection_pair, its row loop, _checked for TE and TM,
-        # ReflectionPair.__init__ and one _centroids: no call per layer
+        # the oracle, reflection_pair, its _point_pair, that one's row loop,
+        # _checked for TE and TM and one _centroids: no call per layer
         scenario, _ = preset(name)
         stack = build_stack(scenario, susceptibility(scenario.qw).chi)
         kin, beam = Kinematics(scenario.lambda_um, 0.979), BeamSpec(waist_um=925.0)
         centroid_shift_oracle(stack, kin, beam)
         calls = python_calls(centroid_shift_oracle, stack, kin, beam)
-        assert calls == ["centroid_shift_oracle", "reflection_pair", "_point_fractions",
-                         "_checked", "_checked", "__init__", "_centroids"]
+        assert calls == ["centroid_shift_oracle", "reflection_pair", "_point_pair",
+                         "_point_fractions", "_checked", "_checked", "_centroids"]
 
     def test_zero_field_matches_as_nan(self):
         kin = Kinematics(LAMBDA, 0.8)
         beam = BeamSpec(waist_um=500 * LAMBDA)
-        got = _centroids(ReflectionPair(0j, 0j), kin, beam.waist_um)
+        got = _centroids((0j, 0j), kin, beam.waist_um)
         assert all(math.isnan(c) for c in got)
 
 
@@ -532,11 +535,11 @@ class TestWaistFactor:
     @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig6a", "fig6b"])
     def test_oracle_is_the_closed_form_times_the_waist_factor(self, name):
         for stack, kin, beam in moment_grid(name, angles=200):
-            pair = reflection_pair(stack, kin)
+            r_e, r_m = pair = reflection_pair(stack, kin)
             closed = transverse_shifts(pair, kin.lambda_um, kin.theta_rad)
             kw2 = (kin.k * beam.waist_um) ** 2
             cot = 1.0 / math.tan(kin.theta_rad)
-            x_h, x_v = (1.0 + pair.r_e / pair.r_m) * cot, (1.0 + pair.r_m / pair.r_e) * cot
+            x_h, x_v = (1.0 + r_e / r_m) * cot, (1.0 + r_m / r_e) * cot
             oracle_h, oracle_v = centroid_shift_oracle(stack, kin, beam)
             want_h = closed.delta_h_plus * kw2 / (kw2 + abs(x_h) ** 2)
             want_v = closed.delta_v_plus * kw2 / (kw2 + abs(x_v) ** 2)

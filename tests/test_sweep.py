@@ -9,7 +9,7 @@ import pytest
 
 from spinhall.presets import preset
 from spinhall.qw_medium import QwParams, susceptibility
-from spinhall.strata import ReflectionPair, reflection_arrays
+from spinhall.strata import _point_pair, reflection_arrays
 from spinhall.shifts import transverse_shifts
 from spinhall.sweep import (
     Scenario,
@@ -17,6 +17,8 @@ from spinhall.sweep import (
     SweepSpec,
     _TOL_RAD,
     _layers,
+    _linspace,
+    _refine_resonance,
     build_stack,
     find_resonance,
     run_sweep,
@@ -89,10 +91,7 @@ class TestRunSweep:
     def test_rows_reproduce_shift_formulas(self):
         rows = run_sweep(base_scenario(), SweepSpec("theta", 0.5, 1.1, 41))
         for row in rows:
-            pair = ReflectionPair(
-                r_e=row.re_abs * cmath.exp(1j * row.phi_e),
-                r_m=row.rm_abs * cmath.exp(1j * row.phi_m),
-            )
+            pair = (row.re_abs * cmath.exp(1j * row.phi_e), row.rm_abs * cmath.exp(1j * row.phi_m))
             again = transverse_shifts(pair, 1.85, row.value)
             assert again.delta_h_plus == pytest.approx(row.delta_h_plus_lambda, rel=1e-9)
             assert again.delta_v_plus == pytest.approx(row.delta_v_plus_lambda, rel=1e-9)
@@ -147,8 +146,8 @@ class TestRunSweep:
 
     def test_a_theta_sweep_explains_its_failed_rows_on_its_one_stack(self, monkeypatch):
         # qw.beta 1e300 overflows every row's propagation; the texts come from
-        # the point path on the sweep's stack, with no susceptibility call per
-        # failed row (there were 2002 calls)
+        # the point path on one stack, with no susceptibility call per failed
+        # row (there were 2002 calls): one for the batch, one for the point path
         import spinhall.sweep
 
         calls = []
@@ -159,8 +158,9 @@ class TestRunSweep:
 
         monkeypatch.setattr(spinhall.sweep, "susceptibility", counted)
         scenario, spec = preset("fig2")
-        rows = run_sweep(replace(scenario, qw=replace(scenario.qw, beta=1e300)), spec)
-        assert len(calls) == 1
+        qw = replace(scenario.qw, beta=1e300)
+        rows = run_sweep(replace(scenario, qw=qw), spec)
+        assert calls == [qw, qw]
         assert [row.error for row in rows] == ["OverflowError: math range error"] * 2001
 
     def test_singular_parameter_rows_carry_their_own_texts(self):
@@ -193,8 +193,8 @@ class TestCavityResonanceStructure:
 
         scenario = base_scenario()
         stack = build_stack(scenario, susceptibility(scenario.qw).chi)
-        pair = reflection_pair(stack, Kinematics(1.85, 0.98))
-        assert abs(pair.r_e) / abs(pair.r_m) > 1e2
+        r_e, r_m = reflection_pair(stack, Kinematics(1.85, 0.98))
+        assert abs(r_e) / abs(r_m) > 1e2
 
     def test_shift_flips_sign_across_the_resonance(self):
         from spinhall.qw_medium import susceptibility
@@ -315,6 +315,32 @@ class TestFindResonance:
         monkeypatch.setattr("spinhall.sweep.reflection_pair", per_point)
         result = find_resonance(base_scenario(), (0.9, 1.05))
         assert not result.boundary and result.ratio_em_peak > 1e2
+
+    def test_both_searches_scan_2000_angles_then_65_per_zoom_round(self, monkeypatch):
+        # the documented search shape, on the batch and on the point path; the
+        # benchmark's resonance hook rebuilds the 2000-angle coarse grid to tell
+        # a refined peak from a coarse one
+        import spinhall.sweep
+
+        scenario, spec = preset("fig2")
+        window = (spec.lo, spec.hi)
+        batches, q0s = [], []
+
+        def arrays(layers, lambda_um, theta):
+            batches.append(len(theta))
+            return reflection_arrays(layers, lambda_um, theta)
+
+        def point(layers, k, k_z, q0):
+            q0s.append(q0)
+            return _point_pair(layers, k, k_z, q0)
+
+        monkeypatch.setattr(spinhall.sweep, "reflection_arrays", arrays)
+        monkeypatch.setattr(spinhall.sweep, "_point_pair", point)
+        find_resonance(scenario, window)
+        assert len(batches) >= 2 and batches == [2000] + [65] * (len(batches) - 1)
+        _refine_resonance(scenario, window, [])
+        assert q0s[:2000] == [math.cos(theta) for theta in _linspace(*window, 2000)]
+        assert len(q0s) > 2000 and (len(q0s) - 2000) % 65 == 0
 
     @pytest.mark.parametrize("tol_rad", [_TOL_RAD])
     def test_peak_within_tol_of_a_dense_scan(self, tol_rad):
