@@ -110,7 +110,7 @@ def _finite_or_none(value):
 def _oracle_spot_check(scenario: Scenario, spec: SweepSpec, row: SweepRow | None) -> dict | None:
     """Centroid oracle at the h peak row, for that row's medium and angle;
     None unless the beam has a waist.  A waist too narrow for the oracle, or
-    no usable row, is reported as declined."""
+    no usable row, or arithmetic that overflows there, is reported as declined."""
     if scenario.beam is None:
         return None
     if row is None:
@@ -123,6 +123,8 @@ def _oracle_spot_check(scenario: Scenario, spec: SweepSpec, row: SweepRow | None
         )
     except ResolutionError as exc:
         return {"declined": str(exc)}
+    except OverflowError:
+        return {"declined": f"the oracle overflows at the h peak row (swept value {row.value!r})"}
     return {
         "swept": row.value,
         "oracle_h": _finite_or_none(oracle_h),

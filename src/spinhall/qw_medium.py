@@ -129,7 +129,7 @@ def _closed_form(params: QwParams, d: DecayBundle, omega_c, delta):
     a2 = delta * delta - d.alpha * d.alpha - 1j * delta * d.gamma3 + d.gamma2 * (1j * delta + d.gamma3)
     a3 = -1j * delta + 1j * f * f * delta + 2.0 * f * d.alpha + d.gamma2 + f * f * d.gamma3
     oc2 = omega_c * omega_c
-    numerator = 1j * params.beta * (a1 * d.gamma4 + (f - g) ** 2 * oc2)
+    numerator = 1j * params.beta * (a1 * d.gamma4 + (f - g) * (f - g) * oc2)
     return numerator, a2 * d.gamma4 + a3 * oc2
 
 

@@ -11,9 +11,9 @@ for horizontally and vertically polarized input.  The sigma- values are their
 exact negatives, so only sigma+ is computed.  Only the magnitude ratio and the
 phase difference of the two reflection coefficients enter, so giant shifts
 appear wherever one polarization is nearly extinguished (the ratio blows up).
-`_row_data` is the one pass from a pair (r_e, r_m) to these closed forms:
-`transverse_shifts` and the sweep's point path take it in `math` at one
-point, `run_sweep` in numpy over arrays.
+`_row_data` is the one pass from a pair (r_e, r_m) to a row: magnitudes, ratios,
+phases on (-pi, pi] and these closed forms, in `math` at one point (for
+`transverse_shifts` and the sweep's point path) and numpy over `run_sweep`'s arrays.
 
 `centroid_shift_oracle` is the intensity-centroid shift of a Gaussian beam of
 waist w0: the first-order reflection matrix, with the cross-polarization
@@ -37,11 +37,12 @@ which is what ties the sigma+ label to the minus sign above.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .strata import Kinematics, Stack, _principal_phase, reflection_pair
+from .strata import Kinematics, Stack, reflection_pair
 
 __all__ = [
     "BeamSpec",
@@ -100,27 +101,30 @@ def ratio(a, b):
         return np.divide(a, b)
 
 
-def _closed_forms(re_abs, rm_abs, phi_e, phi_m, theta_rad, lib) -> tuple:
-    """(|r_e|/|r_m|, |r_m|/|r_e|, delta_h_plus, delta_v_plus, h_singular,
-    v_singular) from the magnitudes and phases of r_e and r_m, computed by
-    `lib`: `math` at one point, numpy over a grid, in the same operation order."""
-    ratio_em, ratio_me = ratio(re_abs, rm_abs), ratio(rm_abs, re_abs)
-    cot = 1.0 / lib.tan(theta_rad)
-    dphi = phi_e - phi_m
-    scale = -cot / (2.0 * math.pi)
-    delta_h = scale * (1.0 + ratio_em * lib.cos(dphi))
-    delta_v = scale * (1.0 + ratio_me * lib.cos(-dphi))
-    return ratio_em, ratio_me, delta_h, delta_v, rm_abs < SINGULAR_REFLECTION, re_abs < SINGULAR_REFLECTION
+def _principal_phase(z):
+    """arg(z) mapped onto (-pi, pi]: a float for a Python scalar, computed by
+    cmath, else by numpy, a float for a 0-d input and an array otherwise."""
+    if type(z) in (float, complex):
+        phi = cmath.phase(z)
+        return phi + 2.0 * math.pi if phi <= -math.pi else phi
+    import numpy as np
+    phi = np.angle(z)
+    phi = np.where(phi <= -math.pi, phi + 2.0 * math.pi, phi)
+    return float(phi) if phi.ndim == 0 else phi
 
 
 def _row_data(r_e, r_m, theta, lib) -> tuple:
     """(|r_e|, |r_m|, ratio_em, ratio_me, phi_e, phi_m, delta_h_plus, delta_v_plus,
-    h_singular, v_singular), a `SweepRow`'s data, from one pass over the magnitudes
-    and phases: of one point's r_e and r_m (lib `math`) or of a grid's arrays (numpy)."""
+    h_singular, v_singular), a `SweepRow`'s data, in one pass and one operation order:
+    of one point's r_e and r_m (lib `math`) or of a grid's arrays (numpy)."""
     re_abs, rm_abs, phi_e, phi_m = abs(r_e), abs(r_m), _principal_phase(r_e), _principal_phase(r_m)
-    ratio_em, ratio_me, delta_h, delta_v, h_singular, v_singular = _closed_forms(
-        re_abs, rm_abs, phi_e, phi_m, theta, lib)
-    return re_abs, rm_abs, ratio_em, ratio_me, phi_e, phi_m, delta_h, delta_v, h_singular, v_singular
+    ratio_em, ratio_me = ratio(re_abs, rm_abs), ratio(rm_abs, re_abs)
+    dphi = phi_e - phi_m
+    scale = -(1.0 / lib.tan(theta)) / (2.0 * math.pi)
+    delta_h = scale * (1.0 + ratio_em * lib.cos(dphi))
+    delta_v = scale * (1.0 + ratio_me * lib.cos(-dphi))
+    return (re_abs, rm_abs, ratio_em, ratio_me, phi_e, phi_m, delta_h, delta_v,
+            rm_abs < SINGULAR_REFLECTION, re_abs < SINGULAR_REFLECTION)
 
 
 def transverse_shifts(pair: tuple[complex, complex], lambda_um: float, theta_rad: float) -> ShiftResult:

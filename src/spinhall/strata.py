@@ -31,9 +31,8 @@ entries inline and takes a layer equal to the first (a symmetric cavity's
 second wall) from the first's entries; it raises DegenerateGeometryError or
 OverflowError where the grid gives NaN.  Layer
 terms multiply by 1/z, not divide by z: numpy's reciprocal rounds as
-CPython's 1/z does, their divisions do not.  Scalars are computed in Python
-(a Python number's phase by cmath), arrays in numpy, which only the array
-functions import.
+CPython's 1/z does, their divisions do not.  Scalars are computed in Python,
+arrays in numpy, which only the array functions import.
 
 Lengths in micrometers, angles in radians.
 """
@@ -123,9 +122,10 @@ class Kinematics:
 
 def _normal_k(epsilon, k: float, k_z):
     # + 0j turns the signed zero -0.0 of a real-negative radicand into +0.0,
-    # so the branch lands on +i|.|
+    # so the branch lands on +i|.|; numpy's k ** 2 rounds as Python's does but
+    # overflows to inf (under the caller's errstate) where Python's raises
     import numpy as np
-    return np.sqrt(epsilon * k ** 2 - k_z ** 2 + 0j)
+    return np.sqrt(epsilon * np.float64(k) ** 2 - k_z ** 2 + 0j)
 
 
 def _layer_entries(epsilon, thickness_um: float, k: float, k_z):
@@ -209,18 +209,6 @@ def _checked(numerator: complex, denominator: complex, q0: float) -> complex:
             f"reflection denominator vanished (|den|={abs(denominator):.3e}, q0={q0})"
         )
     return complex(numerator / denominator)
-
-
-def _principal_phase(z):
-    """arg(z) mapped onto (-pi, pi]: a float for a Python scalar, computed by
-    cmath, else by numpy, a float for a 0-d input and an array otherwise."""
-    if type(z) in (float, complex):
-        phi = cmath.phase(z)
-        return phi + 2.0 * math.pi if phi <= -math.pi else phi
-    import numpy as np
-    phi = np.angle(z)
-    phi = np.where(phi <= -math.pi, phi + 2.0 * math.pi, phi)
-    return float(phi) if phi.ndim == 0 else phi
 
 
 def _point_pair(layers, k: float, k_z: float, q0: float) -> tuple[complex, complex]:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from spinhall.cli import CSV_HEADER, main, write_csv
+from spinhall.cli import CSV_HEADER, POINT_PATH_ROWS, main, write_csv
 from spinhall.config import (
     config_from_scenario,
     merged_config,
@@ -616,6 +616,51 @@ class TestOracleSpotCheck:
         assert main(["--preset", "fig5a", "--out", "p.json", "--format", "json"]) == 0
         summary = json.loads((tmp_path / "p.json").read_text())
         assert "oracle" in summary and summary["oracle"] is None
+
+
+class TestOverflowingInputs:
+    """Valid configs whose arithmetic overflows run to the end: the rows fail
+    as `e` rows and the summary declines what it cannot compute."""
+
+    @staticmethod
+    def run_config(tmp_path, monkeypatch, doc, *args):
+        (tmp_path / "run.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", "run.json", "--out", "out.csv", *args]) == 0
+        rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
+        return rows, json.loads((tmp_path / "out.json").read_text())
+
+    @pytest.mark.parametrize("doc, args, searched", [
+        (fig2(qw={"f": 1e300}), (), True),
+        ({"preset": "fig5a", "qw": {"g": 1e300}}, ("--find-resonance", "0.9,1.0"), True),
+        ({"preset": "fig5a", "qw": {"f": 1e300}, "sweep": {"samples": POINT_PATH_ROWS["omega_c"] + 1}},
+         (), False),
+    ], ids=["theta-point", "omega_c-window", "omega_c-batch"])
+    def test_an_overflowing_dipole_ratio_fails_every_row(self, tmp_path, monkeypatch, doc, args, searched):
+        rows, summary = self.run_config(tmp_path, monkeypatch, doc, *args)
+        assert all(row.endswith(",hve") for row in rows)
+        assert summary["row_errors"] == summary["rows"] == len(rows)
+        assert list(summary["row_failures"]) == ["ValueError"]
+        assert summary["row_failures"]["ValueError"]["first"].startswith("layer epsilon must be finite")
+        assert summary["effective_epsilon2"] is None
+        if searched:
+            assert set(summary["resonance"]) == {"declined"}
+        else:
+            assert summary["resonance"] is None
+
+    def test_a_wavelength_whose_k_squared_overflows_on_the_batch_path(self, tmp_path, monkeypatch):
+        doc = fig2(beam={"lambda_um": 1e-160}, sweep={"samples": POINT_PATH_ROWS["theta"] + 1})
+        rows, summary = self.run_config(tmp_path, monkeypatch, doc)
+        assert all(row.endswith(",hve") for row in rows)
+        assert summary["row_errors"] == summary["rows"] == len(rows)
+        assert set(summary["resonance"]) == {"declined"}
+
+    def test_an_oracle_that_overflows_is_declined(self, tmp_path, monkeypatch):
+        # the h peak row sits at theta = 1e-300, where the coupling's square overflows
+        doc = fig2(sweep={"lo": 1e-300, "samples": 3}, beam={"waist_um": 1e9})
+        rows, summary = self.run_config(tmp_path, monkeypatch, doc)
+        assert summary["row_errors"] == 0 and float(rows[0].split(",")[0]) == 1e-300
+        assert summary["oracle"] == {"declined": "the oracle overflows at the h peak row (swept value 1e-300)"}
 
 
 DEEP = "[" * 100_000 + "]" * 100_000  # nested past the parser's recursion limit

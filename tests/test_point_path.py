@@ -20,8 +20,8 @@ from spinhall.cli import POINT_PATH_ROWS, write_csv
 from spinhall.config import config_from_scenario, scenario_from_config
 from spinhall.presets import PRESET_NAMES, preset
 from spinhall.qw_medium import DecayBundle, QwParams, SingularParameterError, susceptibility
-from spinhall.shifts import centroid_shift_oracle, ratio, transverse_shifts
-from spinhall.strata import Kinematics, Layer, _principal_phase, reflection_pair
+from spinhall.shifts import _principal_phase, centroid_shift_oracle, ratio, transverse_shifts
+from spinhall.strata import Kinematics, Layer, reflection_pair
 from spinhall.sweep import (
     SweepRow, SweepSpec, _linspace, _point_sweep, _refine_resonance, build_stack, find_resonance, run_sweep,
     sweep_point,

@@ -11,6 +11,7 @@ from spinhall.qw_medium import (
     steady_state_coherences,
     susceptibility,
     susceptibility_from_steady_state,
+    susceptibility_grid,
 )
 
 # the standard medium used throughout the angle-sweep scenarios
@@ -113,6 +114,14 @@ class TestClosedForm:
             for oc in np.linspace(0.0, 10.0, 41)
         ]
         assert all(b <= a + 1e-18 for a, b in zip(magnitudes, magnitudes[1:]))
+
+    @pytest.mark.parametrize("field", ["f", "g"])
+    def test_an_overflowing_dipole_ratio_gives_a_non_finite_chi(self, field):
+        # (f - g)^2 overflows; chi is then non-finite, as for an overflowing
+        # omega_c, and neither form raises
+        params = base_params(**{field: 1e300})
+        assert not np.isfinite(susceptibility(params).chi)
+        assert not np.isfinite(susceptibility_grid(params, "omega_c", np.array([0.0, 1.0]))).any()
 
     def test_singular_parameters_rejected(self):
         dead = QwParams(

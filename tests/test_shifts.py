@@ -15,12 +15,13 @@ from spinhall.shifts import (
     BeamSpec,
     ResolutionError,
     _centroids,
-    _closed_forms,
+    _principal_phase,
+    _row_data,
     centroid_shift_oracle,
     ratio,
     transverse_shifts,
 )
-from spinhall.strata import Kinematics, Layer, Stack, _principal_phase, reflection_pair
+from spinhall.strata import Kinematics, Layer, Stack, reflection_pair
 from spinhall.sweep import build_stack, find_resonance
 
 LAMBDA = 1.85
@@ -146,8 +147,7 @@ class TestScalarMode:
         r_e = (rng.normal(size=500) + 1j * rng.normal(size=500)) * 10.0 ** rng.uniform(-8, 0, 500)
         r_m = (rng.normal(size=500) + 1j * rng.normal(size=500)) * 10.0 ** rng.uniform(-8, 0, 500)
         theta = rng.uniform(0.01, 1.56, 500)
-        polar = np.abs(r_e), np.abs(r_m), _principal_phase(r_e), _principal_phase(r_m)
-        _, _, grid_h, grid_v, grid_h_singular, grid_v_singular = _closed_forms(*polar, theta, np)
+        grid_h, grid_v, grid_h_singular, grid_v_singular = _row_data(r_e, r_m, theta, np)[6:]
         for i, (a, b, t) in enumerate(zip(r_e.tolist(), r_m.tolist(), theta.tolist())):
             point = transverse_shifts((a, b), LAMBDA, t)
             assert (point.h_singular, point.v_singular) == (grid_h_singular[i], grid_v_singular[i])

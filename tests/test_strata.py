@@ -15,12 +15,12 @@ from spinhall.strata import (
     Kinematics,
     Layer,
     Stack,
-    _principal_phase,
     reflection_arrays,
     reflection_pair,
 )
 from spinhall.presets import PRESET_NAMES, preset
 from spinhall.qw_medium import susceptibility
+from spinhall.shifts import _principal_phase
 from spinhall.sweep import _layers, build_stack, find_resonance, sweep_point
 
 # the reference slab: eps=2.22, d=0.2 um at lambda=1.85 um, theta=0.98 rad

@@ -304,6 +304,15 @@ class TestFindResonance:
             find_resonance(scenario, (0.9, 1.05))
         assert type(info.value) is ValueError  # not a numerical failure of the run
 
+    def test_a_wavelength_whose_k_squared_overflows_has_no_ratio(self):
+        # lambda = 1e-160 um: k^2 overflows in both kernels, so every row of
+        # the batch fails and no angle of the window has a ratio
+        scenario = base_scenario(lambda_um=1e-160)
+        rows = run_sweep(scenario, SweepSpec("theta", 0.9, 1.05, 11))
+        assert all(row.error is not None and math.isnan(row.ratio_em) for row in rows)
+        with pytest.raises(ValueError, match=r"no \|r_e\|/\|r_m\| ratio .* \(0\.9, 1\.05\)"):
+            find_resonance(scenario, (0.9, 1.05))
+
     def test_window_domain_checked(self):
         with pytest.raises(ValueError, match="window"):
             find_resonance(base_scenario(), (0.0, 1.0))
