@@ -96,7 +96,7 @@ class Stack:
 @dataclass(frozen=True)
 class Kinematics:
     """Probe wavelength (um) and incidence angle (rad), with the derived
-    free-space wavenumber k, conserved tangential k_z and ambient q0."""
+    free-space wavenumber k and conserved tangential k_z."""
 
     lambda_um: float
     theta_rad: float
@@ -115,17 +115,13 @@ class Kinematics:
     def k_z(self) -> float:
         return self.k * math.sin(self.theta_rad)
 
-    @property
-    def q0(self) -> float:
-        return math.cos(self.theta_rad)
-
 
 def _normal_k(epsilon, k: float, k_z):
     # + 0j turns the signed zero -0.0 of a real-negative radicand into +0.0,
-    # so the branch lands on +i|.|; numpy's k ** 2 rounds as Python's does but
-    # overflows to inf (under the caller's errstate) where Python's raises
+    # so the branch lands on +i|.|; squares are products, correctly rounded as
+    # the point kernel's are, and overflow to inf (under the caller's errstate)
     import numpy as np
-    return np.sqrt(epsilon * np.float64(k) ** 2 - k_z ** 2 + 0j)
+    return np.sqrt(epsilon * (np.float64(k) * k) - k_z * k_z + 0j)
 
 
 def _layer_entries(epsilon, thickness_um: float, k: float, k_z):
@@ -162,7 +158,7 @@ def _point_fractions(layers, k: float, k_z, q0):
     complex, operation for operation (cmath raises OverflowError where the grid gives
     inf); k_z and q0 may be complex.  A repeat of the first layer reuses its entries."""
     first, wall = layers[0], None
-    k2, kz2, ik, i_over_k = k ** 2, k_z ** 2, 1j * k, 1j / k
+    k2, kz2, ik, i_over_k = k * k, k_z * k_z, 1j * k, 1j / k
     te1, te2, tm1, tm2 = -q0, 1.0, -q0, 1.0
     for layer in layers:
         d = layer.thickness_um

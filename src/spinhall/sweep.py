@@ -15,13 +15,14 @@ transfer-matrix call and one batched shift evaluation.  The CLI's
 `_point_sweep` computes the same rows a point at a time, with what the swept
 value leaves unchanged (k, the walls, the fixed angle and decay rates or a
 theta sweep's medium) set up once per sweep; its `_refine_resonance` is
-`find_resonance` on that point path for any window, with a theta sweep's rows
-as its coarse scan, and both share the zoom rounds of `_peak`.  The two paths
-agree to rounding: numpy fuses complex multiply-adds and rounds `arctan2` and
-`tan` its own way, which moves a shift near the TM extinction by up to a few
-1e-10 relative.  Both take a pair (r_e, r_m) to a row's data through
-`shifts._row_data`, and the point path takes a point to its pair through
-`strata._point_pair`, as `reflection_pair` does.  `run_sweep` asks the
+`find_resonance` on that point path for any window: its coarse scan (a theta
+sweep's rows, or 2000 angles of the window) and each zoom round are
+`_point_sweep` rows, and both searches share the zoom rounds of `_peak`.  The
+two paths agree to rounding: numpy fuses complex multiply-adds and rounds
+`arctan2` and `tan` its own way, which moves a shift near the TM extinction by
+up to a few 1e-10 relative.  Both take a pair (r_e, r_m) to a row's data
+through `shifts._row_data`, and the point path takes a point to its pair
+through `strata._point_pair`, as `reflection_pair` does.  `run_sweep` asks the
 point path why a row failed.
 """
 
@@ -311,39 +312,23 @@ def find_resonance(scenario: Scenario, theta_window: tuple[float, float]) -> Res
     return _peak(scan, scan(lo, hi, _COARSE_POINTS))
 
 
-def _scan(thetas: list[float], ratios) -> tuple:
-    """`_peak`'s scan triple of angles and their |r_e|/|r_m| (NaN undefined)."""
-    values = [-math.inf if math.isnan(value) else value for value in ratios]
-    return thetas, values, values.index(max(values))
+def _scan(rows: list[SweepRow]) -> tuple:
+    """`_peak`'s scan triple of theta rows: their angles and |r_e|/|r_m| (-inf undefined)."""
+    values = [-math.inf if math.isnan(row.ratio_em) else row.ratio_em for row in rows]
+    return [row.value for row in rows], values, values.index(max(values))
 
 
 def _refine_resonance(scenario: Scenario, theta_window: tuple, rows: list[SweepRow]) -> ResonanceResult:
-    """`find_resonance` on the point path, the rows of a theta sweep of the window
-    its coarse scan if there are as many as that scans.  It raises as `find_resonance`
-    does: SingularParameterError for a singular medium, before it reads the rows, and
-    ValueError for a window outside (0, pi/2) or where no angle has a ratio."""
+    """`find_resonance` on the point path: the coarse scan and each zoom round are the
+    `_point_sweep` rows of a theta sweep, the given rows its coarse scan if there are as
+    many as it scans.  It raises as `find_resonance` does: SingularParameterError for
+    a singular medium, before it reads the rows, and ValueError for a window outside
+    (0, pi/2) or where no angle has a ratio."""
     lo, hi = _window(theta_window)
-    chi, k = susceptibility(scenario.qw).chi, 2.0 * math.pi / scenario.lambda_um
-    try:
-        layers = build_stack(scenario, chi).layers
-    except ValueError:  # a medium no layer can hold gives no angle a ratio
-        layers = None
-
-    def point_ratio(theta):
-        if layers is None:
-            return math.nan
-        try:
-            r_e, r_m = _point_pair(layers, k, k * math.sin(theta), math.cos(theta))
-        except (ArithmeticError, ValueError):  # an overflowing or degenerate point has no ratio
-            return math.nan
-        return ratio(abs(r_e), abs(r_m))
+    susceptibility(scenario.qw)  # raises for a singular medium, as find_resonance's call does
 
     def scan(a, b, n):
-        thetas = _linspace(a, b, n)
-        return _scan(thetas, map(point_ratio, thetas))
+        return _scan(_point_sweep(scenario, SweepSpec("theta", a, b, n)))
 
-    if len(rows) >= _COARSE_POINTS:
-        coarse = _scan([row.value for row in rows], [row.ratio_em for row in rows])
-    else:  # too few rows would miss a narrow peak
-        coarse = scan(lo, hi, _COARSE_POINTS)
-    return _peak(scan, coarse)
+    # too few rows would miss a narrow peak
+    return _peak(scan, _scan(rows) if len(rows) >= _COARSE_POINTS else scan(lo, hi, _COARSE_POINTS))

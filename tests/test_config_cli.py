@@ -533,6 +533,12 @@ class TestRowFailures:
         assert summary["row_errors"] == 2001
         assert summary["row_failures"] == {"OverflowError": {"rows": 2001, "first": "math range error"}}
 
+    @pytest.mark.parametrize("name, rows", [("fig2", 2001), ("fig5a", 601)])
+    def test_a_wavelength_whose_k_squared_overflows_names_the_range_error(self, tmp_path, monkeypatch,
+                                                                           name, rows):
+        summary = self.run_summary(tmp_path, monkeypatch, {"preset": name, "beam": {"lambda_um": 1e-160}})
+        assert summary["row_failures"] == {"OverflowError": {"rows": rows, "first": "math range error"}}
+
     def test_singular_rows_report_the_first_message(self, tmp_path, monkeypatch):
         # fig5c's delta sweep with the control field and the d-level rates
         # off: every row's medium is singular, each with its own delta

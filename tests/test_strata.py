@@ -84,7 +84,7 @@ def recursion_reflection(epsilons, thicknesses, kin, polarization):
 
 def point_normal_k(epsilon: complex, k: float, k_z: float) -> complex:
     """`_normal_k` at one point, with the same signed-zero rule."""
-    return cmath.sqrt(epsilon * k ** 2 - k_z ** 2 + 0j)
+    return cmath.sqrt(epsilon * (k * k) - k_z * k_z + 0j)
 
 
 def point_entries(epsilon: complex, thickness_um: float, k: float, k_z: float):
@@ -281,6 +281,14 @@ class TestReflection:
             reflection_pair(stack, Kinematics(0.5, 0.3))
         r_e, r_m = reflection_arrays([(-4.0 + 0.1j, 80.0)], 0.5, np.array([0.3, 1.0]))
         assert np.all(np.isnan(r_e)) and np.all(np.isnan(r_m))
+
+    def test_a_wavelength_whose_k_squared_overflows_raises_the_range_error(self):
+        # lambda = 1e-160 um: k * k overflows to inf, so the point fails as an
+        # overflowing matrix entry does, not with pow's errno text
+        stack = Stack(layers=(REF_LAYER,))
+        with pytest.raises(OverflowError) as info:
+            reflection_pair(stack, Kinematics(1e-160, 0.98))
+        assert info.value.args == ("math range error",)
 
     def test_degenerate_matrix_rejected(self, monkeypatch):
         # all-zero layer entries take the row vector (-q0, 1) to (0, 0), so
@@ -512,7 +520,8 @@ class TestRowLoop:
             for g_part, w_part in zip(g, w):
                 np.testing.assert_array_equal(g_part, w_part)
         stack = build_stack(scenario, chi)
-        for theta in thetas[::8]:
+        # the theta presets' angles where k_z ** 2 (libm pow) and k_z * k_z round apart
+        for theta in [*thetas[::8], *np.linspace(0.1, 1.5, 2001)[[1226, 1601]]]:
             args = (k, k * math.sin(theta), math.cos(theta))
             want = stack_fractions_reference(layers, *args, point_entries)
             assert list(strata._point_fractions(stack.layers, *args)) == want
