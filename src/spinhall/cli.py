@@ -171,7 +171,7 @@ def _summary(
     if window is not None:
         own = spec.variable == "theta" and window == (spec.lo, spec.hi)  # its rows seed the search
         try:
-            found = asdict(_refine_resonance(scenario, window, rows if own else []))
+            found = _refine_resonance(scenario, window, rows if own else [])._asdict()
             summary["resonance"] = {**found, "ratio_em_peak": _finite_or_none(found["ratio_em_peak"])}
         except SingularParameterError:  # a numerical failure of the medium: exit 3
             raise

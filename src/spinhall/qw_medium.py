@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -86,8 +86,7 @@ def _check_field(name: str, value: float) -> None:
         raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class DecayBundle:
+class DecayBundle(NamedTuple):
     """Total decay rates of the three excited subbands plus the interference
     measure: alpha is the continuum cross-coupling and p = alpha /
     sqrt(gamma2 * gamma3) in [0, 1] grades the Fano interference from absent
@@ -100,8 +99,7 @@ class DecayBundle:
     p: float
 
 
-@dataclass(frozen=True)
-class Susceptibility:
+class Susceptibility(NamedTuple):
     """Complex dimensionless susceptibility of the intracavity medium."""
 
     chi: complex
@@ -125,12 +123,13 @@ def _closed_form(params: QwParams, d: DecayBundle, omega_c, delta):
     may be arrays (a grid over one of them), the other fields come from
     params and d, its `derived_rates`."""
     g, f = params.g, params.f
-    a1 = -1j * delta + 1j * g * g * delta + 2.0 * g * d.alpha + d.gamma2 + g * g * d.gamma3
-    a2 = delta * delta - d.alpha * d.alpha - 1j * delta * d.gamma3 + d.gamma2 * (1j * delta + d.gamma3)
-    a3 = -1j * delta + 1j * f * f * delta + 2.0 * f * d.alpha + d.gamma2 + f * f * d.gamma3
+    gamma2, gamma3, gamma4, alpha, _ = d  # one unpacking, not 13 field loads
+    a1 = -1j * delta + 1j * g * g * delta + 2.0 * g * alpha + gamma2 + g * g * gamma3
+    a2 = delta * delta - alpha * alpha - 1j * delta * gamma3 + gamma2 * (1j * delta + gamma3)
+    a3 = -1j * delta + 1j * f * f * delta + 2.0 * f * alpha + gamma2 + f * f * gamma3
     oc2 = omega_c * omega_c
-    numerator = 1j * params.beta * (a1 * d.gamma4 + (f - g) * (f - g) * oc2)
-    return numerator, a2 * d.gamma4 + a3 * oc2
+    numerator = 1j * params.beta * (a1 * gamma4 + (f - g) * (f - g) * oc2)
+    return numerator, a2 * gamma4 + a3 * oc2
 
 
 def susceptibility(params: QwParams) -> Susceptibility:

@@ -40,7 +40,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 from .strata import Kinematics, Stack, reflection_pair
 
@@ -76,8 +76,7 @@ class BeamSpec:
             raise ValueError(f"waist_um must be positive, got {self.waist_um!r}")
 
 
-@dataclass(frozen=True)
-class ShiftResult:
+class ShiftResult(NamedTuple):
     """Sigma+ transverse shifts for h and v input, in units of the wavelength;
     the sigma- shift is the exact negative, and a shift times lambda_um * 1e-3 is
     in mm.  A singular flag marks a ratio taken against a noise-floor magnitude."""

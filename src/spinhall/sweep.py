@@ -135,8 +135,7 @@ class SweepRow(NamedTuple):
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class ResonanceResult:
+class ResonanceResult(NamedTuple):
     """Location and height of the |r_e|/|r_m| peak; boundary=True warns that
     the maximum sat on the window edge (no interior peak)."""
 

@@ -3,6 +3,7 @@ and every name the benchmark reaches exists on it."""
 
 import ast
 import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -79,3 +80,31 @@ def test_public_surface_is_pinned():
     assert not hasattr(importlib.import_module("spinhall.strata"), "ReflectionPair")
     # `_centroids` is the one centroid formula, with no public wrapper
     assert not hasattr(importlib.import_module("spinhall.shifts"), "circular_centroids")
+
+
+def test_import_builds_only_the_introspected_dataclasses():
+    # a frozen dataclass costs several times a NamedTuple to create at import;
+    # the records that nothing reads through `dataclasses` are NamedTuples
+    code = (
+        "import dataclasses, json\n"
+        "seen, process = [], dataclasses._process_class\n"
+        "def record(cls, *args, **kwargs):\n"
+        "    seen.append(cls.__name__)\n"
+        "    return process(cls, *args, **kwargs)\n"
+        "dataclasses._process_class = record\n"
+        "import spinhall.cli\n"
+        "print(json.dumps(sorted(seen)))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    dataclasses = ["BeamSpec", "Kinematics", "Layer", "QwParams", "Scenario", "SweepSpec"]
+    assert json.loads(result.stdout) == dataclasses
+    for module, name, fields in [
+        ("shifts", "ShiftResult", ("delta_h_plus", "delta_v_plus", "lambda_um", "h_singular", "v_singular")),
+        ("sweep", "ResonanceResult", ("theta_star", "ratio_em_peak", "boundary")),
+        ("qw_medium", "Susceptibility", ("chi",)),
+        ("qw_medium", "DecayBundle", ("gamma2", "gamma3", "gamma4", "alpha", "p")),
+        ("strata", "Stack", ("layers",)),
+    ]:
+        cls = getattr(importlib.import_module(f"spinhall.{module}"), name)
+        assert issubclass(cls, tuple) and cls._fields == fields

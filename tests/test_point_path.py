@@ -11,7 +11,7 @@ import math
 import random
 import subprocess
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,7 +110,7 @@ class TestNoNumpy:
         assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         want = None
         if spec.variable == "theta":
-            want = asdict(_refine_resonance(scenario, (spec.lo, spec.hi), rows))
+            want = _refine_resonance(scenario, (spec.lo, spec.hi), rows)._asdict()
         assert json.loads((tmp_path / "run.json").read_text())["resonance"] == want
 
 
@@ -247,13 +247,22 @@ class TestPerSweepWork:
 
     @staticmethod
     def count_builds(monkeypatch, cls, log):
-        init = cls.__init__
+        if issubclass(cls, tuple):  # a NamedTuple is built by its __new__
+            new = cls.__new__
 
-        def counted(self, *args, **kwargs):
-            log.append(self)
-            init(self, *args, **kwargs)
+            def counted_new(cls_, *args, **kwargs):
+                log.append(new(cls_, *args, **kwargs))
+                return log[-1]
 
-        monkeypatch.setattr(cls, "__init__", counted)
+            monkeypatch.setattr(cls, "__new__", staticmethod(counted_new))
+        else:
+            init = cls.__init__
+
+            def counted(self, *args, **kwargs):
+                log.append(self)
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
 
     @pytest.mark.parametrize("name", ["fig2", "fig5a", "fig5c"])
     def test_a_row_rebuilds_only_what_its_value_changes(self, monkeypatch, name):
