@@ -42,7 +42,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
@@ -81,26 +81,16 @@ class Layer:
             raise ValueError(f"layer thickness_um must be >= 0, got {self.thickness_um!r}")
 
 
-class _StackFields(NamedTuple):
+@dataclass(frozen=True)
+class Stack:
+    """Ordered layers embedded in vacuum on both sides."""
+
     layers: tuple[Layer, ...]
 
-
-class Stack(_StackFields):
-    """Ordered layers embedded in vacuum on both sides; a one-field NamedTuple,
-    so `len(stack.layers)` counts the layers."""
-
-    __slots__ = ()
-
-    def __new__(cls, layers) -> Stack:
-        layers = tuple(layers)
-        if len(layers) < 1:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "layers", tuple(self.layers))
+        if len(self.layers) < 1:
             raise ValueError("a stack needs at least one layer")
-        return super().__new__(cls, layers)
-
-    @classmethod
-    def _make(cls, iterable) -> Stack:
-        # _replace builds through _make, which would skip the check above
-        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -150,28 +140,14 @@ def _layer_entries(epsilon, thickness_um: float, k: float, k_z):
     return (c, m12, m21, c), (c, epsilon * m12, np.reciprocal(epsilon) * m21, c)
 
 
-# an epsilon of these types (numpy's float64 and complex128 included) is one value
-_NUMBER = (int, float, complex)
-
-
 def _stack_fractions(layers, k: float, k_z, q0):
     """TE and TM (numerator, denominator) of r for (epsilon, thickness_um)
     layers over a grid: the rows (te1, te2) and (tm1, tm2), both from
-    (-q0, 1), times the layer matrices in stack order, sharing c = cos(kx d).
-    End layers of equal Python-number epsilon and equal thickness (a symmetric
-    cavity's walls) share the first's entries; no other entries outlive their step."""
-    repeat = (len(layers) > 1 and isinstance(layers[0][0], _NUMBER) and isinstance(layers[-1][0], _NUMBER)
-              and layers[0] == layers[-1])
+    (-q0, 1), times the layer matrices in stack order, sharing c = cos(kx d)."""
     te1 = tm1 = -q0
     te2 = tm2 = 1.0
-    for i, (epsilon, thickness_um) in enumerate(layers):
-        if repeat and i == len(layers) - 1:
-            entries = wall
-        else:
-            entries = _layer_entries(epsilon, thickness_um, k, k_z)
-            if repeat and i == 0:
-                wall = entries
-        (c, e12, e21, _), (_, m12, m21, _) = entries
+    for epsilon, thickness_um in layers:
+        (c, e12, e21, _), (_, m12, m21, _) = _layer_entries(epsilon, thickness_um, k, k_z)
         te1, te2 = te1 * c + te2 * e21, te1 * e12 + te2 * c
         tm1, tm2 = tm1 * c + tm2 * m21, tm1 * m12 + tm2 * c
     return (te1 + q0 * te2, q0 * te2 - te1), (tm1 + q0 * tm2, q0 * tm2 - tm1)

@@ -84,7 +84,7 @@ def test_public_surface_is_pinned():
 
 def test_import_builds_only_the_introspected_dataclasses():
     # a frozen dataclass costs several times a NamedTuple to create at import;
-    # the records that nothing reads through `dataclasses` are NamedTuples
+    # the unchecked records that nothing reads through `dataclasses` are NamedTuples
     code = (
         "import dataclasses, json\n"
         "seen, process = [], dataclasses._process_class\n"
@@ -97,14 +97,13 @@ def test_import_builds_only_the_introspected_dataclasses():
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    dataclasses = ["BeamSpec", "Kinematics", "Layer", "QwParams", "Scenario", "SweepSpec"]
+    dataclasses = ["BeamSpec", "Kinematics", "Layer", "QwParams", "Scenario", "Stack", "SweepSpec"]
     assert json.loads(result.stdout) == dataclasses
     for module, name, fields in [
         ("shifts", "ShiftResult", ("delta_h_plus", "delta_v_plus", "lambda_um", "h_singular", "v_singular")),
         ("sweep", "ResonanceResult", ("theta_star", "ratio_em_peak", "boundary")),
         ("qw_medium", "Susceptibility", ("chi",)),
         ("qw_medium", "DecayBundle", ("gamma2", "gamma3", "gamma4", "alpha", "p")),
-        ("strata", "Stack", ("layers",)),
     ]:
         cls = getattr(importlib.import_module(f"spinhall.{module}"), name)
         assert issubclass(cls, tuple) and cls._fields == fields

@@ -478,12 +478,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="layer"):
             Stack(layers=())
 
-    def test_a_replaced_stack_is_checked(self):
-        stack = Stack(layers=[REF_LAYER])
-        assert stack.layers == (REF_LAYER,) and stack._replace(layers=[REF_LAYER]) == stack
-        with pytest.raises(ValueError, match="layer"):
-            stack._replace(layers=())
-
     def test_kinematics_domain(self):
         with pytest.raises(ValueError, match="theta"):
             Kinematics(1.85, 0.0)
@@ -572,9 +566,7 @@ class TestRowLoop:
 class TestWallReuse:
     """The point kernel computes a layer equal to the first (epsilon and
     thickness) once: a symmetric cavity's second wall costs no entries.
-    Each layer's entries take one cmath.sqrt, for its kx.  The batch kernel
-    does the same for a last layer equal to the first, both of Python-number
-    epsilon."""
+    Each layer's entries take one cmath.sqrt, for its kx."""
 
     @staticmethod
     def entries_per_pair(monkeypatch, stack):
@@ -599,44 +591,3 @@ class TestWallReuse:
     def test_equal_epsilon_at_another_thickness_is_computed(self, monkeypatch):
         stack = Stack(layers=(Layer(2.22, 0.2), Layer(1.001 + 0.004j, 5.0), Layer(2.22, 0.3)))
         assert self.entries_per_pair(monkeypatch, stack) == 3
-
-    @staticmethod
-    def batch_entries(monkeypatch, layers):
-        calls, entries = [], strata._layer_entries
-
-        def counted(*args):
-            calls.append(args)
-            return entries(*args)
-
-        monkeypatch.setattr(strata, "_layer_entries", counted)
-        reflection_arrays(layers, 1.85, np.linspace(0.1, 1.5, 11))
-        return len(calls)
-
-    @pytest.mark.parametrize("name, calls", [("fig2", 2), ("fig6b", 3)])
-    def test_batch_preset_cavities(self, monkeypatch, name, calls):
-        scenario, _ = preset(name)
-        layers = _layers(scenario, susceptibility(scenario.qw).chi)
-        assert self.batch_entries(monkeypatch, layers) == calls
-
-    def test_batch_array_walls_are_computed(self, monkeypatch):
-        wall = (np.full(11, 2.22 + 0j), 0.2)
-        assert self.batch_entries(monkeypatch, [wall, (1.001 + 0.004j, 5.0), wall]) == 3
-
-    def test_batch_loop_on_random_stacks(self):
-        # half the stacks end in a repeat of their first layer, which the loop
-        # takes from the first layer's entries; the reference computes every layer
-        rng = np.random.default_rng(31)
-        thetas = np.linspace(0.05, 1.5, 97)
-        for _ in range(200):
-            layers = [(complex(layer.epsilon), layer.thickness_um)
-                      for layer in random_layers(rng, rng.integers(1, 6))]
-            if len(layers) > 1 and rng.random() < 0.5:
-                layers[-1] = layers[0]
-            k = rng.uniform(1.0, 10.0)
-            args = (k, k * np.sin(thetas), np.cos(thetas))
-            with np.errstate(all="ignore"):
-                got = strata._stack_fractions(layers, *args)
-                want = stack_fractions_reference(layers, *args, strata._layer_entries)
-            for g, w in zip(got, want):
-                for g_part, w_part in zip(g, w):
-                    np.testing.assert_array_equal(g_part, w_part)
