@@ -8,10 +8,11 @@ point at full double precision, and a JSON summary, whole or not at all:
 the effective intracavity permittivity (null unless finite), the shift peaks
 over the non-singular grid rows, for angle sweeps the resonance (a coarse
 scan plus bracket zoom) and, when the beam has a waist, the centroid oracle
-at the h peak row.  A sweep of at most POINT_PATH_ROWS[variable] rows is
-computed one point at a time and a larger one by the batched `run_sweep`, the
-only part of a run that imports numpy.  The resonance search runs on the point
-path for any window, with a theta sweep's rows of its own range as its coarse scan.
+at the h peak row.  A run that uses the `qw` medium as given (a theta sweep,
+or any resonance window) and finds it singular exits 3 before any output.
+Every sweep is computed one point at a time by `_point_sweep`, so no run
+imports numpy, and the resonance search runs on that point path for any
+window, with a theta sweep's rows of its own range as its coarse scan.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .presets import PRESET_NAMES, preset
 from .qw_medium import SingularParameterError, permittivity, susceptibility
 from .shifts import ResolutionError, centroid_shift_oracle
 from .strata import DegenerateGeometryError, Kinematics
-# find_resonance is not called here; bench/spans.py wraps this name
+# run_sweep and find_resonance are not called here; bench/spans.py wraps these names
 from .sweep import (
     Scenario, SweepRow, SweepSpec, _point_sweep, _refine_resonance, build_stack, find_resonance,
     run_sweep, sweep_point,
@@ -48,10 +49,6 @@ CSV_HEADER = (
     "swept,re_abs,rm_abs,ratio_em,ratio_me,phi_e,phi_m,"
     "delta_h_plus_lambda,delta_v_plus_lambda,flags"
 )
-
-# a sweep of at most this many rows runs on the point path, which needs no
-# numpy; each limit is about where whole CLI runs of the two paths took equal time (README "CLI")
-POINT_PATH_ROWS = {"theta": 10000, "omega_c": 4500, "delta": 4500}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,9 +170,7 @@ def _summary(
         try:
             found = _refine_resonance(scenario, window, rows if own else [])._asdict()
             summary["resonance"] = {**found, "ratio_em_peak": _finite_or_none(found["ratio_em_peak"])}
-        except SingularParameterError:  # a numerical failure of the medium: exit 3
-            raise
-        except ValueError as exc:  # no angle of the window has a ratio
+        except ValueError as exc:  # no angle of the window has a ratio (main checked the medium)
             summary["resonance"] = {"declined": str(exc)}
     return summary
 
@@ -258,7 +253,9 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        rows = (_point_sweep if spec.samples <= POINT_PATH_ROWS[spec.variable] else run_sweep)(scenario, spec)
+        if window is not None:  # a theta sweep and any resonance search take qw as given
+            susceptibility(scenario.qw)  # a singular medium exits 3 before any output
+        rows = _point_sweep(scenario, spec)
         if csv_path is not None:
             write_csv(rows, csv_path)
             print(f"wrote {csv_path} ({len(rows)} rows)")

@@ -12,18 +12,18 @@ Scalars are computed in Python and arrays in numpy, which only the functions
 that take or build arrays import.  `run_sweep` evaluates a grid as columns:
 one susceptibility (theta) or an array of them (omega_c/delta), one batched
 transfer-matrix call and one batched shift evaluation.  The CLI's
-`_point_sweep` computes the same rows a point at a time, with what the swept
-value leaves unchanged (k, the walls, the fixed angle and decay rates or a
-theta sweep's medium) set up once per sweep; its `_refine_resonance` is
-`find_resonance` on that point path for any window: its coarse scan (a theta
-sweep's rows, or 2000 angles of the window) and each zoom round are
-`_point_sweep` rows, and both searches share the zoom rounds of `_peak`.  The
-two paths agree to rounding: numpy fuses complex multiply-adds and rounds
-`arctan2` and `tan` its own way, which moves a shift near the TM extinction by
-up to a few 1e-10 relative.  Both take a pair (r_e, r_m) to a row's data
-through `shifts._row_data`, and the point path takes a point to its pair
-through `strata._point_pair`, as `reflection_pair` does.  `run_sweep` asks the
-point path why a row failed.
+`_point_sweep`, run for a sweep of any size, computes the same rows a point at
+a time, with what the swept value leaves unchanged (k, the walls, the fixed
+angle and decay rates or a theta sweep's medium) set up once per sweep; its
+`_refine_resonance` is `find_resonance` on that point path for any window: its
+coarse scan (a theta sweep's rows, or 2000 angles of the window) and each zoom
+round are `_point_sweep` rows, and both searches share the zoom rounds of
+`_peak`.  The two paths agree to rounding: numpy fuses complex multiply-adds
+and rounds `arctan2` and `tan` its own way, which moves a shift near the TM
+extinction by up to a few 1e-10 relative.  Both take a pair (r_e, r_m) to a
+row's data through `shifts._row_data`, and the point path takes a point to its
+pair through `strata._point_pair`, as `reflection_pair` does.  `run_sweep`
+asks the point path why a row failed.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from spinhall.cli import CSV_HEADER, POINT_PATH_ROWS, main, write_csv
+from spinhall.cli import CSV_HEADER, main, write_csv
 from spinhall.config import (
     config_from_scenario,
     merged_config,
@@ -271,7 +271,7 @@ class TestCliRuns:
         assert summary["effective_epsilon2"][1] > 0  # absorbing medium
 
     def test_csv_reparses_to_the_last_digit(self, tmp_path):
-        # a preset's 2001 rows are within POINT_PATH_ROWS, so the CLI computes them on the point path
+        # the CLI computes every sweep on the point path
         from spinhall.sweep import _point_sweep
 
         scenario, spec = preset("fig2")
@@ -639,9 +639,8 @@ class TestOverflowingInputs:
     @pytest.mark.parametrize("doc, args, searched", [
         (fig2(qw={"f": 1e300}), (), True),
         ({"preset": "fig5a", "qw": {"g": 1e300}}, ("--find-resonance", "0.9,1.0"), True),
-        ({"preset": "fig5a", "qw": {"f": 1e300}, "sweep": {"samples": POINT_PATH_ROWS["omega_c"] + 1}},
-         (), False),
-    ], ids=["theta-point", "omega_c-window", "omega_c-batch"])
+        ({"preset": "fig5a", "qw": {"f": 1e300}}, (), False),
+    ], ids=["theta-own-range", "omega_c-window", "omega_c-no-window"])
     def test_an_overflowing_dipole_ratio_fails_every_row(self, tmp_path, monkeypatch, doc, args, searched):
         rows, summary = self.run_config(tmp_path, monkeypatch, doc, *args)
         assert all(row.endswith(",hve") for row in rows)
@@ -654,8 +653,8 @@ class TestOverflowingInputs:
         else:
             assert summary["resonance"] is None
 
-    def test_a_wavelength_whose_k_squared_overflows_on_the_batch_path(self, tmp_path, monkeypatch):
-        doc = fig2(beam={"lambda_um": 1e-160}, sweep={"samples": POINT_PATH_ROWS["theta"] + 1})
+    def test_an_overflowing_k_squared_fails_every_row(self, tmp_path, monkeypatch):
+        doc = fig2(beam={"lambda_um": 1e-160})
         rows, summary = self.run_config(tmp_path, monkeypatch, doc)
         assert all(row.endswith(",hve") for row in rows)
         assert summary["row_errors"] == summary["rows"] == len(rows)
@@ -669,6 +668,8 @@ class TestOverflowingInputs:
         assert summary["oracle"] == {"declined": "the oracle overflows at the h peak row (swept value 1e-300)"}
 
 
+# every decay rate and the splitting off: the medium's susceptibility is singular
+SINGULAR = dict.fromkeys(("gamma_bl", "gamma_bd", "gamma_cl", "gamma_cd", "gamma_dl", "gamma_dd", "delta"), 0)
 DEEP = "[" * 100_000 + "]" * 100_000  # nested past the parser's recursion limit
 MULTI = fig2(extra=1, qw={"gamma_bl": -1.0, "bogus": 1}, sweep={"samples": 1})
 
@@ -797,6 +798,25 @@ class TestCliFailures:
         result = run_cli(["--config", "dead.json", "--out", "d.csv"], tmp_path)
         assert result.returncode == 3, result.stderr
         assert "numerical failure" in result.stderr
+
+    @pytest.mark.parametrize("doc, args", [
+        (fig2(qw=SINGULAR, sweep={"samples": 11}), ["--format", "csv", "--out", "out.csv"]),
+        (fig2(qw=SINGULAR, sweep={"samples": 11}), ["--format", "json", "--out", "out.json"]),
+        (fig2(qw=SINGULAR, sweep={"samples": 11}), ["--format", "both", "--out", "out.csv"]),
+        ({"preset": "fig5a", "qw": {"gamma_dl": 0, "gamma_dd": 0, "omega_c": 0}},
+         ["--out", "out.csv", "--find-resonance", "0.9,1.05"]),
+    ], ids=["theta-csv", "theta-json", "theta-both", "omega_c-window"])
+    def test_a_singular_medium_as_given_exits_3_before_any_output(self, tmp_path, monkeypatch, capsys,
+                                                                 doc, args):
+        # a theta sweep and a resonance window run on qw as given; when it is
+        # singular no row or summary is written, whatever the format
+        (tmp_path / "run.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", "run.json", *args]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: susceptibility denominator vanished")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
     @pytest.mark.parametrize(
         "args",

@@ -1,6 +1,7 @@
-"""The point path: `_point_sweep` computes a CLI sweep of up to
-`POINT_PATH_ROWS` rows in Python and `_refine_resonance` every CLI resonance
-search, so only a larger sweep imports numpy.
+"""The point path: `_point_sweep` computes every CLI sweep, whatever its
+size, in Python and `_refine_resonance` every CLI resonance search, so no CLI
+run imports numpy.  The rows agree with `run_sweep`'s to rounding, and failed
+rows exactly.
 
 The import checks run in child interpreters, since this process has numpy
 loaded for its own references.
@@ -16,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spinhall.cli import POINT_PATH_ROWS, write_csv
+from spinhall.cli import write_csv
 from spinhall.config import config_from_scenario, scenario_from_config
 from spinhall.presets import PRESET_NAMES, preset
 from spinhall.qw_medium import DecayBundle, QwParams, SingularParameterError, susceptibility
@@ -91,21 +92,19 @@ class TestNoNumpy:
         want = centroid_shift_oracle(stack, Kinematics(scenario.lambda_um, theta), scenario.beam)
         assert (found["oracle_h"], found["oracle_v"]) == want
 
-    @pytest.mark.parametrize("name", ["fig2", "fig5a", "fig5c"])
-    @pytest.mark.parametrize("extra", [0, 1])
-    def test_the_row_count_picks_the_path(self, tmp_path, name, extra):
-        # up to the variable's limit the CLI writes _point_sweep's rows, above
-        # it run_sweep's, and either way a theta sweep's rows seed the point-path
-        # resonance search over its own range
+    @pytest.mark.parametrize("name, samples", [("fig2", 10001), ("fig5a", 4501), ("fig5c", 4501)])
+    def test_a_large_sweep_run(self, tmp_path, name, samples):
+        # a sweep larger than any preset's writes _point_sweep's rows without
+        # numpy, and a theta sweep's rows seed the point-path resonance search
+        # over its own range
         scenario, spec = preset(name)
-        spec = replace(spec, samples=POINT_PATH_ROWS[spec.variable] + extra)
+        spec = replace(spec, samples=samples)
         (tmp_path / "config.json").write_text(json.dumps(config_from_scenario(scenario, spec, preset_name=name)))
         result = subprocess.run([sys.executable, "-X", "importtime", "-m", "spinhall", "--config", "config.json",
                                  "--out", "run.csv"], cwd=tmp_path, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        batch = extra > 0
-        assert bool(numpy_modules(result.stderr)) == batch
-        rows = (run_sweep if batch else _point_sweep)(scenario, spec)
+        assert "import time:" in result.stderr and numpy_modules(result.stderr) == []
+        rows = _point_sweep(scenario, spec)
         write_csv(rows, tmp_path / "want.csv")
         assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         want = None
@@ -156,7 +155,10 @@ class TestPointRows:
         (replace(preset("fig2")[0], qw=replace(preset("fig2")[0].qw, **dict.fromkeys(
             ("gamma_bl", "gamma_bd", "gamma_cl", "gamma_cd", "gamma_dl", "gamma_dd", "delta"), 0.0))),
          SweepSpec("theta", 0.3, 1.2, 7), 7),
-    ], ids=["overflow", "singular-delta", "negative-omega_c", "nan-chi", "singular-medium"])
+        (replace(preset("fig5a")[0], qw=replace(preset("fig5a")[0].qw, f=1e300)), preset("fig5a")[1], 601),
+        (replace(preset("fig2")[0], lambda_um=1e-160), preset("fig2")[1], 2001),
+    ], ids=["overflow", "singular-delta", "negative-omega_c", "nan-chi", "singular-medium",
+            "overflowing-dipole-ratio", "overflowing-k-squared"])
     def test_failed_rows_equal_the_batchs(self, scenario, spec, failed):
         point, batch = _point_sweep(scenario, spec), run_sweep(scenario, spec)
         assert [row[9:] for row in point] == [row[9:] for row in batch]
