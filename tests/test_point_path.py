@@ -36,6 +36,8 @@ DATA = SweepRow._fields[1:9]
 # It comes from numpy's fused complex multiply-adds and its SIMD arctan2 and tan,
 # so it depends on the CPU; the bound leaves 4x
 ROW_RTOL = 1e-9
+# the sweep sizes above which the CLI once ran run_sweep instead of _point_sweep
+FORMER_BATCH_LIMIT = {"theta": 10000, "omega_c": 4500, "delta": 4500}
 
 
 def numpy_modules(log: str) -> list[str]:
@@ -92,13 +94,15 @@ class TestNoNumpy:
         want = centroid_shift_oracle(stack, Kinematics(scenario.lambda_um, theta), scenario.beam)
         assert (found["oracle_h"], found["oracle_v"]) == want
 
-    @pytest.mark.parametrize("name, samples", [("fig2", 10001), ("fig5a", 4501), ("fig5c", 4501)])
-    def test_a_large_sweep_run(self, tmp_path, name, samples):
-        # a sweep larger than any preset's writes _point_sweep's rows without
-        # numpy, and a theta sweep's rows seed the point-path resonance search
-        # over its own range
+    @pytest.mark.parametrize("name", ["fig2", "fig5a", "fig5c"])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_the_row_count_picks_the_path(self, tmp_path, name, extra):
+        # at any row count the CLI writes _point_sweep's rows without numpy,
+        # also at and just above the sizes where it once switched to run_sweep,
+        # and a theta sweep's rows seed the point-path resonance search over
+        # its own range
         scenario, spec = preset(name)
-        spec = replace(spec, samples=samples)
+        spec = replace(spec, samples=FORMER_BATCH_LIMIT[spec.variable] + extra)
         (tmp_path / "config.json").write_text(json.dumps(config_from_scenario(scenario, spec, preset_name=name)))
         result = subprocess.run([sys.executable, "-X", "importtime", "-m", "spinhall", "--config", "config.json",
                                  "--out", "run.csv"], cwd=tmp_path, capture_output=True, text=True)
