@@ -45,10 +45,7 @@ from .sweep import (
 
 __all__ = ["main", "build_parser", "write_csv", "CSV_HEADER"]
 
-CSV_HEADER = (
-    "swept,re_abs,rm_abs,ratio_em,ratio_me,phi_e,phi_m,"
-    "delta_h_plus_lambda,delta_v_plus_lambda,flags"
-)
+CSV_HEADER = ",".join(("swept", *SweepRow._fields[1:9], "flags"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,8 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--lambda-um", type=float, help="override the probe wavelength")
     parser.add_argument(
         "--threads", type=int,
-        help="accepted for compatibility and ignored, as is SPINHALL_THREADS: "
-        "the sweep runs in one thread",
+        help="accepted for compatibility and ignored: the sweep runs in one thread",
     )
     parser.add_argument(
         "--find-resonance", metavar="LO,HI",

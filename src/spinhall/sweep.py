@@ -232,7 +232,7 @@ def run_sweep(scenario: Scenario, spec: SweepSpec, threads: int = 1) -> list[Swe
         try:
             chi = susceptibility(scenario.qw).chi
         except Exception:  # a failing medium fails every row; the point path says why
-            return _point_rows(scenario, spec, values.tolist())
+            chi = math.nan
     else:
         theta = float(spec.fixed["theta"])
         chi = susceptibility_grid(scenario.qw, spec.variable, values)
@@ -244,8 +244,7 @@ def run_sweep(scenario: Scenario, spec: SweepSpec, threads: int = 1) -> list[Swe
     rows = list(map(tuple.__new__, itertools.repeat(SweepRow), zip(*columns, itertools.repeat(None))))
     failed = np.flatnonzero(np.isnan(r_e) | np.isnan(r_m)).tolist()
     for i, row in zip(failed, _point_rows(scenario, spec, values[failed].tolist())):
-        if row.error is not None:
-            rows[i] = row
+        rows[i] = row
     return rows
 
 

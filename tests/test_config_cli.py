@@ -849,11 +849,12 @@ class TestCliFailures:
         # nothing written: at most the link is there, still dangling
         assert [(p.name, p.exists()) for p in tmp_path.iterdir()] == ([(link, False)] if link else [])
 
-    @pytest.mark.parametrize("window", ["1.0,0.9", "0,1", "nan,1", "0.9,2"])
+    @pytest.mark.parametrize("window", ["1.0,0.9", "0,1", "nan,1", "0.9,2", "0.5"])
     def test_bad_resonance_window_exits_2_before_the_sweep(self, tmp_path, monkeypatch, capsys, window):
         monkeypatch.chdir(tmp_path)
         assert main(["--preset", "fig5a", "--out", "w.csv", "--find-resonance", window]) == 2
-        assert "config error: --find-resonance: " in capsys.readouterr().err
+        reason = "need 0 < LO < HI < pi/2" if "," in window else "expected LO,HI"
+        assert capsys.readouterr().err == f"config error: --find-resonance: {reason}, got {window!r}\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["-1", "0", "inf", "nan"])

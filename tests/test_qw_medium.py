@@ -133,6 +133,11 @@ class TestClosedForm:
             susceptibility(dead)
 
 
+    def test_grid_variable_must_be_omega_c_or_delta(self):
+        with pytest.raises(ValueError, match="variable must be omega_c or delta"):
+            susceptibility_grid(base_params(), "beta", np.array([0.0, 1.0]))
+
+
 class TestSteadyState:
     def test_decoupled_two_level_limit(self):
         # control off, no cross coupling, no b-dipole: only B3 responds,
@@ -153,6 +158,13 @@ class TestSteadyState:
         assert b2b == pytest.approx(2 * b2a, rel=1e-12)
         assert b3b == pytest.approx(2 * b3a, rel=1e-12)
         assert b4b == pytest.approx(2 * b4a, rel=1e-12)
+
+    def test_singular_matrix_rejected(self):
+        # no decay, no control field and the probe on the B2 subband: the B2 row is zero
+        rates = ("gamma_bl", "gamma_bd", "gamma_cl", "gamma_cd", "gamma_dl", "gamma_dd")
+        params = base_params(**dict.fromkeys(rates, 0.0), omega_c=0.0)
+        with pytest.raises(SingularParameterError, match="steady-state coefficient matrix is singular"):
+            steady_state_coherences(params, 1e-3, delta_p=params.delta)
 
     def test_probe_must_be_positive(self):
         with pytest.raises(ValueError, match="omega_p"):

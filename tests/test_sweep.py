@@ -12,12 +12,14 @@ from spinhall.qw_medium import QwParams, susceptibility
 from spinhall.strata import _point_pair, reflection_arrays
 from spinhall.shifts import transverse_shifts
 from spinhall.sweep import (
+    ResonanceResult,
     Scenario,
     SweepRow,
     SweepSpec,
     _TOL_RAD,
     _layers,
     _linspace,
+    _peak,
     _refine_resonance,
     build_stack,
     find_resonance,
@@ -231,6 +233,10 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError, match="samples must be an integer"):
             SweepSpec("theta", 0.5, 0.7, samples)
 
+    def test_fewer_than_two_samples_rejected(self):
+        with pytest.raises(ValueError, match="samples must be >= 2"):
+            SweepSpec("theta", 0.5, 0.7, 1)
+
     def test_numpy_integer_samples_accepted(self):
         spec = SweepSpec("theta", 0.5, 0.7, np.int64(20))
         assert len(run_sweep(base_scenario(), spec)) == 20
@@ -351,6 +357,43 @@ class TestFindResonance:
         assert q0s[:2000] == [math.cos(theta) for theta in _linspace(*window, 2000)]
         assert len(q0s) > 2000 and (len(q0s) - 2000) % 65 == 0
 
+    def test_fig2s_search_stops_at_the_first_bracket_under_tol(self, monkeypatch):
+        # on (0.9, 1.05) the coarse bracket is 1.5e-4 rad wide and each round
+        # narrows it 32-fold, to 4.7e-6, 1.5e-7 and 4.6e-9 rad; a bound of
+        # 1e-6 would stop a round early, with theta* 2.3e-8 rad away
+        import spinhall.sweep
+
+        scenario, _ = preset("fig2")
+        window = (0.9, 1.05)
+        batches, points = [], []
+
+        def arrays(layers, lambda_um, theta):
+            batches.append(len(theta))
+            return reflection_arrays(layers, lambda_um, theta)
+
+        def point(*args):
+            points.append(args)
+            return _point_pair(*args)
+
+        monkeypatch.setattr(spinhall.sweep, "reflection_arrays", arrays)
+        monkeypatch.setattr(spinhall.sweep, "_point_pair", point)
+        find_resonance(scenario, window)
+        assert batches == [2000, 65, 65, 65]
+        _refine_resonance(scenario, window, [])
+        assert len(points) == 2000 + 3 * 65
+
+    @pytest.mark.parametrize("zoomed", [1.5, -math.inf], ids=["lower", "undefined"])
+    def test_a_zoom_without_a_higher_ratio_keeps_the_coarse_peak(self, zoomed):
+        brackets = []
+
+        def scan(a, b, n):
+            brackets.append((a, b))
+            return _linspace(a, b, n), [zoomed] * n, 0
+
+        result = _peak(scan, ([0.9, 0.95, 1.0], [1.0, 2.0, 1.0], 1))
+        assert result == ResonanceResult(theta_star=0.95, ratio_em_peak=2.0, boundary=False)
+        assert brackets[0] == (0.9, 1.0)
+
     @pytest.mark.parametrize("tol_rad", [_TOL_RAD])
     def test_peak_within_tol_of_a_dense_scan(self, tol_rad):
         scenario = base_scenario()
@@ -419,6 +462,10 @@ class TestScenarioValidation:
     def test_negative_thickness_rejected(self):
         with pytest.raises(ValueError, match="d2_um"):
             base_scenario(d2_um=-1.0)
+
+    def test_zero_wavelength_rejected(self):
+        with pytest.raises(ValueError, match="lambda_um must be positive"):
+            base_scenario(lambda_um=0.0)
 
     def test_build_stack_layout(self):
         scenario = base_scenario()
