@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  `_plan`
 makes every check that can refuse a run (the document, the resonance window,
-the wavelength, the output paths); a refused run prints its `config error:`
-lines, writes nothing and exits 2.  The run writes one CSV row per sweep
-point at full double precision, and a JSON summary, whole or not at all:
+the output paths); a refused run prints its `config error:` lines, writes
+nothing and exits 2.  The run writes one CSV row per sweep point at full
+double precision, and a JSON summary, whole or not at all:
 the effective intracavity permittivity (null unless finite), the shift peaks
 over the non-singular grid rows, for angle sweeps the resonance (a coarse
 scan plus bracket zoom) and, when the beam has a waist, the centroid oracle
@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("csv", "json", "both"), default="both", dest="fmt",
         help="which outputs to write (default both)",
     )
-    parser.add_argument("--lambda-um", type=float, help="override the probe wavelength")
     parser.add_argument(
         "--threads", type=int,
         help="accepted for compatibility and ignored: the sweep runs in one thread",
@@ -219,20 +218,20 @@ def _plan(args: argparse.Namespace) -> tuple:
             raise _Refusal(f"--find-resonance: {exc}")
         if args.fmt == "csv":
             raise _Refusal("--find-resonance needs the JSON summary (--format json or both)")
-    if args.lambda_um is not None:
-        if not (math.isfinite(args.lambda_um) and args.lambda_um > 0):
-            raise _Refusal("--lambda-um must be finite and > 0")
-        scenario = replace(scenario, lambda_um=args.lambda_um)
 
-    out = Path(args.out or f"{preset_name or 'sweep'}.{'json' if args.fmt == 'json' else 'csv'}")
-    if not out.name:
-        raise _Refusal(f"output {out} names no file")
-    csv_path = None if args.fmt == "json" else out
-    json_path = {"csv": None, "json": out, "both": out.with_suffix(".json")}[args.fmt]
+    out = args.out if args.out is not None else (
+        f"{preset_name or 'sweep'}.{'json' if args.fmt == 'json' else 'csv'}")
+    # "", ".", "/" and a trailing separator name a directory, as does an existing one (below)
+    if not Path(out).name or out.endswith(("/", os.sep)):
+        raise _Refusal(f"output {out or repr(out)} names no file")
+    csv_path = None if args.fmt == "json" else Path(out)
+    json_path = {"csv": None, "json": Path(out), "both": Path(out).with_suffix(".json")}[args.fmt]
     # realpath, unlike Path.resolve, returns on a symlink loop; writing there then fails
     real = os.path.realpath
-    for path in (csv_path, json_path) if args.config is not None else ():
-        if path is not None and real(path) == real(args.config):
+    for path in filter(None, (csv_path, json_path)):
+        if path.is_dir():
+            raise _Refusal(f"output {path} names no file")
+        if args.config is not None and real(path) == real(args.config):
             raise _Refusal(f"output {path} is the input config")
     if args.fmt == "both" and real(csv_path) == real(json_path):
         raise _Refusal(f"output {csv_path} would hold both the CSV and the JSON summary")

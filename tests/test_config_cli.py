@@ -326,10 +326,9 @@ class TestCliRuns:
         assert summary["abs_delta_v_plus_lambda_peak"] is None
 
     def test_lambda_override_and_json_only(self, tmp_path):
-        result = run_cli(
-            ["--preset", "fig2", "--out", "s.json", "--format", "json", "--lambda-um", "2.0"],
-            tmp_path,
-        )
+        # the wavelength is a scenario value: a config's beam.lambda_um replaces the preset's
+        (tmp_path / "run.json").write_text(json.dumps(fig2(beam={"lambda_um": 2.0})))
+        result = run_cli(["--config", "run.json", "--out", "s.json", "--format", "json"], tmp_path)
         assert result.returncode == 0, result.stderr
         summary = json.loads((tmp_path / "s.json").read_text())
         assert summary["lambda_um"] == 2.0
@@ -692,8 +691,6 @@ REFUSALS = [
      "--find-resonance: need 0 < LO < HI < pi/2, got '1.0,0.9'"),
     ("window-with-csv", {}, ["--preset", "fig5a", "--format", "csv", "--find-resonance", "0.9,1"],
      "--find-resonance needs the JSON summary (--format json or both)"),
-    ("bad-lambda", {}, ["--preset", "fig5a", "--lambda-um", "-1"],
-     "--lambda-um must be finite and > 0"),
     ("output-onto-config", {"run.json": '{"preset": "fig5a"}'},
      ["--config", "run.json", "--out", "run.json", "--format", "json"],
      "output run.json is the input config"),
@@ -703,6 +700,13 @@ REFUSALS = [
     ("out-is-the-root", {}, ["--preset", "fig5a", "--out", "/"], "output / names no file"),
     ("out-names-no-file-csv", {}, ["--preset", "fig5a", "--out", ".", "--format", "csv"],
      "output . names no file"),
+    ("out-is-empty", {}, ["--preset", "fig5a", "--out", ""], "output '' names no file"),
+    ("out-ends-in-a-separator", {}, ["--preset", "fig5a", "--out", "sub/"], "output sub/ names no file"),
+    ("out-is-a-directory", {"d": None}, ["--preset", "fig5a", "--out", "d"], "output d names no file"),
+    ("out-is-a-directory-with-separator", {"d": None}, ["--preset", "fig5a", "--out", "d/"],
+     "output d/ names no file"),
+    ("json-out-is-a-directory", {"x.json": None}, ["--preset", "fig5a", "--out", "x.csv"],
+     "output x.json names no file"),
 ]
 
 
@@ -857,12 +861,14 @@ class TestCliFailures:
         assert capsys.readouterr().err == f"config error: --find-resonance: {reason}, got {window!r}\n"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("value", ["-1", "0", "inf", "nan"])
-    def test_bad_lambda_exits_2_before_the_sweep(self, tmp_path, monkeypatch, capsys, value):
+    @pytest.mark.parametrize("literal", ["-1", "0", "Infinity", "NaN"], ids=["-1", "0", "inf", "nan"])
+    def test_bad_lambda_exits_2_before_the_sweep(self, tmp_path, monkeypatch, capsys, literal):
+        # the wavelength comes only from the document, whose rule refuses these values
+        (tmp_path / "run.json").write_text('{"preset": "fig5a", "beam": {"lambda_um": %s}}' % literal)
         monkeypatch.chdir(tmp_path)
-        assert main(["--preset", "fig5a", "--out", "l.csv", "--lambda-um", value]) == 2
-        assert "config error: --lambda-um" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        assert main(["--config", "run.json", "--out", "l.csv"]) == 2
+        assert capsys.readouterr() == ("", "config error: beam.lambda_um must be a number > 0\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
     @pytest.mark.parametrize("files, args, message", [row[1:] for row in REFUSALS],
                              ids=[row[0] for row in REFUSALS])

@@ -63,7 +63,7 @@ def test_run_freezes_and_runs_the_cli(tmp_path):
 
 def test_a_bad_argv_still_exits_2(tmp_path):
     code = "import sys\nfrom spinhall.__main__ import run\nsys.exit(run(sys.argv[1:]))\n"
-    for argv in (["--preset", "fig99"], ["--preset", "fig5a", "--lambda-um", "0"]):
+    for argv in (["--preset", "fig99"], ["--preset", "fig5a", "--find-resonance", "1.0,0.9"]):
         result = child(code, tmp_path, *argv)
         assert result.returncode == 2, (argv, result.stderr)
         assert result.stderr  # argparse usage or a config error line

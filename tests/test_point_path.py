@@ -21,7 +21,7 @@ from spinhall.cli import write_csv
 from spinhall.config import config_from_scenario, scenario_from_config
 from spinhall.presets import PRESET_NAMES, preset
 from spinhall.qw_medium import DecayBundle, QwParams, SingularParameterError, susceptibility
-from spinhall.shifts import _principal_phase, centroid_shift_oracle, ratio, transverse_shifts
+from spinhall.shifts import BeamSpec, _principal_phase, centroid_shift_oracle, ratio, transverse_shifts
 from spinhall.strata import Kinematics, Layer, reflection_pair
 from spinhall.sweep import (
     SweepRow, SweepSpec, _linspace, _point_sweep, _refine_resonance, build_stack, find_resonance, run_sweep,
@@ -56,6 +56,55 @@ class TestNoNumpy:
                 "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))\n")
         result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True)
         assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
+    def test_the_point_api_runs_where_numpy_cannot_be_imported(self, tmp_path):
+        # numpy is a test dependency only: with its import blocked the point
+        # functions give this process's values, and each array function
+        # raises ModuleNotFoundError for numpy
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from dataclasses import replace\n"
+            "from spinhall import (BeamSpec, Kinematics, build_stack, centroid_shift_oracle, find_resonance,\n"
+            "                      preset, reflection_pair, run_sweep, susceptibility,\n"
+            "                      susceptibility_from_steady_state, transverse_shifts)\n"
+            "from spinhall.qw_medium import steady_state_coherences, susceptibility_grid\n"
+            "from spinhall.strata import reflection_arrays\n"
+            "from spinhall.sweep import _layers\n"
+            "scenario, spec = preset('fig2')\n"
+            "chi = susceptibility(scenario.qw).chi\n"
+            "stack = build_stack(scenario, chi)\n"
+            "kin = Kinematics(scenario.lambda_um, 0.979)\n"
+            "pair = reflection_pair(stack, kin)\n"
+            "print(repr((chi, pair, transverse_shifts(pair, scenario.lambda_um, 0.979),\n"
+            "            centroid_shift_oracle(stack, kin, BeamSpec(waist_um=925.0)))))\n"
+            "calls = {\n"
+            "    'run_sweep': lambda: run_sweep(scenario, replace(spec, samples=11)),\n"
+            "    'find_resonance': lambda: find_resonance(scenario, (0.9, 1.05)),\n"
+            "    'reflection_arrays': lambda: reflection_arrays(_layers(scenario, chi), 1.85, [0.9, 1.0]),\n"
+            "    'susceptibility_grid': lambda: susceptibility_grid(scenario.qw, 'omega_c', [0.0, 1.0]),\n"
+            "    'steady_state_coherences': lambda: steady_state_coherences(scenario.qw, 1e-3),\n"
+            "    'susceptibility_from_steady_state': lambda: susceptibility_from_steady_state(scenario.qw),\n"
+            "}\n"
+            "for name, call in calls.items():\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ModuleNotFoundError as exc:\n"
+            "        print(name, exc.name)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        scenario = preset("fig2")[0]
+        chi = susceptibility(scenario.qw).chi
+        stack = build_stack(scenario, chi)
+        kin = Kinematics(scenario.lambda_um, 0.979)
+        pair = reflection_pair(stack, kin)
+        want = (chi, pair, transverse_shifts(pair, scenario.lambda_um, 0.979),
+                centroid_shift_oracle(stack, kin, BeamSpec(waist_um=925.0)))
+        assert result.stdout.splitlines() == [repr(want)] + [
+            f"{name} numpy" for name in ("run_sweep", "find_resonance", "reflection_arrays", "susceptibility_grid",
+                                         "steady_state_coherences", "susceptibility_from_steady_state")
+        ]
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_a_preset_run(self, tmp_path, name):
