@@ -231,6 +231,8 @@ def _plan(args: argparse.Namespace) -> tuple:
     for path in filter(None, (csv_path, json_path)):
         if path.is_dir():
             raise _Refusal(f"output {path} names no file")
+        if not path.parent.is_dir():  # a missing directory, or a file, holds no file
+            raise _Refusal(f"output {path} is not in an existing directory")
         if args.config is not None and real(path) == real(args.config):
             raise _Refusal(f"output {path} is the input config")
     if args.fmt == "both" and real(csv_path) == real(json_path):

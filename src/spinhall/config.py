@@ -204,11 +204,8 @@ def _section(keys, *objs) -> dict:
     }
 
 
-def config_from_scenario(
-    scenario: Scenario, spec: SweepSpec, preset_name: str | None = None
-) -> dict:
+def config_from_scenario(scenario: Scenario, spec: SweepSpec) -> dict:
     """Inverse of scenario_from_config; floats survive a JSON round trip."""
     sources = {"qw": [scenario.qw], "stack": [scenario], "beam": [scenario, scenario.beam],
                "sweep": [spec]}
-    doc = {section: _section(_SCHEMA[section], *objs) for section, objs in sources.items()}
-    return doc if preset_name is None else {"preset": preset_name, **doc}
+    return {section: _section(_SCHEMA[section], *objs) for section, objs in sources.items()}

@@ -215,13 +215,14 @@ def steady_state_coherences(
     return complex(solution[0]), complex(solution[1]), complex(solution[2])
 
 
-def susceptibility_from_steady_state(params: QwParams, omega_p: float = 1e-3) -> complex:
+def susceptibility_from_steady_state(params: QwParams) -> complex:
     """Reconstruct chi from the steady-state coherences.
 
-    chi = beta * (g*B2 + B3) / omega_p, at zero probe and control detuning,
-    where it reproduces the closed form; it is the independent check the
-    closed form is tested against.
+    chi = beta * (g*B2 + B3) / omega_p, at zero probe and control detuning
+    and a weak probe omega_p = 1e-3 meV, where it reproduces the closed form;
+    it is the independent check the closed form is tested against.
     """
+    omega_p = 1e-3
     b2, b3, _ = steady_state_coherences(params, omega_p)
     return params.beta * (params.g * b2 + b3) / omega_p
 

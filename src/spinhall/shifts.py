@@ -102,14 +102,13 @@ def ratio(a, b):
 
 def _principal_phase(z):
     """arg(z) mapped onto (-pi, pi]: a float for a Python scalar, computed by
-    cmath, else by numpy, a float for a 0-d input and an array otherwise."""
+    cmath, else an array computed by numpy."""
     if type(z) in (float, complex):
         phi = cmath.phase(z)
         return phi + 2.0 * math.pi if phi <= -math.pi else phi
     import numpy as np
     phi = np.angle(z)
-    phi = np.where(phi <= -math.pi, phi + 2.0 * math.pi, phi)
-    return float(phi) if phi.ndim == 0 else phi
+    return np.where(phi <= -math.pi, phi + 2.0 * math.pi, phi)
 
 
 def _row_data(r_e, r_m, theta, lib) -> tuple:

@@ -95,8 +95,7 @@ class Stack:
 
 @dataclass(frozen=True)
 class Kinematics:
-    """Probe wavelength (um) and incidence angle (rad), with the derived
-    free-space wavenumber k and conserved tangential k_z."""
+    """Probe wavelength (um) and incidence angle (rad)."""
 
     lambda_um: float
     theta_rad: float
@@ -106,14 +105,6 @@ class Kinematics:
             raise ValueError(f"lambda_um must be positive, got {self.lambda_um!r}")
         if not 0.0 < self.theta_rad < math.pi / 2:
             raise ValueError(f"theta must lie in (0, pi/2), got {self.theta_rad!r}")
-
-    @property
-    def k(self) -> float:
-        return 2.0 * math.pi / self.lambda_um
-
-    @property
-    def k_z(self) -> float:
-        return self.k * math.sin(self.theta_rad)
 
 
 def _normal_k(epsilon, k: float, k_z):

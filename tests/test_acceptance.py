@@ -56,7 +56,7 @@ def test_criterion_1_susceptibility_oracle_equivalence():
             omega_c=rng.uniform(0.0, 10.0),
         )
         closed = susceptibility(params).chi
-        solved = susceptibility_from_steady_state(params, omega_p=1e-3)
+        solved = susceptibility_from_steady_state(params)
         worst = max(worst, abs(solved - closed) / abs(closed))
     elapsed = time.perf_counter() - start
     report(
@@ -81,11 +81,12 @@ def test_criterion_2_transfer_matrix_suite():
         eps = complex(rng.uniform(-4.0, 6.0), rng.uniform(-1.0, 1.0))
         layer = Layer(epsilon=eps if eps != 0 else 1.5, thickness_um=rng.uniform(0.0, 2.0))
         kin = Kinematics(rng.uniform(0.4, 3.0), rng.uniform(0.01, 1.55))
-        epsilon, k_z = np.array([layer.epsilon], dtype=complex), np.array([kin.k_z])
-        if abs(strata._normal_k(epsilon, kin.k, k_z)[0].imag) * layer.thickness_um > 4.0:
+        k = 2.0 * math.pi / kin.lambda_um
+        epsilon, k_z = np.array([layer.epsilon], dtype=complex), np.array([k * math.sin(kin.theta_rad)])
+        if abs(strata._normal_k(epsilon, k, k_z)[0].imag) * layer.thickness_um > 4.0:
             continue
         with np.errstate(all="ignore"):  # the grid kernel divides by kx = 0 before masking it
-            both = strata._layer_entries(epsilon, layer.thickness_um, kin.k, k_z)
+            both = strata._layer_entries(epsilon, layer.thickness_um, k, k_z)
         for entries in both:
             worst_det = max(worst_det, abs(np.linalg.det(np.reshape(entries, (2, 2))) - 1.0))
         checked += 1
@@ -107,11 +108,12 @@ def test_criterion_2_transfer_matrix_suite():
 
     # single-slab Airy equivalence
     def airy(eps, d, kin, pol):
-        kx0 = kin.k * math.cos(kin.theta_rad)
-        rad = complex(eps) * kin.k ** 2 - kin.k_z ** 2
+        k = 2.0 * math.pi / kin.lambda_um
+        kx0 = k * math.cos(kin.theta_rad)
+        rad = complex(eps) * k ** 2 - (k * math.sin(kin.theta_rad)) ** 2
         kx1 = cmath.sqrt(complex(rad.real, rad.imag) if rad.imag != 0.0 else complex(rad.real, 0.0))
-        a0 = kx0 / kin.k
-        a1 = kx1 / kin.k if pol == "te" else kx1 / (kin.k * complex(eps))
+        a0 = kx0 / k
+        a1 = kx1 / k if pol == "te" else kx1 / (k * complex(eps))
         r01 = (a0 - a1) / (a0 + a1)
         bounce = cmath.exp(2j * kx1 * d)
         return (r01 - r01 * bounce) / (1 - r01 * r01 * bounce)
@@ -362,7 +364,7 @@ def test_criterion_9_cli_contract(tmp_path):
 
         # config round trip reproduces the preset scenario exactly
         scenario, spec = preset(name)
-        doc = json.loads(json.dumps(config_from_scenario(scenario, spec, preset_name=name)))
+        doc = json.loads(json.dumps({"preset": name, **config_from_scenario(scenario, spec)}))
         scenario2, spec2 = scenario_from_config(doc)
         ok &= scenario2 == scenario and spec2 == spec
     elapsed = time.perf_counter() - start

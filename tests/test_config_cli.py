@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -158,7 +159,7 @@ class TestConfigRoundTrip:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_preset_round_trip(self, name):
         scenario, spec = preset(name)
-        doc = config_from_scenario(scenario, spec, preset_name=name)
+        doc = {"preset": name, **config_from_scenario(scenario, spec)}
         reloaded = json.loads(json.dumps(doc))
         scenario2, spec2 = scenario_from_config(reloaded)
         assert scenario2 == scenario
@@ -174,13 +175,13 @@ class TestConfigRoundTrip:
         assert spec == base_spec
 
     def test_beam_spec_round_trip(self):
-        doc = config_from_scenario(*preset("fig2"), preset_name="fig2")
+        doc = {"preset": "fig2", **config_from_scenario(*preset("fig2"))}
         doc["beam"]["waist_um"] = 925.0
         assert validate_config(doc) == []
         scenario, spec = scenario_from_config(doc)
         assert scenario.beam is not None
         assert scenario.beam.waist_um == 925.0
-        again = config_from_scenario(scenario, spec, preset_name="fig2")
+        again = config_from_scenario(scenario, spec)
         assert again["beam"] == doc["beam"]
 
 
@@ -192,7 +193,7 @@ class TestConfigRoundTrip:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_qw_block_keys_order_and_values(self, name):
         scenario, spec = preset(name)
-        doc = config_from_scenario(scenario, spec, preset_name=name)
+        doc = config_from_scenario(scenario, spec)
         assert list(doc["qw"].items()) == [(k, getattr(scenario.qw, k)) for k in self.QW_KEYS]
 
 
@@ -207,11 +208,11 @@ class TestValidate:
     def test_presets_validate_clean(self):
         for name in PRESET_NAMES:
             scenario, spec = preset(name)
-            doc = config_from_scenario(scenario, spec, preset_name=name)
+            doc = {"preset": name, **config_from_scenario(scenario, spec)}
             assert validate_config(doc) == []
 
     def test_theta_window_containing_zero(self):
-        doc = config_from_scenario(*preset("fig2"), preset_name="fig2")
+        doc = {"preset": "fig2", **config_from_scenario(*preset("fig2"))}
         doc["sweep"]["lo"] = 0.0
         assert any("theta must lie in (0, pi/2)" in p for p in validate_config(doc))
 
@@ -231,7 +232,7 @@ class TestValidate:
         assert any("missing key qw.beta" in p for p in problems)
 
     def test_complex_encoding_enforced(self):
-        doc = config_from_scenario(*preset("fig2"), preset_name="fig2")
+        doc = {"preset": "fig2", **config_from_scenario(*preset("fig2"))}
         doc["stack"]["epsilon1"] = 2.22
         assert any("stack.epsilon1" in p and "[re, im]" in p for p in validate_config(doc))
 
@@ -242,7 +243,7 @@ class TestValidate:
         # the old form: the grid keys once needed a waist; now they are unknown
         # keys, with or without one
         for beam, key in (({}, "grid_samples"), ({"waist_um": 925.0}, "grid_half_extent")):
-            doc = config_from_scenario(*preset("fig2"), preset_name="fig2")
+            doc = {"preset": "fig2", **config_from_scenario(*preset("fig2"))}
             doc["beam"].update(beam, **{key: 512})
             assert validate_config(doc) == [f"unknown key beam.{key}"]
 
@@ -290,7 +291,7 @@ class TestCliRuns:
             assert float(text[7]) == row.delta_h_plus_lambda
 
     def test_zero_beta_config_reports_unit_epsilon2(self, tmp_path):
-        doc = config_from_scenario(*preset("fig2"), preset_name="fig2")
+        doc = {"preset": "fig2", **config_from_scenario(*preset("fig2"))}
         doc["qw"]["beta"] = 0.0
         doc["sweep"]["samples"] = 21
         config_path = tmp_path / "custom.json"
@@ -303,7 +304,7 @@ class TestCliRuns:
     def test_all_vacuum_scenario_survives_the_pipeline(self, tmp_path):
         # every row is a flagged 0/0 point; the CSV carries nan and the
         # summary degrades its peak and resonance fields to null
-        doc = config_from_scenario(*preset("fig2"), preset_name="fig2")
+        doc = {"preset": "fig2", **config_from_scenario(*preset("fig2"))}
         doc["qw"]["beta"] = 0.0
         doc["stack"]["epsilon1"] = [1.0, 0.0]
         doc["stack"]["epsilon3"] = [1.0, 0.0]
@@ -436,7 +437,7 @@ class TestSummaryMedium:
         # a theta sweep of fig2 with the control field set to 6 meV: the
         # summary's resonance must describe that medium (the fig3 peak), not
         # the control-off medium of the preset
-        doc = config_from_scenario(*preset("fig2"), preset_name="fig2")
+        doc = {"preset": "fig2", **config_from_scenario(*preset("fig2"))}
         doc["qw"]["omega_c"] = 6.0
         doc["sweep"] = {"variable": "theta", "lo": 0.9, "hi": 1.05, "samples": 301}
         (tmp_path / "run.json").write_text(json.dumps(doc))
@@ -564,7 +565,7 @@ class TestOracleSpotCheck:
 
     def test_valid_domain_matches_the_closed_form(self, tmp_path, monkeypatch):
         # fig2's medium well below its resonance angle, 500-lambda waist
-        doc = config_from_scenario(*preset("fig2"), preset_name="fig2")
+        doc = {"preset": "fig2", **config_from_scenario(*preset("fig2"))}
         doc["sweep"] = {"variable": "theta", "lo": 0.5, "hi": 0.7, "samples": 41, "fixed": {}}
         doc["beam"]["waist_um"] = 500 * doc["beam"]["lambda_um"]
         oracle = self.run_config(tmp_path, monkeypatch, doc)
@@ -583,7 +584,7 @@ class TestOracleSpotCheck:
         from spinhall.strata import Kinematics
         from spinhall.sweep import build_stack, sweep_point
 
-        doc = config_from_scenario(*preset("fig5a"), preset_name="fig5a")
+        doc = {"preset": "fig5a", **config_from_scenario(*preset("fig5a"))}
         doc["sweep"] = {
             "variable": "omega_c", "lo": 0.0, "hi": 6.0, "samples": 31, "fixed": {"theta": 0.9},
         }
@@ -599,7 +600,7 @@ class TestOracleSpotCheck:
         assert oracle["oracle_h"] == pytest.approx(oracle["closed_h"], rel=1e-2)
 
     def test_narrow_waist_is_declined(self, tmp_path, monkeypatch):
-        doc = config_from_scenario(*preset("fig2"), preset_name="fig2")
+        doc = {"preset": "fig2", **config_from_scenario(*preset("fig2"))}
         doc["sweep"]["samples"] = 41
         doc["beam"]["waist_um"] = 50 * doc["beam"]["lambda_um"]
         oracle = self.run_config(tmp_path, monkeypatch, doc)
@@ -608,7 +609,7 @@ class TestOracleSpotCheck:
 
     def test_all_singular_rows_are_declined(self, tmp_path, monkeypatch):
         # an all-vacuum scenario flags every row h and v: no row to check
-        doc = config_from_scenario(*preset("fig2"), preset_name="fig2")
+        doc = {"preset": "fig2", **config_from_scenario(*preset("fig2"))}
         doc["qw"]["beta"] = 0.0
         doc["stack"]["epsilon1"] = [1.0, 0.0]
         doc["stack"]["epsilon3"] = [1.0, 0.0]
@@ -707,6 +708,12 @@ REFUSALS = [
      "output d/ names no file"),
     ("json-out-is-a-directory", {"x.json": None}, ["--preset", "fig5a", "--out", "x.csv"],
      "output x.json names no file"),
+    ("out-in-a-missing-directory", {}, ["--preset", "fig5a", "--out", "nosuch/x.csv"],
+     "output nosuch/x.csv is not in an existing directory"),
+    ("out-under-a-file", {"afile": ""}, ["--preset", "fig5a", "--out", "afile/x.csv"],
+     "output afile/x.csv is not in an existing directory"),
+    ("json-out-in-a-missing-directory", {}, ["--preset", "fig5a", "--format", "json", "--out", "nosuch/s.json"],
+     "output nosuch/s.json is not in an existing directory"),
 ]
 
 
@@ -791,7 +798,7 @@ class TestCliFailures:
         assert result.returncode == 2, result.stderr  # argparse choice failure
 
     def test_numerical_failure_exits_3(self, tmp_path):
-        doc = config_from_scenario(*preset("fig2"), preset_name="fig2")
+        doc = {"preset": "fig2", **config_from_scenario(*preset("fig2"))}
         doc["qw"].update(
             gamma_bl=0.0, gamma_bd=0.0, gamma_cl=0.0, gamma_cd=0.0,
             gamma_dl=0.0, gamma_dd=0.0, delta=0.0, omega_c=0.0,
@@ -828,7 +835,7 @@ class TestCliFailures:
          ["--out", "run.json", "--format", "csv"]],
     )
     def test_output_onto_the_config_exits_2(self, tmp_path, monkeypatch, capsys, args):
-        doc = config_from_scenario(*preset("fig5a"), preset_name="fig5a")
+        doc = {"preset": "fig5a", **config_from_scenario(*preset("fig5a"))}
         (tmp_path / "run.json").write_text(json.dumps(doc))
         before = (tmp_path / "run.json").read_bytes()
         monkeypatch.chdir(tmp_path)
@@ -874,6 +881,8 @@ class TestCliFailures:
                              ids=[row[0] for row in REFUSALS])
     def test_refusal_table(self, tmp_path, monkeypatch, capsys, files, args, message):
         # each refusal is made before the sweep: config error lines only, nothing written
+        import spinhall.cli
+
         for name, text in files.items():
             if text is None:
                 (tmp_path / name).mkdir()
@@ -881,6 +890,7 @@ class TestCliFailures:
                 (tmp_path / name).write_text(text)
         before = snapshot(tmp_path)
         monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(spinhall.cli, "_point_sweep", lambda *args: pytest.fail("the sweep ran"))
         assert main(args) == 2
         assert capsys.readouterr() == ("", f"config error: {message}\n")
         assert snapshot(tmp_path) == before
@@ -913,6 +923,14 @@ class TestCliFailures:
         assert out == "" and err.startswith("config error: cannot write output: [Errno ")
         assert err.endswith(": 'loop.csv'\n") and err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["loop.csv"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_failed_write_exits_2(self, tmp_path, monkeypatch, capsys):
+        # /dev/full opens, and every write to it fails
+        monkeypatch.chdir(tmp_path)
+        assert main(["--preset", "fig5a", "--format", "csv", "--out", "/dev/full"]) == 2
+        assert capsys.readouterr() == ("", "config error: cannot write output: [Errno 28] No space left on device\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_in_process_main_matches_subprocess_contract(self, tmp_path):
         code = main(["--preset", "fig5b", "--out", str(tmp_path / "m.csv")])

@@ -152,7 +152,7 @@ class TestNoNumpy:
         # its own range
         scenario, spec = preset(name)
         spec = replace(spec, samples=FORMER_BATCH_LIMIT[spec.variable] + extra)
-        (tmp_path / "config.json").write_text(json.dumps(config_from_scenario(scenario, spec, preset_name=name)))
+        (tmp_path / "config.json").write_text(json.dumps({"preset": name, **config_from_scenario(scenario, spec)}))
         result = subprocess.run([sys.executable, "-X", "importtime", "-m", "spinhall", "--config", "config.json",
                                  "--out", "run.csv"], cwd=tmp_path, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
@@ -359,7 +359,7 @@ class TestRefineResonance:
         # on the point path instead of missing the narrow fig2 peak
         scenario, spec = preset("fig2")
         spec = replace(spec, samples=samples)
-        (tmp_path / "config.json").write_text(json.dumps(config_from_scenario(scenario, spec, preset_name="fig2")))
+        (tmp_path / "config.json").write_text(json.dumps({"preset": "fig2", **config_from_scenario(scenario, spec)}))
         result = subprocess.run([sys.executable, "-m", "spinhall", "--config", "config.json", "--out", "run.csv"],
                                 cwd=tmp_path, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr

@@ -179,7 +179,7 @@ class TestSteadyState:
 
     def test_reconstruction_matches_closed_form_at_base(self):
         chi_closed = susceptibility(base_params()).chi
-        chi_solved = susceptibility_from_steady_state(base_params(), omega_p=1e-3)
+        chi_solved = susceptibility_from_steady_state(base_params())
         assert abs(chi_solved - chi_closed) / abs(chi_closed) < 1e-10
 
     def test_reconstruction_matches_closed_form_randomly(self):
@@ -195,7 +195,7 @@ class TestSteadyState:
                 omega_c=rng.uniform(0.0, 10.0),
             )
             chi_closed = susceptibility(params).chi
-            chi_solved = susceptibility_from_steady_state(params, omega_p=1e-3)
+            chi_solved = susceptibility_from_steady_state(params)
             assert abs(chi_solved - chi_closed) <= 1e-10 * abs(chi_closed)
 
 

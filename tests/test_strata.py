@@ -37,21 +37,29 @@ REF_P_SIN = 0.41503797135712060
 BREWSTER_222 = 0.97969212158629573  # atan(sqrt(2.22))
 
 
+def wavenumbers(kin):
+    """(k, k_z): the free-space wavenumber 2 pi/lambda and the conserved
+    tangential k sin(theta), computed as the kernels compute them."""
+    k = 2.0 * math.pi / kin.lambda_um
+    return k, k * math.sin(kin.theta_rad)
+
+
 def airy_reflection(epsilon, d_um, kin, polarization):
     """Two-interface Airy formula for a single slab in vacuum.
 
     Independent of the transfer-matrix route: interface Fresnel coefficients
     plus the geometric series of internal bounces.
     """
-    kx0 = kin.k * math.cos(kin.theta_rad)
-    rad = complex(epsilon) * kin.k ** 2 - kin.k_z ** 2
+    k, k_z = wavenumbers(kin)
+    kx0 = k * math.cos(kin.theta_rad)
+    rad = complex(epsilon) * k ** 2 - k_z ** 2
     if rad.imag == 0.0:
         rad = complex(rad.real, 0.0)
     kx1 = cmath.sqrt(rad)
     if polarization == "te":
-        a0, a1 = kx0 / kin.k, kx1 / kin.k
+        a0, a1 = kx0 / k, kx1 / k
     else:
-        a0, a1 = kx0 / kin.k, kx1 / (kin.k * complex(epsilon))
+        a0, a1 = kx0 / k, kx1 / (k * complex(epsilon))
     r01 = (a0 - a1) / (a0 + a1)
     r12 = (a1 - a0) / (a1 + a0)
     bounce = cmath.exp(2j * kx1 * d_um)
@@ -64,9 +72,10 @@ def recursion_reflection(epsilons, thicknesses, kin, polarization):
     matrix: interface Fresnel coefficients folded from the far side in."""
     eps = [1.0 + 0j] + [complex(e) for e in epsilons] + [1.0 + 0j]
     thick = [0.0] + list(thicknesses) + [0.0]
+    k, k_z = wavenumbers(kin)
     kx = []
     for e in eps:
-        rad = e * kin.k ** 2 - kin.k_z ** 2
+        rad = e * k ** 2 - k_z ** 2
         if rad.imag == 0.0:
             rad = complex(rad.real, 0.0)
         kx.append(cmath.sqrt(rad))
@@ -102,16 +111,18 @@ def point_entries(epsilon: complex, thickness_um: float, k: float, k_z: float):
 def layer_matrices(layer, kin):
     """[(TE, TM) 2x2 layer matrices] from the per-point reference and from the
     grid kernel at the same point, in that order."""
-    point = point_entries(complex(layer.epsilon), layer.thickness_um, kin.k, kin.k_z)
+    k, k_z = wavenumbers(kin)
+    point = point_entries(complex(layer.epsilon), layer.thickness_um, k, k_z)
     with np.errstate(all="ignore"):  # the grid kernel divides by kx = 0 before masking it
-        grid = strata._layer_entries(np.array([layer.epsilon]), layer.thickness_um, kin.k, np.array([kin.k_z]))
+        grid = strata._layer_entries(np.array([layer.epsilon]), layer.thickness_um, k, np.array([k_z]))
     return [tuple(np.array(m, dtype=complex).reshape(2, 2) for m in entries) for entries in (point, grid)]
 
 
 def normal_ks(epsilon, kin):
     """kx from the per-point reference and from the grid kernel."""
-    grid = strata._normal_k(np.array([epsilon], dtype=complex), kin.k, np.array([kin.k_z]))
-    return point_normal_k(complex(epsilon), kin.k, kin.k_z), complex(grid[0])
+    k, k_z = wavenumbers(kin)
+    grid = strata._normal_k(np.array([epsilon], dtype=complex), k, np.array([k_z]))
+    return point_normal_k(complex(epsilon), k, k_z), complex(grid[0])
 
 
 def random_layers(rng, n, lossless=False):
@@ -151,8 +162,9 @@ class TestLayerMatrices:
         layer = Layer(epsilon=1.0, thickness_um=0.7)
         kin = Kinematics(lambda_um=1.85, theta_rad=0.6)
         kx, grid_kx = normal_ks(1.0, kin)
-        assert kx == pytest.approx(kin.k * math.cos(0.6), rel=1e-14)
-        assert grid_kx == pytest.approx(kin.k * math.cos(0.6), rel=1e-14)
+        k, _ = wavenumbers(kin)
+        assert kx == pytest.approx(k * math.cos(0.6), rel=1e-14)
+        assert grid_kx == pytest.approx(k * math.cos(0.6), rel=1e-14)
         q0 = math.cos(0.6)
         phase = kx * 0.7
         for m, _ in layer_matrices(layer, kin):
@@ -454,7 +466,7 @@ class TestPointKernel:
         theta, d = 0.7, 0.4
         kin = Kinematics(2.0 * math.pi, theta)
         eps = math.sin(theta) ** 2
-        assert kin.k == 1.0 and normal_ks(eps, kin) == (0j, 0j)
+        assert wavenumbers(kin)[0] == 1.0 and normal_ks(eps, kin) == (0j, 0j)
         for te, tm in layer_matrices(Layer(eps, d), kin):
             np.testing.assert_array_equal(te, [[1.0, 1j * d], [0.0, 1.0]])
             np.testing.assert_array_equal(tm, [[1.0, 1j * eps * d], [0.0, 1.0]])
