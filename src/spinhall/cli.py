@@ -231,7 +231,7 @@ def _plan(args: argparse.Namespace) -> tuple:
     for path in filter(None, (csv_path, json_path)):
         if path.is_dir():
             raise _Refusal(f"output {path} names no file")
-        if not path.parent.is_dir():  # a missing directory, or a file, holds no file
+        if not path.parent.is_dir():  # missing or a regular file: the write would fail after the sweep
             raise _Refusal(f"output {path} is not in an existing directory")
         if args.config is not None and real(path) == real(args.config):
             raise _Refusal(f"output {path} is the input config")
