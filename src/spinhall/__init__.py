@@ -18,7 +18,7 @@ from .qw_medium import (
     susceptibility_from_steady_state,
 )
 from .shifts import BeamSpec, ResolutionError, centroid_shift_oracle, transverse_shifts
-from .strata import DegenerateGeometryError, Kinematics, Layer, Stack, reflection_pair
+from .strata import DegenerateGeometryError, Kinematics, Layer, reflection_pair
 from .sweep import Scenario, SweepRow, SweepSpec, build_stack, find_resonance, run_sweep
 from .presets import PRESET_NAMES, preset
 

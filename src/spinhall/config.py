@@ -98,6 +98,8 @@ def _sweep_range(sweep: dict) -> list[str]:
         return ["sweep.lo and sweep.hi must be finite numbers"]
     if _is_number(lo) and _is_number(hi) and not lo < hi:
         return ["sweep range must satisfy lo < hi"]
+    if _is_number(lo) and _is_number(hi) and math.isinf(float(hi) - float(lo)):
+        return ["sweep width hi - lo must be finite"]  # float(): an int width may not convert
     return []
 
 

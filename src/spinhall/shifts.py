@@ -39,10 +39,11 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
-from .strata import Kinematics, Stack, reflection_pair
+from .strata import Kinematics, Layer, reflection_pair
 
 __all__ = [
     "BeamSpec",
@@ -155,7 +156,7 @@ def _centroids(pair: tuple[complex, complex], kin: Kinematics, waist_um: float) 
 
 
 def centroid_shift_oracle(
-    stack: Stack, kin: Kinematics, beam: BeamSpec
+    stack: Sequence[Layer], kin: Kinematics, beam: BeamSpec
 ) -> tuple[float | None, float | None]:
     """Sigma+ centroid shifts (h input, v input) of the Gaussian beam, in lambda units.
 

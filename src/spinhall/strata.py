@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -49,7 +50,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Layer",
-    "Stack",
     "Kinematics",
     "DegenerateGeometryError",
     "reflection_pair",
@@ -79,18 +79,6 @@ class Layer:
             raise ValueError(f"layer epsilon must be finite, got {eps!r}")
         if not (math.isfinite(self.thickness_um) and self.thickness_um >= 0.0):
             raise ValueError(f"layer thickness_um must be >= 0, got {self.thickness_um!r}")
-
-
-@dataclass(frozen=True)
-class Stack:
-    """Ordered layers embedded in vacuum on both sides."""
-
-    layers: tuple[Layer, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "layers", tuple(self.layers))
-        if len(self.layers) < 1:
-            raise ValueError("a stack needs at least one layer")
 
 
 @dataclass(frozen=True)
@@ -147,8 +135,9 @@ def _stack_fractions(layers, k: float, k_z, q0):
 def _point_fractions(layers, k: float, k_z, q0):
     """`_stack_fractions` and `_layer_entries` at one point over `Layer`s in Python
     complex, operation for operation (cmath raises OverflowError where the grid gives
-    inf); k_z and q0 may be complex.  A repeat of the first layer reuses its entries."""
-    first, wall = layers[0], None
+    inf); k_z and q0 may be complex.  A repeat of the first layer reuses its entries,
+    and no layer (vacuum) gives numerators 0."""
+    first = wall = None
     k2, kz2, ik, i_over_k = k * k, k_z * k_z, 1j * k, 1j / k
     te1, te2, tm1, tm2 = -q0, 1.0, -q0, 1.0
     for layer in layers:
@@ -162,7 +151,8 @@ def _point_fractions(layers, k: float, k_z, q0):
             c, s = cmath.cos(phase), cmath.sin(phase)
             e12, e21 = ik * (s * (1 / kx) if kx else d), i_over_k * kx * s
             m12, m21 = epsilon * e12, 1 / epsilon * e21
-            wall = wall or (c, e12, e21, m12, m21)
+            if not wall:
+                first, wall = layer, (c, e12, e21, m12, m21)
         te1, te2 = te1 * c + te2 * e21, te1 * e12 + te2 * c
         tm1, tm2 = tm1 * c + tm2 * m21, tm1 * m12 + tm2 * c
     return (te1 + q0 * te2, q0 * te2 - te1), (tm1 + q0 * tm2, q0 * tm2 - tm1)
@@ -200,16 +190,20 @@ def _checked(numerator: complex, denominator: complex, q0: float) -> complex:
 
 def _point_pair(layers, k: float, k_z: float, q0: float) -> tuple[complex, complex]:
     """(r_e, r_m) of `Layer`s at one point from k = 2pi/lambda and the angle's k_z and q0."""
-    (te_n, te_d), (tm_n, tm_d) = _point_fractions(layers, k, k_z, q0)
+    try:
+        (te_n, te_d), (tm_n, tm_d) = _point_fractions(layers, k, k_z, q0)
+    except ValueError:  # cmath.cos and sin raise it for a phase whose real part is infinite
+        raise OverflowError("math range error") from None
     return _checked(te_n, te_d, q0), _checked(tm_n, tm_d, q0)
 
 
-def reflection_pair(stack: Stack, kin: Kinematics) -> tuple[complex, complex]:
-    """TE and TM reflection coefficients (r_e, r_m) at one point, as Python complex.
+def reflection_pair(stack: Sequence[Layer], kin: Kinematics) -> tuple[complex, complex]:
+    """TE and TM reflection coefficients (r_e, r_m) at one point, as Python complex,
+    of the `Layer`s of stack in order; no layers is vacuum, (0j, 0j).
 
     Where `reflection_arrays` gives NaN this raises: OverflowError for
     overflowing matrix entries, DegenerateGeometryError for a denominator
     under DENOMINATOR_FLOOR.
     """
     theta, k = kin.theta_rad, 2.0 * math.pi / kin.lambda_um
-    return _point_pair(stack.layers, k, k * math.sin(theta), math.cos(theta))
+    return _point_pair(stack, k, k * math.sin(theta), math.cos(theta))

@@ -38,7 +38,7 @@ from typing import NamedTuple
 from .qw_medium import QwParams, _check_field, _chi, derived_rates, susceptibility, susceptibility_grid
 # transverse_shifts and reflection_pair are not called here; bench/spans.py wraps these names
 from .shifts import BeamSpec, _row_data, ratio, transverse_shifts
-from .strata import Layer, Stack, _point_pair, reflection_arrays, reflection_pair
+from .strata import Layer, _point_pair, reflection_arrays, reflection_pair
 
 __all__ = [
     "SWEEP_VARIABLES",
@@ -100,8 +100,9 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.variable not in SWEEP_VARIABLES:
             raise ValueError(f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
-            raise ValueError(f"need lo < hi, got [{self.lo!r}, {self.hi!r}]")
+        # a finite width needs finite ends; float(): an int width may not convert
+        if not (self.lo < self.hi and math.isfinite(float(self.hi) - float(self.lo))):
+            raise ValueError(f"need lo < hi and a finite hi - lo, got [{self.lo!r}, {self.hi!r}]")
         if isinstance(self.samples, bool) or not isinstance(self.samples, Integral):
             raise ValueError(f"samples must be an integer, got {self.samples!r}")
         if self.samples < 2:
@@ -154,9 +155,9 @@ def _layers(scenario: Scenario, chi) -> tuple:
     )
 
 
-def build_stack(scenario: Scenario, chi: complex) -> Stack:
-    """Three-layer cavity with the middle permittivity set to 1 + chi."""
-    return Stack(layers=tuple(Layer(epsilon=e, thickness_um=d) for e, d in _layers(scenario, chi)))
+def build_stack(scenario: Scenario, chi: complex) -> tuple[Layer, Layer, Layer]:
+    """The `Layer`s of the three-layer cavity, the middle permittivity 1 + chi."""
+    return tuple(Layer(epsilon=e, thickness_um=d) for e, d in _layers(scenario, chi))
 
 
 def sweep_point(scenario: Scenario, spec: SweepSpec, value: float) -> tuple[QwParams, float]:

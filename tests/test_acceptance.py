@@ -20,7 +20,7 @@ from spinhall.presets import PRESET_NAMES, preset
 from spinhall.qw_medium import QwParams, susceptibility, susceptibility_from_steady_state
 from spinhall import strata
 from spinhall.shifts import BeamSpec, centroid_shift_oracle, transverse_shifts
-from spinhall.strata import Kinematics, Layer, Stack, reflection_pair
+from spinhall.strata import Kinematics, Layer, reflection_pair
 from spinhall.sweep import SweepSpec, build_stack, find_resonance, run_sweep
 
 
@@ -99,8 +99,8 @@ def test_criterion_2_transfer_matrix_suite():
         eps = complex(rng.uniform(1.0, 5.0), rng.uniform(-0.2, 0.5))
         d = rng.uniform(0.1, 3.0)
         kin = Kinematics(rng.uniform(0.8, 2.5), rng.uniform(0.05, 1.5))
-        whole = Stack(layers=(Layer(2.0, 0.3), Layer(eps, d)))
-        split = Stack(layers=(Layer(2.0, 0.3), Layer(eps, d / 2), Layer(eps, d / 2)))
+        whole = (Layer(2.0, 0.3), Layer(eps, d))
+        split = (Layer(2.0, 0.3), Layer(eps, d / 2), Layer(eps, d / 2))
         (got_e, got_m), (want_e, want_m) = reflection_pair(whole, kin), reflection_pair(split, kin)
         worst_split = max(worst_split, abs(got_e - want_e), abs(got_m - want_m))
     ok &= worst_split < 1e-12
@@ -123,7 +123,7 @@ def test_criterion_2_transfer_matrix_suite():
         eps = complex(rng.uniform(1.0, 6.0), rng.uniform(0.0, 0.5))
         d = rng.uniform(0.05, 4.0)
         kin = Kinematics(rng.uniform(0.5, 3.0), rng.uniform(0.05, 1.5))
-        stack = Stack(layers=(Layer(eps, d),))
+        stack = (Layer(eps, d),)
         for got, pol in zip(reflection_pair(stack, kin), ("te", "tm")):
             want = airy(eps, d, kin, pol)
             worst_airy = max(worst_airy, abs(got - want) / max(abs(want), 1e-12))
@@ -139,9 +139,8 @@ def test_criterion_2_transfer_matrix_suite():
             Layer(complex(rng.uniform(1.0, 6.0), 0.0), rng.uniform(0.0, 3.0))
             for _ in range(rng.integers(1, 5))
         )
-        stack = Stack(layers=layers)
         kin = Kinematics(rng.uniform(0.5, 3.0), rng.uniform(0.05, 1.55))
-        (r_e, r_m), (normal_e, normal_m) = reflection_pair(stack, kin), reflection_pair(stack, kin_normal)
+        (r_e, r_m), (normal_e, normal_m) = reflection_pair(layers, kin), reflection_pair(layers, kin_normal)
         worst_passive = max(worst_passive, abs(r_e) - 1.0, abs(r_m) - 1.0)
         worst_degenerate = max(worst_degenerate, abs(abs(normal_e) - abs(normal_m)))
     ok &= worst_passive <= 1e-10
@@ -164,12 +163,10 @@ def test_criterion_3_shift_oracle_agreement():
     worst = 0.0
     accepted = 0
     while accepted < 20:
-        stack = Stack(
-            layers=(
-                Layer(complex(rng.uniform(1.5, 4.0), rng.uniform(0.0, 0.1)), rng.uniform(0.05, 0.5)),
-                Layer(complex(1.0 + rng.uniform(-0.01, 0.01), rng.uniform(0.0, 0.01)), rng.uniform(1.0, 6.0)),
-                Layer(complex(rng.uniform(1.5, 4.0), rng.uniform(0.0, 0.1)), rng.uniform(0.05, 0.5)),
-            )
+        stack = (
+            Layer(complex(rng.uniform(1.5, 4.0), rng.uniform(0.0, 0.1)), rng.uniform(0.05, 0.5)),
+            Layer(complex(1.0 + rng.uniform(-0.01, 0.01), rng.uniform(0.0, 0.01)), rng.uniform(1.0, 6.0)),
+            Layer(complex(rng.uniform(1.5, 4.0), rng.uniform(0.0, 0.1)), rng.uniform(0.05, 0.5)),
         )
         theta = rng.uniform(0.35, 1.25)
         kin = Kinematics(lam, theta)

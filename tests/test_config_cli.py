@@ -134,6 +134,13 @@ PINNED_PROBLEMS = [
                  "fixed": {"omega_c": 1.0}}),
      ["unknown key sweep.fixed.omega_c", "a omega_c sweep needs sweep.fixed.theta",
       "sweep.lo must be >= 0 for an omega_c sweep"]),
+    # ends that are numbers but a width hi - lo that overflows, as floats and as ints
+    ("delta-sweep-width-overflows",
+     fig2(sweep={"variable": "delta", "lo": -1e308, "hi": 1e308, "samples": 3, "fixed": {"theta": 0.9}}),
+     ["sweep width hi - lo must be finite"]),
+    ("delta-sweep-integer-width-overflows",
+     fig2(sweep={"variable": "delta", "lo": -10**308, "hi": 10**308, "samples": 3, "fixed": {"theta": 0.9}}),
+     ["sweep width hi - lo must be finite"]),
     ("delta-sweep-theta-range",
      fig2(sweep={"variable": "delta", "lo": 0.0, "hi": 4.0, "samples": 11, "fixed": {"theta": 1.6}}),
      ["theta must lie in (0, pi/2)"]),
@@ -539,6 +546,14 @@ class TestRowFailures:
         summary = self.run_summary(tmp_path, monkeypatch, {"preset": name, "beam": {"lambda_um": 1e-160}})
         assert summary["row_failures"] == {"OverflowError": {"rows": rows, "first": "math range error"}}
 
+    def test_an_overflowing_middle_layer_phase_is_one_kind_of_failure(self, tmp_path, monkeypatch):
+        # a 1e308 um well overflows kx * d in its real part at some angles and in
+        # its imaginary part at others; cmath raises ValueError for the one and
+        # OverflowError for the other, and both are the overflow failure
+        doc = {"preset": "fig2", "stack": {"d2_um": 1e308}, "sweep": {"samples": 3}}
+        summary = self.run_summary(tmp_path, monkeypatch, doc)
+        assert summary["row_failures"] == {"OverflowError": {"rows": 3, "first": "math range error"}}
+
     def test_singular_rows_report_the_first_message(self, tmp_path, monkeypatch):
         # fig5c's delta sweep with the control field and the d-level rates
         # off: every row's medium is singular, each with its own delta
@@ -686,6 +701,9 @@ REFUSALS = [
      "config error: qw.gamma_bl must be >= 0\nconfig error: sweep.samples must be an integer >= 2"),
     ("deep-nesting", {"deep.json": DEEP}, ["--config", "deep.json"],
      "deep.json: nested too deeply to parse"),
+    ("sweep-width-overflows",
+     {"w.json": '{"preset": "fig5c", "sweep": {"lo": -1e308, "hi": 1e308, "samples": 3}}'},
+     ["--config", "w.json"], "sweep width hi - lo must be finite"),
     ("window-unparsable", {}, ["--preset", "fig5a", "--find-resonance", "0.9,x"],
      "--find-resonance: could not convert string to float: 'x'"),
     ("window-out-of-range", {}, ["--preset", "fig5a", "--find-resonance", "1.0,0.9"],

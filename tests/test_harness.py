@@ -62,7 +62,7 @@ def test_every_name_bench_imports_from_the_package_is_public():
 def test_public_surface_is_pinned():
     assert spinhall.__all__ == [
         "BeamSpec", "DegenerateGeometryError", "Kinematics", "Layer", "PRESET_NAMES",
-        "QwParams", "ResolutionError", "Scenario", "SingularParameterError", "Stack",
+        "QwParams", "ResolutionError", "Scenario", "SingularParameterError",
         "SweepRow", "SweepSpec", "build_stack", "centroid_shift_oracle", "find_resonance",
         "permittivity", "preset", "reflection_pair", "run_sweep", "susceptibility",
         "susceptibility_from_steady_state", "transverse_shifts",
@@ -97,7 +97,7 @@ def test_import_builds_only_the_introspected_dataclasses():
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    dataclasses = ["BeamSpec", "Kinematics", "Layer", "QwParams", "Scenario", "Stack", "SweepSpec"]
+    dataclasses = ["BeamSpec", "Kinematics", "Layer", "QwParams", "Scenario", "SweepSpec"]
     assert json.loads(result.stdout) == dataclasses
     for module, name, fields in [
         ("shifts", "ShiftResult", ("delta_h_plus", "delta_v_plus", "lambda_um", "h_singular", "v_singular")),

@@ -21,7 +21,7 @@ from spinhall.shifts import (
     ratio,
     transverse_shifts,
 )
-from spinhall.strata import Kinematics, Layer, Stack, reflection_pair
+from spinhall.strata import Kinematics, Layer, reflection_pair
 from spinhall.sweep import build_stack, find_resonance
 
 LAMBDA = 1.85
@@ -30,14 +30,8 @@ LAMBDA = 1.85
 CHI_BASE = complex(-1.5181875659189548e-4, 4.1476884300905846e-3)
 
 
-def base_stack() -> Stack:
-    return Stack(
-        layers=(
-            Layer(2.22, 0.2),
-            Layer(permittivity(CHI_BASE), 5.0),
-            Layer(2.22, 0.2),
-        )
-    )
+def base_stack() -> tuple[Layer, ...]:
+    return (Layer(2.22, 0.2), Layer(permittivity(CHI_BASE), 5.0), Layer(2.22, 0.2))
 
 
 def closed_form_h(r_e, r_m, theta):
@@ -241,13 +235,7 @@ class TestAngularSpectrum:
     def test_oracle_agrees_on_gain_assisted_walls(self):
         # loss on one wall, gain on the other; the first-order coupling and
         # sign conventions must survive non-Hermitian coefficients
-        stack = Stack(
-            layers=(
-                Layer(2.22 + 0.04j, 0.2),
-                Layer(permittivity(CHI_BASE), 5.0),
-                Layer(2.22 - 0.04j, 0.2),
-            )
-        )
+        stack = (Layer(2.22 + 0.04j, 0.2), Layer(permittivity(CHI_BASE), 5.0), Layer(2.22 - 0.04j, 0.2))
         kin = Kinematics(LAMBDA, 0.7)
         beam = BeamSpec(waist_um=500 * LAMBDA)
         from spinhall.strata import reflection_pair
@@ -259,10 +247,23 @@ class TestAngularSpectrum:
         assert oracle_v == pytest.approx(closed.delta_v_plus, rel=1e-2)
 
     def test_oracle_declines_singular_points(self):
-        vacuum = Stack(layers=(Layer(1.0, 1.0),))
+        vacuum = (Layer(1.0, 1.0),)
         kin = Kinematics(LAMBDA, 0.8)
         beam = BeamSpec(waist_um=500 * LAMBDA)
         assert centroid_shift_oracle(vacuum, kin, beam) == (None, None)
+
+    def test_an_empty_stack_is_singular_and_declined(self):
+        # no layers is vacuum: r_e = r_m = 0, so both ratios are singular
+        kin = Kinematics(LAMBDA, 0.8)
+        shifts = transverse_shifts(reflection_pair((), kin), LAMBDA, 0.8)
+        assert shifts.h_singular and shifts.v_singular
+        assert centroid_shift_oracle((), kin, BeamSpec(waist_um=500 * LAMBDA)) == (None, None)
+
+    def test_a_list_of_layers_gives_the_oracle_values_of_the_tuple(self):
+        kin, beam = Kinematics(LAMBDA, 0.7), BeamSpec(waist_um=500 * LAMBDA)
+        got = centroid_shift_oracle(list(base_stack()), kin, beam)
+        assert got == centroid_shift_oracle(base_stack(), kin, beam)
+        assert None not in got
 
     def test_oracle_requires_wide_waist(self):
         kin = Kinematics(LAMBDA, 0.8)
@@ -308,13 +309,7 @@ def _near_extinction_cases():
 def _gain_loss_walls_case():
     from spinhall.strata import reflection_pair
 
-    stack = Stack(
-        layers=(
-            Layer(2.22 + 0.04j, 0.2),
-            Layer(permittivity(CHI_BASE), 5.0),
-            Layer(2.22 - 0.04j, 0.2),
-        )
-    )
+    stack = (Layer(2.22 + 0.04j, 0.2), Layer(permittivity(CHI_BASE), 5.0), Layer(2.22 - 0.04j, 0.2))
     kin = Kinematics(LAMBDA, 0.7)
     yield reflection_pair(stack, kin), kin, BeamSpec(waist_um=500 * LAMBDA)
 

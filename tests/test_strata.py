@@ -14,7 +14,6 @@ from spinhall.strata import (
     DegenerateGeometryError,
     Kinematics,
     Layer,
-    Stack,
     reflection_arrays,
     reflection_pair,
 )
@@ -206,14 +205,27 @@ class TestLayerMatrices:
 
 class TestReflection:
     def test_all_vacuum_stack_reflects_nothing(self):
-        stack = Stack(layers=(Layer(1.0, 1.0), Layer(1.0, 2.5), Layer(1.0, 0.3)))
+        stack = (Layer(1.0, 1.0), Layer(1.0, 2.5), Layer(1.0, 0.3))
         kin = Kinematics(1.85, 0.7)
         r_e, r_m = reflection_pair(stack, kin)
         assert abs(r_e) < 1e-14
         assert abs(r_m) < 1e-14
 
+    def test_an_empty_stack_is_vacuum(self):
+        # no layers: r = 0 exactly, on the point path as in a batch
+        kin = Kinematics(1.85, 0.7)
+        assert reflection_pair((), kin) == reflection_pair([], kin) == (0j, 0j)
+        assert [type(r) for r in reflection_pair((), kin)] == [complex, complex]
+        for r in reflection_arrays([], 1.85, np.array([0.3, 0.7])):
+            np.testing.assert_array_equal(r, [0j, 0j])
+
+    def test_a_list_of_layers_gives_the_pair_of_the_tuple(self):
+        layers = [Layer(2.22 + 0.04j, 0.2), Layer(1.001 + 0.004j, 5.0), Layer(2.22 - 0.04j, 0.2)]
+        kin = Kinematics(1.85, 0.979)
+        assert reflection_pair(layers, kin) == reflection_pair(tuple(layers), kin)
+
     def test_zero_thickness_stack_reflects_nothing(self):
-        stack = Stack(layers=(Layer(2.22, 0.0), Layer(1.5 + 0.1j, 0.0)))
+        stack = (Layer(2.22, 0.0), Layer(1.5 + 0.1j, 0.0))
         kin = Kinematics(1.85, 0.7)
         r_e, r_m = reflection_pair(stack, kin)
         assert r_e == 0.0
@@ -221,7 +233,7 @@ class TestReflection:
 
     def test_airy_equivalence_reference_slab(self):
         kin = Kinematics(lambda_um=1.85, theta_rad=0.5)
-        stack = Stack(layers=(Layer(2.22, 0.2),))
+        stack = (Layer(2.22, 0.2),)
         for got, pol in zip(reflection_pair(stack, kin), ("te", "tm")):
             want = airy_reflection(2.22, 0.2, kin, pol)
             assert abs(got - want) <= 1e-10 * abs(want)
@@ -232,7 +244,7 @@ class TestReflection:
             eps = complex(rng.uniform(1.0, 6.0), rng.uniform(0.0, 0.5))
             d = rng.uniform(0.0, 4.0)
             kin = Kinematics(rng.uniform(0.5, 3.0), rng.uniform(0.05, 1.5))
-            stack = Stack(layers=(Layer(eps, d),))
+            stack = (Layer(eps, d),)
             for got, pol in zip(reflection_pair(stack, kin), ("te", "tm")):
                 want = airy_reflection(eps, d, kin, pol)
                 assert abs(got - want) <= 1e-10 * max(abs(want), 1e-12)
@@ -243,10 +255,8 @@ class TestReflection:
         for _ in range(100):
             eps = complex(rng.uniform(1.0, 5.0), rng.uniform(-0.2, 0.5))
             d = rng.uniform(0.1, 3.0)
-            whole = Stack(layers=(Layer(2.0, 0.4), Layer(eps, d), Layer(3.0, 0.2)))
-            split = Stack(
-                layers=(Layer(2.0, 0.4), Layer(eps, d / 2), Layer(eps, d / 2), Layer(3.0, 0.2))
-            )
+            whole = (Layer(2.0, 0.4), Layer(eps, d), Layer(3.0, 0.2))
+            split = (Layer(2.0, 0.4), Layer(eps, d / 2), Layer(eps, d / 2), Layer(3.0, 0.2))
             (got_e, got_m), (want_e, want_m) = reflection_pair(whole, kin), reflection_pair(split, kin)
             assert abs(got_e - want_e) < 1e-12
             assert abs(got_m - want_m) < 1e-12
@@ -254,7 +264,7 @@ class TestReflection:
     def test_lossless_passivity(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
-            stack = Stack(layers=random_layers(rng, rng.integers(1, 5), lossless=True))
+            stack = random_layers(rng, rng.integers(1, 5), lossless=True)
             kin = Kinematics(rng.uniform(0.5, 3.0), rng.uniform(0.05, 1.55))
             r_e, r_m = reflection_pair(stack, kin)
             assert abs(r_e) <= 1.0 + 1e-10
@@ -264,13 +274,13 @@ class TestReflection:
         rng = np.random.default_rng(17)
         kin = Kinematics(1.85, 1e-6)
         for _ in range(100):
-            stack = Stack(layers=random_layers(rng, rng.integers(1, 5), lossless=True))
+            stack = random_layers(rng, rng.integers(1, 5), lossless=True)
             r_e, r_m = reflection_pair(stack, kin)
             assert abs(abs(r_e) - abs(r_m)) < 1e-10
 
     def test_thick_slab_tm_null_at_brewster(self):
         # a thick lossless slab extinguishes TM right at atan(sqrt(eps))
-        stack = Stack(layers=(Layer(2.22, 50.0),))
+        stack = (Layer(2.22, 50.0),)
         thetas = np.linspace(0.9, 1.05, 4001)
         rm = np.array([abs(reflection_pair(stack, Kinematics(1.85, t))[1]) for t in thetas])
         theta_min = thetas[rm.argmin()]
@@ -280,24 +290,31 @@ class TestReflection:
         assert re_there / rm.min() > 1e2
 
     def test_complex_wall_permittivities_accepted(self):
-        stack = Stack(
-            layers=(Layer(2.22 + 0.04j, 0.2), Layer(1.0 + 0.004j, 5.0), Layer(2.22 - 0.04j, 0.2))
-        )
+        stack = (Layer(2.22 + 0.04j, 0.2), Layer(1.0 + 0.004j, 5.0), Layer(2.22 - 0.04j, 0.2))
         r_e, r_m = reflection_pair(stack, Kinematics(1.85, 0.98))
         assert np.isfinite(r_e.real) and np.isfinite(r_m.imag)
 
     def test_overflowing_layer_raises_per_point_and_is_nan_in_a_batch(self):
         # |Im(kx) d| ~ 2000 overflows cosh: the point raises, the batch masks it
-        stack = Stack(layers=(Layer(-4.0 + 0.1j, 80.0),))
+        stack = (Layer(-4.0 + 0.1j, 80.0),)
         with pytest.raises(OverflowError):
             reflection_pair(stack, Kinematics(0.5, 0.3))
         r_e, r_m = reflection_arrays([(-4.0 + 0.1j, 80.0)], 0.5, np.array([0.3, 1.0]))
         assert np.all(np.isnan(r_e)) and np.all(np.isnan(r_m))
 
+    @pytest.mark.parametrize("layer", [Layer(2.22, 1e308), Layer(-4.0, 1e3)])
+    def test_an_overflowing_phase_raises_the_range_error_whichever_part_overflows(self, layer):
+        # kx * d of a 1e308 um slab has an infinite real part, for which cmath.cos
+        # raises ValueError; an evanescent slab's overflows in its imaginary part,
+        # for which it raises OverflowError: both are the one overflow failure
+        with pytest.raises(OverflowError) as info:
+            reflection_pair((layer,), Kinematics(1.85, 0.1))
+        assert info.value.args == ("math range error",)
+
     def test_a_wavelength_whose_k_squared_overflows_raises_the_range_error(self):
         # lambda = 1e-160 um: k * k overflows to inf, so the point fails as an
         # overflowing matrix entry does, not with pow's errno text
-        stack = Stack(layers=(REF_LAYER,))
+        stack = (REF_LAYER,)
         with pytest.raises(OverflowError) as info:
             reflection_pair(stack, Kinematics(1e-160, 0.98))
         assert info.value.args == ("math range error",)
@@ -325,7 +342,7 @@ class TestEntrySide:
     THICKNESSES = (0.2, 5.0, 0.2)
 
     def test_light_enters_through_the_last_layer(self):
-        stack = Stack(layers=tuple(Layer(e, d) for e, d in zip(self.EPSILONS, self.THICKNESSES)))
+        stack = tuple(Layer(e, d) for e, d in zip(self.EPSILONS, self.THICKNESSES))
         thetas = np.array([0.3, 0.7, 0.9, 0.979, 0.98, 1.2])
         batch = reflection_arrays(list(zip(self.EPSILONS, self.THICKNESSES)), 1.85, thetas)
         for i, theta in enumerate(thetas):
@@ -366,8 +383,8 @@ class TestReflectionArrays:
     def test_batch_matches_per_point_on_random_lossy_stacks(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
-            stack = Stack(layers=random_layers(rng, rng.integers(1, 5)))
-            layers = [(layer.epsilon, layer.thickness_um) for layer in stack.layers]
+            stack = random_layers(rng, rng.integers(1, 5))
+            layers = [(layer.epsilon, layer.thickness_um) for layer in stack]
             lambda_um = rng.uniform(0.5, 3.0)
             thetas = rng.uniform(0.05, 1.5, size=8)
             r_e, r_m = reflection_arrays(layers, lambda_um, thetas)
@@ -387,7 +404,7 @@ class TestReflectionArrays:
         r_e, r_m = reflection_arrays(layers, 1.85, 0.979)
         assert r_e.shape == eps2.shape
         for i, eps in enumerate(eps2):
-            stack = Stack(layers=(Layer(*layers[0]), Layer(eps, 5.0), Layer(*layers[2])))
+            stack = (Layer(*layers[0]), Layer(eps, 5.0), Layer(*layers[2]))
             want_e, want_m = reflection_pair(stack, kin)
             assert abs(r_e[i] - want_e) <= 1e-13 * abs(want_e)
             assert abs(r_m[i] - want_m) <= 1e-13 * abs(want_m)
@@ -402,7 +419,7 @@ class TestReflectionArrays:
         for r in reflection_arrays(layers, 1.85, thetas):
             assert np.isnan(r[2])
             assert np.all(r[[0, 1, 3]] == 0.0)
-        stack = Stack(layers=tuple(Layer(e, d) for e, d in layers))
+        stack = tuple(Layer(e, d) for e, d in layers)
         with pytest.raises(DegenerateGeometryError):
             reflection_pair(stack, Kinematics(1.85, 1.5707))
         assert reflection_pair(stack, Kinematics(1.85, 1.2))[1] == 0.0
@@ -417,7 +434,7 @@ class TestReflectionPair:
 
     def test_pair_is_python_complex_and_matches_the_grid(self):
         layers = ((2.22, 0.2), (1.001 + 0.004j, 5.0), (2.22, 0.2))
-        pair = reflection_pair(Stack(layers=tuple(Layer(*l) for l in layers)), Kinematics(1.85, 0.98))
+        pair = reflection_pair(tuple(Layer(*l) for l in layers), Kinematics(1.85, 0.98))
         assert type(pair) is tuple and [type(r) for r in pair] == [complex, complex]
         for got, want in zip(pair, reflection_arrays(layers, 1.85, np.array([0.98]))):
             assert abs(got - want[0]) <= 1e-13 * abs(want[0])
@@ -439,7 +456,7 @@ class TestPointKernel:
         # |r_m| ~ 2e-5), so the bound carries an absolute floor
         scenario, spec = preset(name)
         stack = build_stack(scenario, susceptibility(scenario.qw).chi)
-        layers = [(layer.epsilon, layer.thickness_um) for layer in stack.layers]
+        layers = [(layer.epsilon, layer.thickness_um) for layer in stack]
         theta_star = find_resonance(scenario, (spec.lo, spec.hi)).theta_star
         thetas = np.array([theta_star + d for d in EXTINCTION_OFFSETS])
         grid = reflection_arrays(layers, scenario.lambda_um, thetas)
@@ -452,7 +469,7 @@ class TestPointKernel:
     def test_signed_zero_permittivity_gives_equal_results(self):
         kin = Kinematics(1.85, 0.7)
         pairs = [
-            reflection_pair(Stack(layers=(Layer(2.22, 0.2), Layer(eps, 0.3), Layer(2.22, 0.2))), kin)
+            reflection_pair((Layer(2.22, 0.2), Layer(eps, 0.3), Layer(2.22, 0.2)), kin)
             for eps in (complex(-4.0, -0.0), complex(-4.0, 0.0))
         ]
         assert pairs[0] == pairs[1]
@@ -471,7 +488,7 @@ class TestPointKernel:
             np.testing.assert_array_equal(te, [[1.0, 1j * d], [0.0, 1.0]])
             np.testing.assert_array_equal(tm, [[1.0, 1j * eps * d], [0.0, 1.0]])
         layers = [(2.22, 0.2), (eps, d), (2.22, 0.2)]
-        pair = reflection_pair(Stack(layers=tuple(Layer(*layer) for layer in layers)), kin)
+        pair = reflection_pair(tuple(Layer(*layer) for layer in layers), kin)
         for got, want in zip(pair, reflection_arrays(layers, kin.lambda_um, theta)):
             assert cmath.isfinite(got)
             assert abs(got - want) <= 1e-13 * abs(want)
@@ -485,10 +502,6 @@ class TestValidation:
     def test_negative_thickness_rejected(self):
         with pytest.raises(ValueError, match="thickness"):
             Layer(epsilon=2.0, thickness_um=-0.1)
-
-    def test_empty_stack_rejected(self):
-        with pytest.raises(ValueError, match="layer"):
-            Stack(layers=())
 
     def test_kinematics_domain(self):
         with pytest.raises(ValueError, match="theta"):
@@ -536,7 +549,7 @@ class TestRowLoop:
         for theta in [*thetas[::8], *np.linspace(0.1, 1.5, 2001)[[1226, 1601]]]:
             args = (k, k * math.sin(theta), math.cos(theta))
             want = stack_fractions_reference(layers, *args, point_entries)
-            assert list(strata._point_fractions(stack.layers, *args)) == want
+            assert list(strata._point_fractions(stack, *args)) == want
 
     def test_point_loop_takes_a_complex_angle(self):
         # r_m's complex zero z is found by evaluating r at k_z = k sin z, q0 = cos z
@@ -546,7 +559,7 @@ class TestRowLoop:
         k, z = 2.0 * math.pi / scenario.lambda_um, 0.98 + 1e-3j
         args = (k, k * cmath.sin(z), cmath.cos(z))
         want = stack_fractions_reference(layers, *args, point_entries)
-        assert list(strata._point_fractions(build_stack(scenario, chi).layers, *args)) == want
+        assert list(strata._point_fractions(build_stack(scenario, chi), *args)) == want
 
     def test_point_loop_on_random_stacks(self):
         # 1-5 layers drawn among repeats of the first layer, zero-thickness
@@ -601,5 +614,5 @@ class TestWallReuse:
         assert self.entries_per_pair(monkeypatch, stack) == calls
 
     def test_equal_epsilon_at_another_thickness_is_computed(self, monkeypatch):
-        stack = Stack(layers=(Layer(2.22, 0.2), Layer(1.001 + 0.004j, 5.0), Layer(2.22, 0.3)))
+        stack = (Layer(2.22, 0.2), Layer(1.001 + 0.004j, 5.0), Layer(2.22, 0.3))
         assert self.entries_per_pair(monkeypatch, stack) == 3

@@ -223,6 +223,12 @@ class TestSweepSpecValidation:
         with pytest.raises(ValueError, match="lo < hi"):
             SweepSpec("theta", 1.2, 0.3, 5)
 
+    @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-10**308, 10**308)], ids=["floats", "ints"])
+    def test_a_range_whose_width_overflows_is_refused(self, lo, hi):
+        # its grid would be nan, inf and hi, with an overflow warning on the way
+        with pytest.raises(ValueError, match="finite hi - lo"):
+            SweepSpec("delta", lo, hi, 3, {"theta": 0.9})
+
     def test_theta_window_domain(self):
         with pytest.raises(ValueError, match=r"theta must lie in \(0, pi/2\)"):
             SweepSpec("theta", 0.0, 1.0, 5)
@@ -470,5 +476,5 @@ class TestScenarioValidation:
     def test_build_stack_layout(self):
         scenario = base_scenario()
         stack = build_stack(scenario, 0.5j)
-        assert [layer.epsilon for layer in stack.layers] == [2.22 + 0j, 1.0 + 0.5j, 2.22 + 0j]
-        assert [layer.thickness_um for layer in stack.layers] == [0.2, 5.0, 0.2]
+        assert [layer.epsilon for layer in stack] == [2.22 + 0j, 1.0 + 0.5j, 2.22 + 0j]
+        assert [layer.thickness_um for layer in stack] == [0.2, 5.0, 0.2]
