@@ -176,55 +176,48 @@ def susceptibility_grid(params: QwParams, variable: str, values: np.ndarray) -> 
 
 
 def steady_state_coherences(
-    params: QwParams, omega_p: float, *, delta_p: float = 0.0, delta_c: float = 0.0
+    params: QwParams, *, delta_p: float = 0.0, delta_c: float = 0.0
 ) -> tuple[complex, complex, complex]:
-    """Weak-probe steady state of the coherence equations of motion.
+    """Weak-probe steady state of the coherence equations of motion, per
+    unit probe Rabi frequency (the equations are linear in it).
 
     Sets the ground-state amplitude to 1 and solves the remaining 3x3 complex
-    linear system for (B2, B3, B4).  The B2 row carries +delta and the B3 row
-    -delta: the two intermediate subbands sit symmetrically about the doublet
-    center.  Unlike the closed form, it takes probe and control detunings.
-
-    omega_p must be positive and small against the decay rates for the
-    linear-response reading of the result to hold.
+    linear system for (B2, B3, B4) by Cramer's rule.  The B2 row carries
+    +delta and the B3 row -delta: the two intermediate subbands sit
+    symmetrically about the doublet center.  Unlike the closed form, it takes
+    probe and control detunings.
     """
-    if not (omega_p > 0.0 and math.isfinite(omega_p)):
-        raise ValueError(f"omega_p must be positive and finite, got {omega_p!r}")
     if not (math.isfinite(delta_p) and math.isfinite(delta_c)):
         raise ValueError(f"detunings must be finite, got delta_p={delta_p!r}, delta_c={delta_c!r}")
-    import numpy as np
     d = derived_rates(params)
-    g, f = params.g, params.f
     oc, dp, dc = params.omega_c, delta_p, delta_c
-    matrix = np.array(
-        [
-            [1j * (1j * d.gamma2 - dp + params.delta), d.alpha, 1j * f * oc],
-            [d.alpha, 1j * (1j * d.gamma3 - dp - params.delta), 1j * oc],
-            [1j * f * oc, 1j * oc, 1j * (1j * d.gamma4 - dp + dc)],
-        ],
-        dtype=complex,
-    )
-    rhs = np.array([-1j * g * omega_p, -1j * omega_p, 0.0], dtype=complex)
-    try:
-        solution = np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError as exc:
+    # the symmetric matrix [[m11, alpha, fc], [alpha, m22, c], [fc, c, m33]]
+    m11 = 1j * (1j * d.gamma2 - dp + params.delta)
+    m22 = 1j * (1j * d.gamma3 - dp - params.delta)
+    m33 = 1j * (1j * d.gamma4 - dp + dc)
+    alpha, fc, c = d.alpha, 1j * params.f * oc, 1j * oc
+    # its cofactors, and the right-hand side (-i g, -i, 0)
+    c11, c12, c22 = m22 * m33 - c * c, c * fc - alpha * m33, m11 * m33 - fc * fc
+    c13, c23 = alpha * c - m22 * fc, alpha * fc - m11 * c
+    det = m11 * c11 + alpha * c12 + fc * c13
+    if det == 0:
         raise SingularParameterError(
             f"steady-state coefficient matrix is singular for delta={params.delta}, "
-            f"omega_c={oc}, delta_p={dp}, delta_c={dc}: {exc}"
-        ) from exc
-    return complex(solution[0]), complex(solution[1]), complex(solution[2])
+            f"omega_c={oc}, delta_p={dp}, delta_c={dc}"
+        )
+    r1 = -1j * params.g
+    return (r1 * c11 - 1j * c12) / det, (r1 * c12 - 1j * c22) / det, (r1 * c13 - 1j * c23) / det
 
 
 def susceptibility_from_steady_state(params: QwParams) -> complex:
     """Reconstruct chi from the steady-state coherences.
 
-    chi = beta * (g*B2 + B3) / omega_p, at zero probe and control detuning
-    and a weak probe omega_p = 1e-3 meV, where it reproduces the closed form;
-    it is the independent check the closed form is tested against.
+    chi = beta * (g*B2 + B3) per unit probe, at zero probe and control
+    detuning, where it reproduces the closed form; it is the independent
+    check the closed form is tested against.
     """
-    omega_p = 1e-3
-    b2, b3, _ = steady_state_coherences(params, omega_p)
-    return params.beta * (params.g * b2 + b3) / omega_p
+    b2, b3, _ = steady_state_coherences(params)
+    return params.beta * (params.g * b2 + b3)
 
 
 def permittivity(chi: Susceptibility | complex) -> complex:

@@ -20,7 +20,10 @@ import pytest
 from spinhall.cli import write_csv
 from spinhall.config import config_from_scenario, scenario_from_config
 from spinhall.presets import PRESET_NAMES, preset
-from spinhall.qw_medium import DecayBundle, QwParams, SingularParameterError, susceptibility
+from spinhall.qw_medium import (
+    DecayBundle, QwParams, SingularParameterError, steady_state_coherences, susceptibility,
+    susceptibility_from_steady_state,
+)
 from spinhall.shifts import BeamSpec, _principal_phase, centroid_shift_oracle, ratio, transverse_shifts
 from spinhall.strata import Kinematics, Layer, reflection_pair
 from spinhall.sweep import (
@@ -59,8 +62,8 @@ class TestNoNumpy:
 
     def test_the_point_api_runs_where_numpy_cannot_be_imported(self, tmp_path):
         # numpy is a test dependency only: with its import blocked the point
-        # functions give this process's values, and each array function
-        # raises ModuleNotFoundError for numpy
+        # functions and the steady-state reference give this process's values,
+        # and each array function raises ModuleNotFoundError for numpy
         code = (
             "import sys\n"
             "sys.modules['numpy'] = None\n"
@@ -78,13 +81,12 @@ class TestNoNumpy:
             "pair = reflection_pair(stack, kin)\n"
             "print(repr((chi, pair, transverse_shifts(pair, scenario.lambda_um, 0.979),\n"
             "            centroid_shift_oracle(stack, kin, BeamSpec(waist_um=925.0)))))\n"
+            "print(repr((steady_state_coherences(scenario.qw), susceptibility_from_steady_state(scenario.qw))))\n"
             "calls = {\n"
             "    'run_sweep': lambda: run_sweep(scenario, replace(spec, samples=11)),\n"
             "    'find_resonance': lambda: find_resonance(scenario, (0.9, 1.05)),\n"
             "    'reflection_arrays': lambda: reflection_arrays(_layers(scenario, chi), 1.85, [0.9, 1.0]),\n"
             "    'susceptibility_grid': lambda: susceptibility_grid(scenario.qw, 'omega_c', [0.0, 1.0]),\n"
-            "    'steady_state_coherences': lambda: steady_state_coherences(scenario.qw, 1e-3),\n"
-            "    'susceptibility_from_steady_state': lambda: susceptibility_from_steady_state(scenario.qw),\n"
             "}\n"
             "for name, call in calls.items():\n"
             "    try:\n"
@@ -101,9 +103,9 @@ class TestNoNumpy:
         pair = reflection_pair(stack, kin)
         want = (chi, pair, transverse_shifts(pair, scenario.lambda_um, 0.979),
                 centroid_shift_oracle(stack, kin, BeamSpec(waist_um=925.0)))
-        assert result.stdout.splitlines() == [repr(want)] + [
-            f"{name} numpy" for name in ("run_sweep", "find_resonance", "reflection_arrays", "susceptibility_grid",
-                                         "steady_state_coherences", "susceptibility_from_steady_state")
+        steady = (steady_state_coherences(scenario.qw), susceptibility_from_steady_state(scenario.qw))
+        assert result.stdout.splitlines() == [repr(want), repr(steady)] + [
+            f"{name} numpy" for name in ("run_sweep", "find_resonance", "reflection_arrays", "susceptibility_grid")
         ]
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
