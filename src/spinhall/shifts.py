@@ -11,9 +11,8 @@ for horizontally and vertically polarized input.  The sigma- values are their
 exact negatives, so only sigma+ is computed.  Only the magnitude ratio and the
 phase difference of the two reflection coefficients enter, so giant shifts
 appear wherever one polarization is nearly extinguished (the ratio blows up).
-`_row_data` is the one pass from a pair (r_e, r_m) to a row: magnitudes, ratios,
-phases on (-pi, pi] and these closed forms, in `math` at one point (for
-`transverse_shifts` and the sweep's point path) and numpy over `run_sweep`'s arrays.
+`_row_data` takes a pair (r_e, r_m) to a row in one pass of `math`: magnitudes,
+ratios, phases on (-pi, pi] and these closed forms; `run_sweep` repeats it in numpy.
 
 `centroid_shift_oracle` is the intensity-centroid shift of a Gaussian beam of
 waist w0: the first-order reflection matrix, with the cross-polarization
@@ -89,39 +88,28 @@ class ShiftResult(NamedTuple):
     v_singular: bool
 
 
-def ratio(a, b):
-    """a/b with IEEE semantics at b = 0 (inf, or nan for 0/0): Python floats
-    divide in Python, anything else in numpy."""
-    if type(a) is float and type(b) is float:
-        if b:
-            return a / b
-        return math.nan if a == 0.0 or a != a else math.copysign(math.inf, a) * math.copysign(1.0, b)
-    import numpy as np
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.divide(a, b)
+def ratio(a: float, b: float) -> float:
+    """a/b of floats with IEEE semantics at b = 0 (inf, or nan for 0/0), as numpy divides."""
+    if b:
+        return a / b
+    return math.nan if a == 0.0 or a != a else math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
-def _principal_phase(z):
-    """arg(z) mapped onto (-pi, pi]: a float for a Python scalar, computed by
-    cmath, else an array computed by numpy."""
-    if type(z) in (float, complex):
-        phi = cmath.phase(z)
-        return phi + 2.0 * math.pi if phi <= -math.pi else phi
-    import numpy as np
-    phi = np.angle(z)
-    return np.where(phi <= -math.pi, phi + 2.0 * math.pi, phi)
+def _principal_phase(z: complex) -> float:
+    """arg(z) mapped onto (-pi, pi], computed by cmath."""
+    phi = cmath.phase(z)
+    return phi + 2.0 * math.pi if phi <= -math.pi else phi
 
 
-def _row_data(r_e, r_m, theta, lib) -> tuple:
+def _row_data(r_e: complex, r_m: complex, theta: float) -> tuple:
     """(|r_e|, |r_m|, ratio_em, ratio_me, phi_e, phi_m, delta_h_plus, delta_v_plus,
-    h_singular, v_singular), a `SweepRow`'s data, in one pass and one operation order:
-    of one point's r_e and r_m (lib `math`) or of a grid's arrays (numpy)."""
+    h_singular, v_singular), a `SweepRow`'s data, of one point's r_e and r_m in one pass."""
     re_abs, rm_abs, phi_e, phi_m = abs(r_e), abs(r_m), _principal_phase(r_e), _principal_phase(r_m)
     ratio_em, ratio_me = ratio(re_abs, rm_abs), ratio(rm_abs, re_abs)
     dphi = phi_e - phi_m
-    scale = -(1.0 / lib.tan(theta)) / (2.0 * math.pi)
-    delta_h = scale * (1.0 + ratio_em * lib.cos(dphi))
-    delta_v = scale * (1.0 + ratio_me * lib.cos(-dphi))
+    scale = -(1.0 / math.tan(theta)) / (2.0 * math.pi)
+    delta_h = scale * (1.0 + ratio_em * math.cos(dphi))
+    delta_v = scale * (1.0 + ratio_me * math.cos(-dphi))
     return (re_abs, rm_abs, ratio_em, ratio_me, phi_e, phi_m, delta_h, delta_v,
             rm_abs < SINGULAR_REFLECTION, re_abs < SINGULAR_REFLECTION)
 
@@ -136,7 +124,7 @@ def transverse_shifts(pair: tuple[complex, complex], lambda_um: float, theta_rad
     """
     if not 0.0 < theta_rad < math.pi / 2:
         raise ValueError(f"theta must lie in (0, pi/2), got {theta_rad!r}")
-    delta_h, delta_v, h_singular, v_singular = _row_data(*pair, theta_rad, math)[6:]
+    delta_h, delta_v, h_singular, v_singular = _row_data(*pair, theta_rad)[6:]
     return ShiftResult(delta_h, delta_v, lambda_um, h_singular, v_singular)
 
 

@@ -20,10 +20,10 @@ coarse scan (a theta sweep's rows, or 2000 angles of the window) and each zoom
 round are `_point_sweep` rows, and both searches share the zoom rounds of
 `_peak`.  The two paths agree to rounding: numpy fuses complex multiply-adds
 and rounds `arctan2` and `tan` its own way, which moves a shift near the TM
-extinction by up to a few 1e-10 relative.  Both take a pair (r_e, r_m) to a
-row's data through `shifts._row_data`, and the point path takes a point to its
-pair through `strata._point_pair`, as `reflection_pair` does.  `run_sweep`
-asks the point path why a row failed.
+extinction by up to a few 1e-10 relative.  The point path takes a pair (r_e, r_m)
+to a row's data through `shifts._row_data`, whose operations `run_sweep` repeats
+in numpy, and a point to its pair through `strata._point_pair`, as
+`reflection_pair` does.  `run_sweep` asks the point path why rows failed.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from .qw_medium import QwParams, _check_field, _chi, derived_rates, susceptibility, susceptibility_grid
 # transverse_shifts and reflection_pair are not called here; bench/spans.py wraps these names
-from .shifts import BeamSpec, _row_data, ratio, transverse_shifts
+from .shifts import SINGULAR_REFLECTION, BeamSpec, _row_data, transverse_shifts
 from .strata import Layer, _point_pair, reflection_arrays, reflection_pair
 
 __all__ = [
@@ -205,7 +205,7 @@ def _point_rows(scenario: Scenario, spec: SweepSpec, values: list[float]) -> lis
                 _check_field(variable, value)
                 omega_c, delta = (value, qw.delta) if variable == "omega_c" else (qw.omega_c, value)
                 layers = (wall1, Layer(1.0 + _chi(qw, rates, omega_c, delta), d2), wall3)
-            rows.append(SweepRow(value, *_row_data(*_point_pair(layers, k, k_z, q0), theta, math)))
+            rows.append(SweepRow(value, *_row_data(*_point_pair(layers, k, k_z, q0), theta)))
         except Exception as exc:  # per-point failures become flagged rows
             rows.append(_failed_row(value, exc))
     return rows
@@ -233,19 +233,28 @@ def run_sweep(scenario: Scenario, spec: SweepSpec, threads: int = 1) -> list[Swe
         try:
             chi = susceptibility(scenario.qw).chi
         except Exception:  # a failing medium fails every row; the point path says why
-            chi = math.nan
+            return _point_rows(scenario, spec, values.tolist())
     else:
         theta = float(spec.fixed["theta"])
         chi = susceptibility_grid(scenario.qw, spec.variable, values)
     r_e, r_m = reflection_arrays(_layers(scenario, chi), scenario.lambda_um, theta)
     with np.errstate(invalid="ignore"):
-        data = _row_data(r_e, r_m, theta, np)
-    columns = [c.tolist() for c in (values, *data)]
+        re_abs, rm_abs = np.abs(r_e), np.abs(r_m)
+        phi_e, phi_m = (np.where(p <= -math.pi, p + 2.0 * math.pi, p) for p in map(np.angle, (r_e, r_m)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio_em, ratio_me = np.divide(re_abs, rm_abs), np.divide(rm_abs, re_abs)
+        dphi = phi_e - phi_m
+        scale = -(1.0 / np.tan(theta)) / (2.0 * math.pi)
+        delta_h = scale * (1.0 + ratio_em * np.cos(dphi))
+        delta_v = scale * (1.0 + ratio_me * np.cos(-dphi))
+    columns = [c.tolist() for c in (values, re_abs, rm_abs, ratio_em, ratio_me, phi_e, phi_m, delta_h,
+                                    delta_v, rm_abs < SINGULAR_REFLECTION, re_abs < SINGULAR_REFLECTION)]
     # tuple.__new__ fills each row in C, skipping the NamedTuple's Python __new__
     rows = list(map(tuple.__new__, itertools.repeat(SweepRow), zip(*columns, itertools.repeat(None))))
     failed = np.flatnonzero(np.isnan(r_e) | np.isnan(r_m)).tolist()
-    for i, row in zip(failed, _point_rows(scenario, spec, values[failed].tolist())):
-        rows[i] = row
+    if failed:
+        for i, row in zip(failed, _point_rows(scenario, spec, values[failed].tolist())):
+            rows[i] = row
     return rows
 
 
@@ -304,7 +313,8 @@ def find_resonance(scenario: Scenario, theta_window: tuple[float, float]) -> Res
     def scan(a, b, n):
         thetas = np.linspace(a, b, n)
         r_e, r_m = reflection_arrays(_layers(scenario, chi), scenario.lambda_um, thetas)
-        values = ratio(np.abs(r_e), np.abs(r_m))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = np.divide(np.abs(r_e), np.abs(r_m))
         values[np.isnan(values)] = -math.inf
         return thetas, values, int(np.argmax(values))
 

@@ -337,6 +337,16 @@ class TestPerSweepWork:
         assert built[QwParams] == [] and built[Kinematics] == []
         assert len(built[DecayBundle]) == 1
 
+    @pytest.mark.parametrize("name", ["fig2", "fig5a"])
+    def test_a_batch_with_no_failed_row_builds_no_layer(self, monkeypatch, name):
+        # run_sweep asks the point path only for the rows that failed, so a
+        # clean sweep builds no wall and no middle layer
+        built = []
+        self.count_builds(monkeypatch, Layer, built)
+        rows = run_sweep(*preset(name))
+        assert all(row.error is None for row in rows)
+        assert built == []
+
 
 class TestRefineResonance:
     @pytest.mark.parametrize("name", THETA_PRESETS)

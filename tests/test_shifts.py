@@ -16,7 +16,6 @@ from spinhall.shifts import (
     ResolutionError,
     _centroids,
     _principal_phase,
-    _row_data,
     centroid_shift_oracle,
     ratio,
     transverse_shifts,
@@ -112,8 +111,9 @@ class TestClosedForms:
 
 
 class TestScalarMode:
-    """Python numbers are computed by math and cmath, arrays and numpy
-    scalars by numpy, with the same expressions."""
+    """The scalar helpers take Python numbers and compute them by math and
+    cmath; run_sweep evaluates the same expressions over arrays in numpy, which
+    these tests write out inline as the reference."""
 
     SPECIALS = [0.0, -0.0, 1.0, -2.5, 1e-310, 1e308, math.inf, -math.inf, math.nan]
 
@@ -125,8 +125,9 @@ class TestScalarMode:
                     assert type(got) is float and repr(got) == repr(float(np.divide(a, b))), (a, b)
 
     def test_principal_phase_matches_numpys(self):
-        def numpys(z):  # the array route, through a 1-element array
-            return float(_principal_phase(np.array([z], dtype=complex))[0])
+        def numpys(z):  # run_sweep's array route, through a 1-element array
+            phi = np.angle(np.array([z], dtype=complex))
+            return float(np.where(phi <= -math.pi, phi + 2.0 * math.pi, phi)[0])
         for z in (-1 + 0j, complex(-1.0, -0.0), complex(-0.0, -0.0), 0j, -2.0, 3.0, complex(math.nan, 1.0)):
             assert repr(_principal_phase(z)) == repr(numpys(z)), z
         rng = np.random.default_rng(8)
@@ -143,7 +144,14 @@ class TestScalarMode:
         r_e = (rng.normal(size=500) + 1j * rng.normal(size=500)) * 10.0 ** rng.uniform(-8, 0, 500)
         r_m = (rng.normal(size=500) + 1j * rng.normal(size=500)) * 10.0 ** rng.uniform(-8, 0, 500)
         theta = rng.uniform(0.01, 1.56, 500)
-        grid_h, grid_v, grid_h_singular, grid_v_singular = _row_data(r_e, r_m, theta, np)[6:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            re_abs, rm_abs = np.abs(r_e), np.abs(r_m)
+            phi_e, phi_m = (np.where(p <= -math.pi, p + 2.0 * math.pi, p) for p in map(np.angle, (r_e, r_m)))
+            dphi = phi_e - phi_m
+            scale = -(1.0 / np.tan(theta)) / (2.0 * math.pi)
+            grid_h = scale * (1.0 + np.divide(re_abs, rm_abs) * np.cos(dphi))
+            grid_v = scale * (1.0 + np.divide(rm_abs, re_abs) * np.cos(-dphi))
+        grid_h_singular, grid_v_singular = rm_abs < SINGULAR_REFLECTION, re_abs < SINGULAR_REFLECTION
         for i, (a, b, t) in enumerate(zip(r_e.tolist(), r_m.tolist(), theta.tolist())):
             point = transverse_shifts((a, b), LAMBDA, t)
             assert (point.h_singular, point.v_singular) == (grid_h_singular[i], grid_v_singular[i])

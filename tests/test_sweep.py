@@ -165,6 +165,25 @@ class TestRunSweep:
         assert calls == [qw, qw]
         assert [row.error for row in rows] == ["OverflowError: math range error"] * 2001
 
+    def test_a_failing_theta_medium_skips_the_batch(self, monkeypatch):
+        # with every rate and delta zero the susceptibility raises, which fails
+        # every theta row alike; the rows come from the point path at once,
+        # with no batch of NaN rows evaluated first
+        import spinhall.sweep
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return reflection_arrays(*args)
+
+        monkeypatch.setattr(spinhall.sweep, "reflection_arrays", counted)
+        rates = dict.fromkeys(("gamma_bl", "gamma_bd", "gamma_cl", "gamma_cd", "gamma_dl", "gamma_dd", "delta"), 0.0)
+        rows = run_sweep(base_scenario(qw=base_qw(**rates)), SweepSpec("theta", 0.3, 1.2, 7))
+        assert calls == []
+        assert len(rows) == 7 and len({row.error for row in rows}) == 1
+        assert rows[0].error.startswith("SingularParameterError: ")
+
     def test_singular_parameter_rows_carry_their_own_texts(self):
         # fig5c with the control field and the d-level rates off: every delta is singular
         scenario, spec = preset("fig5c")
