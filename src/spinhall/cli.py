@@ -15,8 +15,6 @@ imports numpy, and the resonance search runs on that point path for any
 window, with a theta sweep's rows of its own range as its coarse scan.
 """
 
-from __future__ import annotations
-
 import argparse
 import cmath
 import json

@@ -8,14 +8,13 @@ gamma_cd, gamma_dl, gamma_dd, beta, g, f, delta, omega_c.  stack
 (`Scenario`): epsilon1, epsilon3, d1_um, d2_um.  beam (`Scenario`, then the
 optional `BeamSpec`): lambda_um; waist_um (none: no centroid oracle).
 sweep (`SweepSpec`): variable, lo, hi, samples; fixed = {} (only theta, the
-angle of an omega_c or delta sweep: `qw` is the one medium).  Complex numbers
-are two-element [re, im] arrays; units match the domain types (meV, um,
-rad).  Unknown keys are rejected.  `validate_config` returns the full list of
-violations as strings instead of raising, so a front end can report
-everything at once.
+angle of an omega_c or delta sweep: `qw` is the one medium).  Each JSON
+value is converted by its field's type: a complex is a two-element [re, im]
+array, an int, str or dict is itself, and any other field is a float; units
+match the domain types (meV, um, rad).  Unknown keys are rejected.
+`validate_config` returns the full list of violations as strings instead of
+raising, so a front end can report everything at once.
 """
-
-from __future__ import annotations
 
 import math
 from dataclasses import MISSING, fields
@@ -49,10 +48,10 @@ _SCHEMA = {
     "sweep": _keys(SweepSpec),
 }
 
-# JSON value to field value by the field's annotation string, and back; else float
-_FROM_JSON = {"complex": lambda v: complex(v[0], v[1]), "int": int, "str": str,
-              "dict": lambda v: {k: float(x) for k, x in v.items()}}
-_TO_JSON = {"complex": lambda v: [complex(v).real, complex(v).imag], "dict": dict}
+# JSON value to field value by the field's type, and back; else float
+_FROM_JSON = {complex: lambda v: complex(v[0], v[1]), int: int, str: str,
+              dict: lambda v: {k: float(x) for k, x in v.items()}}
+_TO_JSON = {complex: lambda v: [complex(v).real, complex(v).imag], dict: dict}
 
 
 def merged_config(doc: dict) -> dict:
@@ -120,8 +119,8 @@ def _sweep_fixed(sweep: dict) -> list[str]:
     elif variable in SWEEP_VARIABLES and _is_number(lowest) and _is_number(highest):
         if not (0.0 < lowest and highest < math.pi / 2):
             problems.append("theta must lie in (0, pi/2)")
-    if variable == "omega_c" and _is_number(lo) and lo < 0.0:
-        problems.append("sweep.lo must be >= 0 for an omega_c sweep")
+    if variable in _NON_NEGATIVE and _is_number(lo) and lo < 0.0:
+        problems.append(f"sweep.lo must be >= 0 for an {variable} sweep")
     return problems
 
 

@@ -12,8 +12,6 @@ wavelength-to-millimeter conversions of the headline shifts; it is an
 explicit knob, not a measured constant.
 """
 
-from __future__ import annotations
-
 from .qw_medium import QwParams
 from .sweep import Scenario, SweepSpec
 

@@ -17,10 +17,8 @@ prefactor beta (density times dipole moment squared over eps0*hbar) is carried
 in meV as well, which makes chi dimensionless.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -75,8 +73,8 @@ class QwParams:
     omega_c: float
 
     def __post_init__(self) -> None:
-        for name in _NON_NEGATIVE + ("g", "f", "delta"):
-            _check_field(name, getattr(self, name))
+        for field in fields(self):
+            _check_field(field.name, getattr(self, field.name))
 
 
 def _check_field(name: str, value: float) -> None:
@@ -157,7 +155,7 @@ def _chi(params: QwParams, d: DecayBundle, omega_c: float, delta: float) -> comp
     return numerator / denominator
 
 
-def susceptibility_grid(params: QwParams, variable: str, values: np.ndarray) -> np.ndarray:
+def susceptibility_grid(params: QwParams, variable: str, values: "np.ndarray") -> "np.ndarray":
     """Closed-form chi over a grid of omega_c or delta values, the other
     parameters taken from params.  Points where `susceptibility` would raise
     (a vanishing denominator, or a value QwParams rejects) are NaN."""

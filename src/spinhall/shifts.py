@@ -34,8 +34,6 @@ Space-domain fields use the plane-wave phase convention exp(i(w*t - k.r)),
 which is what ties the sigma+ label to the minus sign above.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 from collections.abc import Sequence

@@ -37,8 +37,6 @@ arrays in numpy, which only the array functions import.
 Lengths in micrometers, angles in radians.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 from collections.abc import Sequence
@@ -158,7 +156,7 @@ def _point_fractions(layers, k: float, k_z, q0):
     return (te1 + q0 * te2, q0 * te2 - te1), (tm1 + q0 * tm2, q0 * tm2 - tm1)
 
 
-def reflection_arrays(layers, lambda_um: float, theta) -> tuple[np.ndarray, np.ndarray]:
+def reflection_arrays(layers, lambda_um: float, theta) -> "tuple[np.ndarray, np.ndarray]":
     """TE and TM reflection coefficients (r_e, r_m) over an array of angles.
 
     layers is a sequence of (epsilon, thickness_um) pairs in stack order; an

@@ -26,8 +26,6 @@ in numpy, and a point to its pair through `strata._point_pair`, as
 `reflection_pair` does.  `run_sweep` asks the point path why rows failed.
 """
 
-from __future__ import annotations
-
 import cmath
 import itertools
 import math

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
@@ -202,6 +203,19 @@ class TestConfigRoundTrip:
         scenario, spec = preset(name)
         doc = config_from_scenario(scenario, spec)
         assert list(doc["qw"].items()) == [(k, getattr(scenario.qw, k)) for k in self.QW_KEYS]
+
+    def test_every_key_is_a_field_whose_type_config_converts(self):
+        # config converts a JSON value by its field's type, which is the type
+        # itself, not the text of its annotation
+        from spinhall.config import _FROM_JSON, _SCHEMA
+        from spinhall.qw_medium import QwParams
+        from spinhall.shifts import BeamSpec
+        from spinhall.sweep import Scenario, SweepSpec
+
+        keys = {key for schema in _SCHEMA.values() for key in schema}
+        read = [f for cls in (QwParams, Scenario, SweepSpec, BeamSpec) for f in fields(cls) if f.name in keys]
+        assert len(read) == sum(map(len, _SCHEMA.values()))
+        assert [f.name for f in read if not (f.type is float or f.type in _FROM_JSON)] == []
 
 
 
@@ -472,6 +486,19 @@ class TestSummaryMedium:
         }
         rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
         assert len(rows) == 11 and all(row.endswith(",hve") for row in rows)
+
+    def test_a_non_finite_resonance_peak_is_null(self, monkeypatch):
+        # JSON has no infinity: the summary writes null in its place
+        import spinhall.cli
+        from spinhall.sweep import ResonanceResult
+
+        monkeypatch.setattr(spinhall.cli, "_refine_resonance",
+                            lambda *args: ResonanceResult(0.98, math.inf, False))
+        scenario, spec = preset("fig2")
+        rows = spinhall.cli._point_sweep(scenario, spec)
+        summary = spinhall.cli._summary(scenario, spec, rows, "fig2", (spec.lo, spec.hi), None)
+        assert summary["resonance"] == {"theta_star": 0.98, "ratio_em_peak": None, "boundary": False}
+        json.dumps(summary, allow_nan=False)
 
     def test_a_medium_value_in_sweep_fixed_is_refused(self, tmp_path, monkeypatch, capsys):
         # the old override form: the medium goes in qw, sweep.fixed holds only theta

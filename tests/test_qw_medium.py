@@ -1,9 +1,13 @@
 """Tests of the quantum-well susceptibility, closed form vs steady state."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from spinhall.qw_medium import (
+    _NON_NEGATIVE,
     QwParams,
     SingularParameterError,
     derived_rates,
@@ -65,9 +69,24 @@ class TestDerivedRates:
         assert d.alpha == 0.0
         assert d.p == 0.0
 
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError, match="gamma_cl"):
-            base_params(gamma_cl=-0.1)
+    @pytest.mark.parametrize("name", _NON_NEGATIVE)
+    def test_negative_rate_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite non-negative rate, got -0.1$"):
+            base_params(**{name: -0.1})
+
+    @pytest.mark.parametrize("name", [field.name for field in dataclasses.fields(QwParams)])
+    def test_nan_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be .*finite.*, got nan$"):
+            base_params(**{name: math.nan})
+
+    def test_a_field_a_subclass_adds_is_checked(self):
+        # QwParams checks the fields it has, not a list of names
+        extended = dataclasses.make_dataclass(
+            "Detuned", [("delta_p", float, dataclasses.field(default=0.0))], bases=(QwParams,), frozen=True
+        )
+        assert extended(**BASE).delta_p == 0.0
+        with pytest.raises(ValueError, match="^delta_p must be finite, got nan$"):
+            extended(**BASE, delta_p=math.nan)
 
     def test_interference_parameter_bounded(self):
         # Cauchy-Schwarz: p in [0, 1] for any non-negative rates
